@@ -79,7 +79,8 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rate-bits", type=float,
                     help="explicit rate target for the rate event "
                          "(default: zeta * log2(1 + snr))")
-    sp.add_argument("--workers", type=int, help="parallel Monte Carlo workers")
+    sp.add_argument("--workers", type=int,
+                    help="parallel Monte Carlo workers (1-64; one pool per run)")
     sp.add_argument("--out", help="output path; stdout when omitted")
     sp.add_argument("--format", choices=("csv", "json"), help="output format")
     sp.add_argument("--config", help="JSON config file; flags override its values")

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .error_analysis import check_workers
 from .exceptions import ConfigError
 from .sampling import TransmittanceModel
 
@@ -107,8 +108,7 @@ class ExperimentConfig:
             raise ConfigError("event must be 'threshold' or 'rate'")
         if self.rate_bits is not None and float(self.rate_bits) < 0.0:
             raise ConfigError("rate-bits must be nonnegative")
-        if int(self.workers) < 1:
-            raise ConfigError("workers must be >= 1")
+        self.workers = check_workers(self.workers)
         if len(self.snr_grid) == 0:
             raise ConfigError("snr grid is empty")
 

@@ -10,10 +10,16 @@ Closed forms implemented here:
 Monte Carlo estimates are exactly reproducible: trials are split into fixed
 batches of 65536, batch b drawing from the Philox substream keyed by
 (seed, spawn_key=(b,)), so the result is byte-identical for any worker count.
+
+Batches run on a process pool when more than one worker is asked for.  A run
+over a grid (run_monte_carlo, diversity_slope_scan) opens one pool for all of
+its points, and a pool has at most one worker per batch of a point, so a
+one-batch run opens none.  Worker counts are capped at MAX_WORKERS (64).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -23,11 +29,13 @@ import numpy as np
 from scipy import special
 
 from .exceptions import ConfigError, EstimationError
-from .sampling import FIXED, RAYLEIGH, UNIFORM_PHASE, NoiseSpec, TransmittanceModel
+from .sampling import FIXED, RAYLEIGH, UNIFORM_PHASE, NoiseSpec, RngStream, TransmittanceModel
 
 LOG2E = math.log2(math.e)
 
 _BATCH = 65536
+
+MAX_WORKERS = 64
 
 
 class Regime(Enum):
@@ -253,15 +261,60 @@ class MonteCarloConfig:
             raise ConfigError("threshold must be nonnegative")
 
 
+def check_workers(workers: int) -> int:
+    """Validated worker count: 1 <= workers <= MAX_WORKERS."""
+    w = int(workers)
+    if not (1 <= w <= MAX_WORKERS):
+        raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}]")
+    return w
+
+
+def batches_per_point(model: TransmittanceModel, trials: int) -> int:
+    """Sampled batches one estimate of `trials` trials takes; 0 for the
+    deterministic-gain models, which draw nothing."""
+    if model.kind != RAYLEIGH:
+        return 0
+    return -(-int(trials) // _BATCH)
+
+
+@contextlib.contextmanager
+def worker_pool(workers: int, batches: int):
+    """Process pool for mapping batches: min(workers, batches) processes, or
+    None when that is <= 1.  Terminated and joined on exit, so the workers are
+    reaped (and counted in RUSAGE_CHILDREN) before the caller returns."""
+    size = min(check_workers(workers), int(batches))
+    if size <= 1:
+        yield None
+        return
+    pool = multiprocessing.Pool(size)
+    try:
+        yield pool
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def _count_batch(args) -> int:
     """Error count for one batch; pure function of its arguments."""
     seed, batch_index, m, l, sigma2_f, threshold = args
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(batch_index),))
-    g = np.random.Generator(np.random.Philox(ss))
+    g = RngStream(seed, batch_index).generator()
     re = g.standard_normal((m, l))
     im = g.standard_normal((m, l))
-    s = ((re * re + im * im) * (sigma2_f / 2.0)).sum(axis=1)
+    # in place, in the order of ((re*re + im*im) * (sigma2_f/2)).sum(axis=1),
+    # so every sum is bit-identical to that expression; the row sum stays a
+    # single numpy reduction (pairwise once l >= 8)
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    np.add(re, im, out=re)
+    np.multiply(re, sigma2_f / 2.0, out=re)
+    s = re.sum(axis=1)
     return int(np.count_nonzero(s < threshold))
+
+
+def _map_batches(pool, batches) -> list:
+    if pool is None or len(batches) == 1:
+        return [_count_batch(args) for args in batches]
+    return pool.map(_count_batch, batches)
 
 
 def _resolve_snr_star(config: MonteCarloConfig, noise: NoiseSpec | None) -> float | None:
@@ -294,31 +347,40 @@ def _event_geometry(config: MonteCarloConfig, noise: NoiseSpec | None):
     return 1, (2.0 ** float(config.rate_bits) - 1.0) / snr_star
 
 
+def _deterministic_gain(model: TransmittanceModel, event: str, l: int) -> float:
+    """Aggregate |F|^2 the event compares with its threshold, for the models
+    whose magnitudes are fixed (FIXED and UNIFORM_PHASE)."""
+    if model.kind == FIXED:
+        if len(model.values) != int(l):
+            raise ConfigError("fixed model value count must equal l")
+        mags2 = [abs(v) ** 2 for v in model.values]
+    else:
+        mags2 = [float(model.magnitude) ** 2] * int(l)
+    return mags2[0] if event == "rate" else sum(mags2)
+
+
 def monte_carlo_p_err(
     config: MonteCarloConfig,
     model: TransmittanceModel,
     noise: NoiseSpec | None = None,
     workers: int = 1,
+    pool=None,
 ) -> ErrorEstimate:
     """Estimate the configured error event by sampling the gain model.
 
     Deterministic given (config, model): identical results for any worker
     count, because batch b always consumes substream (seed, spawn_key=(b,)).
+    Batches are mapped on `pool` when one is given (a run over many points
+    opens it once with worker_pool); otherwise a pool of up to `workers`
+    processes is opened for this call alone.
     """
-    if int(workers) < 1:
-        raise ConfigError("workers must be >= 1")
+    check_workers(workers)
     l_draw, threshold = _event_geometry(config, noise)
     trials = int(config.trials)
 
     if model.kind in (FIXED, UNIFORM_PHASE):
         # magnitudes are deterministic for these models, so the event is too
-        if model.kind == FIXED:
-            if len(model.values) != int(config.l):
-                raise ConfigError("fixed model value count must equal l")
-            mags2 = [abs(v) ** 2 for v in model.values]
-        else:
-            mags2 = [float(model.magnitude) ** 2] * int(config.l)
-        agg = mags2[0] if config.event == "rate" else sum(mags2)
+        agg = _deterministic_gain(model, config.event, config.l)
         errors = trials if agg < threshold else 0
         return ErrorEstimate.from_counts(errors, trials)
 
@@ -333,11 +395,11 @@ def monte_carlo_p_err(
         batches.append((int(config.seed), b, m, l_draw, float(model.sigma2_f), threshold))
         done += m
         b += 1
-    if int(workers) == 1 or len(batches) == 1:
-        counts = [_count_batch(args) for args in batches]
+    if pool is not None:
+        counts = _map_batches(pool, batches)
     else:
-        with multiprocessing.Pool(int(workers)) as pool:
-            counts = pool.map(_count_batch, batches)
+        with worker_pool(workers, len(batches)) as own:
+            counts = _map_batches(own, batches)
     return ErrorEstimate.from_counts(sum(counts), trials)
 
 
@@ -361,14 +423,7 @@ def analytic_event_probability(
         if config.event == "threshold":
             return float(special.gammainc(int(l), t / s2))
         return float(-math.expm1(-t / s2))  # exponential CDF at the rate threshold
-    if model.kind == FIXED:
-        if len(model.values) != int(l):
-            raise ConfigError("fixed model value count must equal l")
-        mags2 = [abs(v) ** 2 for v in model.values]
-    else:
-        mags2 = [float(model.magnitude) ** 2] * int(l)
-    agg = mags2[0] if config.event == "rate" else sum(mags2)
-    return 1.0 if agg < t else 0.0
+    return 1.0 if _deterministic_gain(model, config.event, l) < t else 0.0
 
 
 def fit_diversity_slope(points) -> float:
@@ -427,7 +482,7 @@ def diversity_slope_scan(
     fitted slope estimates the multicarrier diversity order.  t0 is placed
     where the outage CDF equals anchor_probability; per-point trial counts
     aim at target_errors expected errors (clamped to [min_trials, max_trials]).
-    Point i uses seed + i.
+    Point i uses seed + i.  One worker pool serves every point.
     """
     if int(num_points) < 3:
         raise ConfigError("need at least 3 grid points")
@@ -446,15 +501,16 @@ def diversity_slope_scan(
     thr = float(sigma2_f) * t0 * (snr / snr[0]) ** (-(1.0 - z))
     p_pred = special.gammainc(int(l), thr / float(sigma2_f))  # budgeting only
 
+    trials = np.clip(np.ceil(int(target_errors) / p_pred), int(min_trials), int(max_trials))
+    model = TransmittanceModel.rayleigh(sigma2_f)
     estimates = []
-    for i, (t_i, p_i) in enumerate(zip(thr, p_pred)):
-        trials = int(np.clip(np.ceil(int(target_errors) / p_i), int(min_trials), int(max_trials)))
-        config = MonteCarloConfig(
-            l=int(l), trials=trials, seed=int(seed) + i, event="threshold", threshold=float(t_i)
-        )
-        estimates.append(
-            monte_carlo_p_err(config, TransmittanceModel.rayleigh(sigma2_f), workers=workers)
-        )
+    with worker_pool(workers, batches_per_point(model, int(trials.max()))) as pool:
+        for i, (t_i, n_i) in enumerate(zip(thr, trials)):
+            config = MonteCarloConfig(
+                l=int(l), trials=int(n_i), seed=int(seed) + i, event="threshold",
+                threshold=float(t_i),
+            )
+            estimates.append(monte_carlo_p_err(config, model, workers=workers, pool=pool))
     slope = fit_diversity_slope([(float(s), e.p_hat) for s, e in zip(snr, estimates)])
     return SlopeScanResult(tuple(float(s) for s in snr), tuple(float(t) for t in thr),
                            tuple(estimates), slope)

@@ -14,9 +14,11 @@ from .config import ExperimentConfig
 from .error_analysis import (
     MonteCarloConfig,
     analytic_event_probability,
+    batches_per_point,
     monte_carlo_p_err,
     p_err_amqd_analytic,
     p_err_single_analytic,
+    worker_pool,
 )
 from .exceptions import ConfigError
 
@@ -81,28 +83,31 @@ def run_monte_carlo(config: ExperimentConfig) -> Table:
 
     Grid point i runs with seed + i.  The threshold event uses threshold
     1/snr; the rate event targets rate_bits (default zeta * log2(1 + snr)).
+    One worker pool serves every grid point.
     """
     if len(config.l_values) != 1:
         raise ConfigError("the Monte Carlo sweep takes a single l")
     l = config.l_values[0]
     columns = ["snr", "p_hat", "ci_low", "ci_high", "analytic"]
     rows = []
-    for i, snr in enumerate(config.snr_grid.linear_values()):
-        snr = float(snr)
-        rate_bits = _rate_bits_at(config, snr) if config.event == "rate" else None
-        mc = MonteCarloConfig(
-            l=l,
-            trials=config.trials,
-            seed=config.seed + i,
-            event=config.event,
-            snr=snr,
-            rate_bits=rate_bits,
-        )
-        est = monte_carlo_p_err(mc, config.model, workers=config.workers)
-        oracle = analytic_event_probability(
-            config.model, config.event, l, snr=snr, rate_bits=rate_bits
-        )
-        rows.append((snr, est.p_hat, est.ci_low, est.ci_high, oracle))
+    batches = batches_per_point(config.model, config.trials)
+    with worker_pool(config.workers, batches) as pool:
+        for i, snr in enumerate(config.snr_grid.linear_values()):
+            snr = float(snr)
+            rate_bits = _rate_bits_at(config, snr) if config.event == "rate" else None
+            mc = MonteCarloConfig(
+                l=l,
+                trials=config.trials,
+                seed=config.seed + i,
+                event=config.event,
+                snr=snr,
+                rate_bits=rate_bits,
+            )
+            est = monte_carlo_p_err(mc, config.model, workers=config.workers, pool=pool)
+            oracle = analytic_event_probability(
+                config.model, config.event, l, snr=snr, rate_bits=rate_bits
+            )
+            rows.append((snr, est.p_hat, est.ci_low, est.ci_high, oracle))
     return Table(columns, rows)
 
 

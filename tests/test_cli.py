@@ -146,6 +146,16 @@ class TestConfigPrecedence:
         assert main(["analytic", "--model", "fancy"]) == 2
         assert "model" in capsys.readouterr().err
 
+    def test_worker_count_above_cap_exits_2(self, monkeypatch, capsys):
+        import multiprocessing.pool
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a rejected worker count must start no process")
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        assert main(["simulate", "--workers", "65", "--trials", "200000"]) == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analytic", "--nonsense"])

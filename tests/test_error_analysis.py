@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import multiprocessing.pool
 
 import numpy as np
 import pytest
@@ -10,10 +12,13 @@ from amqd import (
     ConfigError,
     ErrorEstimate,
     EstimationError,
+    ExperimentConfig,
     MonteCarloConfig,
     NoiseSpec,
     OutageQuery,
     Regime,
+    RngStream,
+    SnrGrid,
     TransmittanceModel,
     analytic_event_probability,
     chi2_density,
@@ -25,8 +30,10 @@ from amqd import (
     outage_cdf,
     p_err_amqd_analytic,
     p_err_single_analytic,
+    run_monte_carlo,
     wilson_interval,
 )
+from amqd.error_analysis import _count_batch
 
 
 class TestErrorEvent:
@@ -260,6 +267,32 @@ class TestMonteCarloPErr:
             config, model, workers=3
         )
 
+    # counts measured before the batch kernel was rewritten in place; they
+    # change if a single draw or a single bit of a row sum changes (l=10
+    # takes numpy's pairwise-sum path)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("l,threshold,errors", [(1, 0.1, 28844), (3, 1.0, 24101),
+                                                    (10, 3.0, 338)])
+    def test_golden_counts(self, l, threshold, errors, workers):
+        config = MonteCarloConfig(l=l, trials=300000, seed=5, event="threshold",
+                                  threshold=threshold)
+        est = monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0), workers=workers)
+        assert est.errors_observed == errors
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 10])
+    def test_batch_kernel_matches_reference_expression_bitwise(self, l):
+        # thresholds on a reference row sum and one ulp above it: a row sum
+        # that moved by a single ulp changes one of the two counts
+        seed, batch, m, sigma2_f = 9, 2, 2048, 0.7
+        g = RngStream(seed, batch).generator()
+        re = g.standard_normal((m, l))
+        im = g.standard_normal((m, l))
+        ref = ((re * re + im * im) * (sigma2_f / 2.0)).sum(axis=1)
+        for x in ref[:32]:
+            for t in (x, np.nextafter(x, np.inf)):
+                got = _count_batch((seed, batch, m, l, sigma2_f, t))
+                assert got == np.count_nonzero(ref < t)
+
     def test_rate_event_reduces_to_magnitude_threshold(self):
         # identical seeds draw identical gains, and the two events have the
         # same geometry, so the counts agree exactly
@@ -366,3 +399,66 @@ class TestDiversitySlopeScan:
             diversity_slope_scan(1, 0.0, seed=0, anchor_probability=1.5)
         with pytest.raises(ConfigError):
             diversity_slope_scan(1, 0.0, seed=0, snr_min=100.0, snr_max=10.0)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Process count of every pool opened, seen by a spy on multiprocessing.pool.Pool."""
+    sizes = []
+    base = multiprocessing.pool.Pool
+
+    class SpyPool(base):
+        def __init__(self, processes=None, *args, **kwargs):
+            sizes.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", SpyPool)
+    return sizes
+
+
+def _sweep(trials, workers):
+    return ExperimentConfig(l_values=(2,), zeta=0.0, snr_grid=SnrGrid(6.0, 10.0, 2.0),
+                            trials=trials, seed=5, workers=workers)
+
+
+class TestWorkerPool:
+    def test_run_opens_one_pool_and_reaps_it(self, pool_sizes):
+        table = run_monte_carlo(_sweep(200000, 2))  # 3 points of 4 batches
+        assert len(table.rows) == 3
+        assert pool_sizes == [2]
+        assert multiprocessing.active_children() == []
+        assert table.rows == run_monte_carlo(_sweep(200000, 1)).rows
+
+    def test_one_batch_points_open_no_pool(self, pool_sizes):
+        run_monte_carlo(_sweep(65536, 4))
+        assert pool_sizes == []
+
+    def test_pool_has_at_most_one_worker_per_batch(self, pool_sizes):
+        config = MonteCarloConfig(l=2, trials=300000, seed=5, event="threshold", threshold=0.3)
+        monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0), workers=16)  # 5 batches
+        assert pool_sizes == [5]
+        assert multiprocessing.active_children() == []
+
+    def test_deterministic_model_opens_no_pool(self, pool_sizes):
+        config = _sweep(300000, 2)
+        config.model = TransmittanceModel.uniform_phase(0.5)
+        run_monte_carlo(config)
+        assert pool_sizes == []
+
+    def test_slope_scan_opens_one_pool(self, pool_sizes):
+        res = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, min_trials=100000,
+                                   num_points=3, workers=2)
+        assert pool_sizes == [2]
+        assert multiprocessing.active_children() == []
+        serial = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, min_trials=100000,
+                                      num_points=3, workers=1)
+        assert res == serial
+
+    @pytest.mark.parametrize("workers", [0, 65])
+    def test_worker_count_outside_cap_rejected(self, workers, pool_sizes):
+        config = MonteCarloConfig(l=1, trials=300000, seed=0, event="threshold", threshold=0.1)
+        with pytest.raises(ConfigError):
+            monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0), workers=workers)
+        with pytest.raises(ConfigError):
+            _sweep(300000, workers)
+        assert pool_sizes == []
