@@ -27,14 +27,10 @@ from .diversity import (
 from .error_analysis import (
     ErrorEstimate,
     MonteCarloConfig,
-    OutageQuery,
-    Regime,
     SlopeScanResult,
     analytic_event_probability,
     chi2_density,
-    chi2_density_small_x,
     diversity_slope_scan,
-    error_event,
     fit_diversity_slope,
     monte_carlo_p_err,
     outage_cdf,

@@ -6,6 +6,8 @@ Subcommands:
   simulate  Monte Carlo estimate vs closed form over an SNR grid
   validate  run every invariant suite and report pass/fail
 
+figure2 and analytic also write a gnuplot script <out>.gp next to a CSV --out.
+
 Exit codes: 0 success, 1 validation failure, 2 I/O or config error.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import build_experiment_config, merge_settings
+from .config import SETTINGS, build_experiment_config, merge_settings
 from .exceptions import ConfigError
 from .experiments import (
     expected_error_warnings,
@@ -26,11 +28,9 @@ from .experiments import (
 from .validation import run_validation
 
 _COMMON_DEFAULTS = {
-    "n": None,
     "trials": 100000,
     "seed": 0,
     "model": "rayleigh",
-    "sigma_noise": 1.0,
     "event": "threshold",
     "rate_bits": None,
     "workers": 1,
@@ -50,19 +50,9 @@ _SIMULATE_DEFAULTS = dict(
     _COMMON_DEFAULTS,
     l=[1], zeta=0.0, snr_db_min=0.0, snr_db_max=20.0, snr_db_step=2.0,
 )
-_VALIDATE_DEFAULTS = dict(
-    _COMMON_DEFAULTS,
-    l=[1], zeta=0.0, snr_db_min=0.0, snr_db_max=20.0, snr_db_step=2.0,
-)
-
-_CLI_KEYS = (
-    "n", "l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "trials", "seed",
-    "model", "sigma_noise", "event", "rate_bits", "workers", "out", "format",
-)
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", type=int, help="total subcarrier count (default: largest l)")
     sp.add_argument("--l", type=int, action="append",
                     help="information-carrying sub-channels; repeatable")
     sp.add_argument("--zeta", type=float, help="degree-of-freedom ratio in [0, 1)")
@@ -73,8 +63,6 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, help="base seed; grid point i uses seed + i")
     sp.add_argument("--model",
                     help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>")
-    sp.add_argument("--sigma-noise", type=float,
-                    help="per-sub-channel noise variance for channel checks")
     sp.add_argument("--event", choices=("rate", "threshold"), help="error event to sample")
     sp.add_argument("--rate-bits", type=float,
                     help="explicit rate target for the rate event "
@@ -115,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cli_overrides(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key) for key in _CLI_KEYS}
+    return {key: getattr(args, key) for key in SETTINGS}
 
 
 def _emit(table, settings: dict, gnuplot: bool) -> None:
@@ -140,7 +128,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     settings = merge_settings(_ANALYTIC_DEFAULTS, args.config, _cli_overrides(args))
     config = build_experiment_config(settings)
     table = run_analytic_table(config, include_factorial=bool(args.factorial))
-    _emit(table, settings, gnuplot=False)
+    _emit(table, settings, gnuplot=True)
     return 0
 
 
@@ -155,7 +143,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    settings = merge_settings(_VALIDATE_DEFAULTS, args.config, _cli_overrides(args))
+    settings = merge_settings(_SIMULATE_DEFAULTS, args.config, _cli_overrides(args))
     config = build_experiment_config(settings)
     report = run_validation(config)
     for check in report.checks:

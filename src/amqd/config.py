@@ -16,19 +16,30 @@ from .exceptions import ConfigError
 from .sampling import TransmittanceModel
 
 
+MAX_GRID_POINTS = 10_000
+MAX_ABS_DB = 3000.0  # 10^(dB/10) stays a normal, nonzero float
+
+
 @dataclass(frozen=True)
 class SnrGrid:
-    """Inclusive dB grid; formulas consume the linear values 10^(dB/10)."""
+    """Inclusive dB grid of at most MAX_GRID_POINTS points within
+    +-MAX_ABS_DB; formulas consume the linear values 10^(dB/10)."""
 
     min_db: float
     max_db: float
     step_db: float
 
     def __post_init__(self):
-        if not (float(self.step_db) > 0.0):
-            raise ConfigError("snr-db-step must be positive")
-        if float(self.max_db) < float(self.min_db):
+        lo, hi, step = float(self.min_db), float(self.max_db), float(self.step_db)
+        if not all(-MAX_ABS_DB <= v <= MAX_ABS_DB for v in (lo, hi)):
+            raise ConfigError(f"snr grid bounds must be finite and within +-{MAX_ABS_DB:g} dB")
+        if not (0.0 < step < math.inf):
+            raise ConfigError("snr-db-step must be positive and finite")
+        if hi < lo:
             raise ConfigError("snr-db-max must be >= snr-db-min")
+        # the count db_values makes; a span that overflows to inf fails too
+        if not ((hi - lo) / step + 1e-9 < MAX_GRID_POINTS):
+            raise ConfigError(f"snr grid has more than {MAX_GRID_POINTS} points")
 
     def db_values(self) -> np.ndarray:
         lo, hi, step = float(self.min_db), float(self.max_db), float(self.step_db)
@@ -75,11 +86,9 @@ class ExperimentConfig:
     l_values: tuple
     zeta: float
     snr_grid: SnrGrid
-    n: int | None = None
     trials: int = 100000
     seed: int = 0
     model: TransmittanceModel = field(default_factory=lambda: TransmittanceModel.rayleigh(1.0))
-    sigma_noise: float = 1.0
     event: str = "threshold"
     rate_bits: float | None = None
     workers: int = 1
@@ -89,11 +98,6 @@ class ExperimentConfig:
         if len(ls) == 0 or any(v < 1 for v in ls):
             raise ConfigError("every l must be >= 1")
         self.l_values = ls
-        if self.n is None:
-            self.n = max(ls)
-        if int(self.n) < max(ls):
-            raise ConfigError("n must be >= every configured l")
-        self.n = int(self.n)
         if not (0.0 <= float(self.zeta) < 1.0):
             raise ConfigError("zeta must lie in [0, 1)")
         if int(self.trials) < 1:
@@ -102,20 +106,66 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if isinstance(self.model, str):
             self.model = parse_model_spec(self.model)
-        if float(self.sigma_noise) < 0.0:
-            raise ConfigError("sigma-noise must be nonnegative")
         if self.event not in ("threshold", "rate"):
             raise ConfigError("event must be 'threshold' or 'rate'")
-        if self.rate_bits is not None and float(self.rate_bits) < 0.0:
-            raise ConfigError("rate-bits must be nonnegative")
+        if self.rate_bits is not None and not (0.0 <= float(self.rate_bits) < math.inf):
+            raise ConfigError("rate-bits must be finite and nonnegative")
         self.workers = check_workers(self.workers)
         if len(self.snr_grid) == 0:
             raise ConfigError("snr grid is empty")
 
 
-_CONFIG_KEYS = {
-    "n", "l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "trials", "seed",
-    "model", "sigma_noise", "event", "rate_bits", "workers", "out", "format",
+def _integer(value):
+    # JSON has one number type, so 1e6 is as good an integer as 1000000
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _integers(value):
+    return [_integer(v) for v in (value if isinstance(value, list) else [value])]
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _format(value):
+    if value not in ("csv", "json"):
+        raise ValueError(value)
+    return value
+
+
+# Every setting, with what a config file may give for it.  The command line
+# has one flag per key (its dest is the key), so cli takes its keys from here.
+SETTINGS = {
+    "l": ("an integer or a list of integers", _integers),
+    "zeta": ("a number", _number),
+    "snr_db_min": ("a number", _number),
+    "snr_db_max": ("a number", _number),
+    "snr_db_step": ("a number", _number),
+    "trials": ("an integer", _integer),
+    "seed": ("an integer", _integer),
+    "model": ("a string", _text),
+    "event": ("a string", _text),
+    "rate_bits": ("a number or null", _optional(_number)),
+    "workers": ("an integer", _integer),
+    "out": ("a string or null", _optional(_text)),
+    "format": ("'csv' or 'json'", _format),
 }
 
 
@@ -125,14 +175,21 @@ def _read_config_file(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    settings = {}
+    for key, value in raw.items():
+        expected, convert = SETTINGS[key]
+        try:
+            settings[key] = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}") from None
+    return settings
 
 
 def merge_settings(defaults: dict, config_path: str | None, cli: dict) -> dict:
@@ -147,24 +204,15 @@ def merge_settings(defaults: dict, config_path: str | None, cli: dict) -> dict:
 
 
 def build_experiment_config(settings: dict) -> ExperimentConfig:
-    l_raw = settings.get("l", [1])
-    if isinstance(l_raw, (int, float)):
-        l_raw = [int(l_raw)]
-    grid = SnrGrid(
-        float(settings.get("snr_db_min", 0.0)),
-        float(settings.get("snr_db_max", 20.0)),
-        float(settings.get("snr_db_step", 1.0)),
-    )
+    """ExperimentConfig from merged settings that hold every SETTINGS key."""
     return ExperimentConfig(
-        l_values=tuple(int(v) for v in l_raw),
-        zeta=float(settings.get("zeta", 0.0)),
-        snr_grid=grid,
-        n=None if settings.get("n") is None else int(settings["n"]),
-        trials=int(settings.get("trials", 100000)),
-        seed=int(settings.get("seed", 0)),
-        model=settings.get("model", "rayleigh"),
-        sigma_noise=float(settings.get("sigma_noise", 1.0)),
-        event=str(settings.get("event", "threshold")),
-        rate_bits=None if settings.get("rate_bits") is None else float(settings["rate_bits"]),
-        workers=int(settings.get("workers", 1)),
+        l_values=tuple(settings["l"]),
+        zeta=float(settings["zeta"]),
+        snr_grid=SnrGrid(settings["snr_db_min"], settings["snr_db_max"], settings["snr_db_step"]),
+        trials=int(settings["trials"]),
+        seed=int(settings["seed"]),
+        model=settings["model"],
+        event=str(settings["event"]),
+        rate_bits=None if settings["rate_bits"] is None else float(settings["rate_bits"]),
+        workers=int(settings["workers"]),
     )

@@ -1,4 +1,14 @@
-"""Error events, closed-form error probabilities, and Monte Carlo estimators.
+"""The outage event, its closed forms, and its Monte Carlo estimator.
+
+One event definition serves every output.  MonteCarloConfig names the event
+and _event_geometry reduces it to a draw dimension and a threshold on the
+summed squared gains:
+  threshold event  sum_{i<=l} |F_i|^2 < t        (t defaults to 1/snr)
+  rate event       log2(1 + |F|^2 snr) < rate    on one sub-channel, i.e.
+                   |F|^2 < (2^rate - 1) / snr
+monte_carlo_p_err samples that event and analytic_event_probability gives its
+exact probability, the oracle the Monte Carlo is checked against.  The SNR
+comes from the config alone.
 
 Closed forms implemented here:
   single carrier   p_err = snr^-(1-zeta)
@@ -23,81 +33,16 @@ import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy import special
 
 from .exceptions import ConfigError, EstimationError
-from .sampling import FIXED, RAYLEIGH, UNIFORM_PHASE, NoiseSpec, RngStream, TransmittanceModel
-
-LOG2E = math.log2(math.e)
+from .sampling import FIXED, RAYLEIGH, UNIFORM_PHASE, RngStream, TransmittanceModel
 
 _BATCH = 65536
 
 MAX_WORKERS = 64
-
-
-class Regime(Enum):
-    """Which form of the outage event to evaluate."""
-
-    EXACT = "exact"
-    LOW_SNR = "low_snr"
-    HIGH_SNR = "high_snr"
-    MAGNITUDE_THRESHOLD = "magnitude_threshold"
-
-
-@dataclass(frozen=True)
-class OutageQuery:
-    """A single outage-probability question: channel count, SNR, rate, regime."""
-
-    l: int
-    snr: float
-    rate_bits: float
-    regime: Regime = Regime.EXACT
-
-    def __post_init__(self):
-        if int(self.l) < 1:
-            raise ConfigError("l must be >= 1")
-        if not (float(self.snr) > 0.0):
-            raise ConfigError("snr must be positive")
-        if float(self.rate_bits) < 0.0:
-            raise ConfigError("rate_bits must be nonnegative")
-
-
-def error_event(
-    f_t_mag2: float,
-    snr_star: float,
-    rate_bits: float,
-    regime: Regime = Regime.EXACT,
-    threshold: float | None = None,
-) -> bool:
-    """True when the realized gain cannot support the target rate.
-
-    exact:      log2(1 + m*s) < rate        (strict)
-    low_snr:    m*s*log2(e) < rate
-    high_snr:   log2(m*s) < rate; m*s = 0 counts as an error, not an exception
-    magnitude_threshold: m < threshold (default threshold 1/s)
-    """
-    m = float(f_t_mag2)
-    s = float(snr_star)
-    if not (math.isfinite(m) and m >= 0.0):
-        raise ConfigError("|F|^2 must be finite and nonnegative")
-    if not (math.isfinite(s) and s > 0.0):
-        raise ConfigError("snr_star must be finite and positive")
-    r = float(rate_bits)
-    if regime is Regime.EXACT:
-        return math.log2(1.0 + m * s) < r
-    if regime is Regime.LOW_SNR:
-        return m * s * LOG2E < r
-    if regime is Regime.HIGH_SNR:
-        if m * s == 0.0:
-            return True
-        return math.log2(m * s) < r
-    if regime is Regime.MAGNITUDE_THRESHOLD:
-        t = 1.0 / s if threshold is None else float(threshold)
-        return m < t
-    raise ConfigError(f"unknown regime: {regime!r}")
 
 
 def p_err_single_analytic(snr: float, zeta: float = 0.0) -> float:
@@ -125,7 +70,12 @@ def p_err_amqd_analytic(
     z = float(zeta)
     if not (0.0 <= z < 1.0):
         raise ConfigError("zeta must lie in [0, 1)")
-    p = float(snr) ** (-int(l) * (1.0 - z))
+    if include_factorial and int(l) > 170:
+        raise ConfigError("the 1/l! prefactor leaves the float range beyond l = 170")
+    try:
+        p = float(snr) ** (-int(l) * (1.0 - z))
+    except OverflowError:
+        raise ConfigError(f"snr^-(l(1-zeta)) overflows a float at snr={snr:g}, l={l}") from None
     if include_factorial:
         p /= math.factorial(int(l))
     return p
@@ -145,18 +95,6 @@ def chi2_density(x: float, l: int) -> float:
     if xf == 0.0:
         return 1.0 if int(l) == 1 else 0.0
     return math.exp((int(l) - 1) * math.log(xf) - xf - math.lgamma(int(l)))
-
-
-def chi2_density_small_x(x: float, l: int) -> float:
-    """Leading term x^(l-1) / (l-1)! of the density near zero."""
-    if int(l) < 1:
-        raise ConfigError("l must be >= 1")
-    xf = float(x)
-    if xf < 0.0:
-        raise ConfigError("density domain is x >= 0")
-    if xf == 0.0:
-        return 1.0 if int(l) == 1 else 0.0
-    return math.exp((int(l) - 1) * math.log(xf) - math.lgamma(int(l)))
 
 
 def outage_cdf(threshold: float, l: int, mode: str = "exact") -> float:
@@ -317,34 +255,20 @@ def _map_batches(pool, batches) -> list:
     return pool.map(_count_batch, batches)
 
 
-def _resolve_snr_star(config: MonteCarloConfig, noise: NoiseSpec | None) -> float | None:
-    """Worst-case SNR for the run; the noise spec is consulted only when the
-    config leaves snr unset (unit signal variance convention)."""
-    if config.snr is not None:
-        return float(config.snr)
-    if noise is not None:
-        worst = max(noise.sigma2_per_subchannel)
-        if worst <= 0.0:
-            return None
-        return 1.0 / worst
-    return None
-
-
-def _event_geometry(config: MonteCarloConfig, noise: NoiseSpec | None):
+def _event_geometry(config: MonteCarloConfig):
     """Reduce the configured event to (draw dimension, magnitude-sum threshold)."""
-    snr_star = _resolve_snr_star(config, noise)
     if config.event == "threshold":
         if config.threshold is not None:
             return int(config.l), float(config.threshold)
-        if snr_star is None:
+        if config.snr is None:
             raise ConfigError("threshold event needs an explicit threshold or an snr")
-        return int(config.l), 1.0 / snr_star
+        return int(config.l), 1.0 / float(config.snr)
     # rate event: log2(1 + m*s) < rate  <=>  m < (2^rate - 1) / s
     if config.rate_bits is None:
         raise ConfigError("rate event needs rate_bits")
-    if snr_star is None:
-        raise ConfigError("rate event needs an snr (directly or via the noise spec)")
-    return 1, (2.0 ** float(config.rate_bits) - 1.0) / snr_star
+    if config.snr is None:
+        raise ConfigError("rate event needs an snr")
+    return 1, (2.0 ** float(config.rate_bits) - 1.0) / float(config.snr)
 
 
 def _deterministic_gain(model: TransmittanceModel, event: str, l: int) -> float:
@@ -362,7 +286,7 @@ def _deterministic_gain(model: TransmittanceModel, event: str, l: int) -> float:
 def monte_carlo_p_err(
     config: MonteCarloConfig,
     model: TransmittanceModel,
-    noise: NoiseSpec | None = None,
+    *,
     workers: int = 1,
     pool=None,
 ) -> ErrorEstimate:
@@ -375,7 +299,7 @@ def monte_carlo_p_err(
     processes is opened for this call alone.
     """
     check_workers(workers)
-    l_draw, threshold = _event_geometry(config, noise)
+    l_draw, threshold = _event_geometry(config)
     trials = int(config.trials)
 
     if model.kind in (FIXED, UNIFORM_PHASE):
@@ -415,7 +339,7 @@ def analytic_event_probability(
     config = MonteCarloConfig(
         l=l, trials=1, seed=0, event=event, snr=snr, rate_bits=rate_bits, threshold=threshold
     )
-    l_draw, t = _event_geometry(config, None)
+    l_draw, t = _event_geometry(config)
     if model.kind == RAYLEIGH:
         s2 = float(model.sigma2_f)
         if s2 == 0.0:

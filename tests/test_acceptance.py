@@ -1,12 +1,14 @@
 """End-to-end acceptance gates.
 
-Each test prints one machine-readable line (ACCEPTANCE <n> PASS/FAIL ...)
-through the disabled-capture channel, so the verdicts reach the terminal in
-any pytest mode.  The Monte Carlo gates use frozen seeds, so reruns are
+Each test prints one machine-readable line
+(ACCEPTANCE <n> PASS/FAIL elapsed <seconds>s ...) through the disabled-capture
+channel, so the verdicts and the cost of each gate reach the terminal in any
+pytest mode.  The Monte Carlo gates use frozen seeds, so reruns are
 deterministic.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,8 +37,17 @@ from amqd.cli import main
 from amqd.sampling import ComplexGaussianSpec
 
 
+_started = [0.0]
+
+
+@pytest.fixture(autouse=True)
+def _gate_timer():
+    _started[0] = time.perf_counter()
+
+
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
-    line = "ACCEPTANCE %d %s %s" % (num, "PASS" if ok else "FAIL", detail)
+    elapsed = time.perf_counter() - _started[0]
+    line = "ACCEPTANCE %d %s elapsed %.2fs %s" % (num, "PASS" if ok else "FAIL", elapsed, detail)
     with capsys.disabled():
         print(line, flush=True)
 

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amqd import ExperimentConfig, SnrGrid, run_validation
+from amqd import ConfigError, ExperimentConfig, SnrGrid, run_validation
 from amqd.cli import main
+from amqd.config import MAX_GRID_POINTS, SETTINGS
 
 
 def _read_csv(path):
@@ -83,6 +90,12 @@ class TestAnalytic:
         snr = rows[:, 0]
         assert np.allclose(rows[:, 2], snr**-3.0 / 6.0, rtol=1e-12)
 
+    def test_gnuplot_script_written_next_to_csv(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["analytic", "--l", "2", "--out", str(out)]) == 0
+        script = (tmp_path / "t.csv.gp").read_text()
+        assert "t.csv" in script and "p_amqd_l2" in script
+
 
 class TestSimulate:
     def test_analytic_column_matches_oracle(self, tmp_path):
@@ -160,6 +173,92 @@ class TestConfigPrecedence:
         with pytest.raises(SystemExit) as exc:
             main(["analytic", "--nonsense"])
         assert exc.value.code == 2
+
+
+class TestInputContract:
+    """Every bad input is a config error with exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "abc"), ("zeta", "x"), ("trials", None), ("trials", 1.9),
+        ("trials", True), ("l", [True]), ("l", "25"), ("model", 5), ("format", "xml"),
+    ])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["analytic", "--config", str(cfg)]) == 2
+        assert "config key %r" % key in capsys.readouterr().err
+
+    def test_integral_numbers_are_integers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "t.csv"
+        cfg.write_text(json.dumps({"trials": 1000000, "seed": 2.0, "l": [2, 3.0]}))
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+        header, _ = _read_csv(out)
+        assert header == ["snr", "p_single", "p_amqd_l2", "p_amqd_l3"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--snr-db-max", "1e400"],
+        ["--snr-db-min", "nan"],
+        ["--snr-db-max", "1e9", "--snr-db-step", "1e-9"],
+        ["--snr-db-max", "100", "--snr-db-step", "0.001"],
+    ])
+    def test_bad_snr_grid_exits_2(self, capsys, flags):
+        assert main(["analytic"] + flags) == 2
+        assert "snr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--l", "100", "--snr-db-min", "-40"],
+        ["--l", "171", "--factorial"],
+    ])
+    def test_probability_beyond_float_range_exits_2(self, capsys, flags):
+        assert main(["analytic"] + flags) == 2
+        assert "float" in capsys.readouterr().err
+
+    def test_grid_size_cap(self):
+        step = 0.25
+        assert len(SnrGrid(0.0, (MAX_GRID_POINTS - 1) * step, step)) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError):
+            SnrGrid(0.0, MAX_GRID_POINTS * step, step)
+
+    @pytest.mark.parametrize("flag", ["--n", "--sigma-noise"])
+    def test_removed_flags_exit_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", flag, "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key", ["n", "sigma_noise"])
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+# near-valid values reach the checks past the type check
+_VALUES = st.one_of(
+    _JSON_VALUES,
+    st.integers(-3, 300),
+    st.lists(st.integers(-3, 300), max_size=3),
+    st.floats(-4000.0, 4000.0),
+    st.sampled_from(["rayleigh", "fixed=0.5", "uniform-phase=2", "rate", "threshold",
+                     "csv", "json"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries({}, optional={key: _VALUES for key in SETTINGS if key != "out"}))
+def test_any_config_file_exits_0_or_2(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["analytic", "--config", path]) in (0, 2)
 
 
 class TestValidate:

@@ -14,17 +14,12 @@ from amqd import (
     EstimationError,
     ExperimentConfig,
     MonteCarloConfig,
-    NoiseSpec,
-    OutageQuery,
-    Regime,
     RngStream,
     SnrGrid,
     TransmittanceModel,
     analytic_event_probability,
     chi2_density,
-    chi2_density_small_x,
     diversity_slope_scan,
-    error_event,
     fit_diversity_slope,
     monte_carlo_p_err,
     outage_cdf,
@@ -37,45 +32,35 @@ from amqd.error_analysis import _count_batch
 
 
 class TestErrorEvent:
+    """The one event definition, through the fixed-gain model, whose event is
+    deterministic: a count of all trials or of none."""
+
+    @staticmethod
+    def _is_error(gain2, event, **params):
+        model = TransmittanceModel.fixed((math.sqrt(gain2),))
+        config = MonteCarloConfig(l=1, trials=10, seed=0, event=event, **params)
+        p = monte_carlo_p_err(config, model).p_hat
+        assert analytic_event_probability(model, event, 1, **params) == p
+        return p == 1.0
+
     def test_zero_gain_is_always_an_error(self):
-        assert error_event(0.0, 1.0, 0.1, Regime.EXACT)
+        assert self._is_error(0.0, "rate", snr=1.0, rate_bits=0.1)
 
     def test_exact_event_is_strict(self):
         # log2(1 + 1*3) = 2 exactly; strict < fails
-        assert not error_event(1.0, 3.0, 2.0, Regime.EXACT)
-        assert error_event(1.0, 3.0, 2.0000001, Regime.EXACT)
-
-    def test_low_snr_linearization(self):
-        # 0.1 * 0.1 * log2(e) ~ 0.0144 < 0.1
-        assert error_event(0.1, 0.1, 0.1, Regime.LOW_SNR)
-        assert not error_event(0.1, 0.1, 0.01, Regime.LOW_SNR)
-
-    def test_high_snr_zero_product_is_an_error_not_an_exception(self):
-        assert error_event(0.0, 5.0, 1.0, Regime.HIGH_SNR)
-
-    def test_high_snr_log_form(self):
-        # log2(4 * 4) = 4
-        assert error_event(4.0, 4.0, 5.0, Regime.HIGH_SNR)
-        assert not error_event(4.0, 4.0, 4.0, Regime.HIGH_SNR)
+        assert not self._is_error(1.0, "rate", snr=3.0, rate_bits=2.0)
+        assert self._is_error(1.0, "rate", snr=3.0, rate_bits=2.0000001)
 
     def test_magnitude_threshold_defaults_to_inverse_snr(self):
-        assert error_event(0.09, 10.0, 0.0, Regime.MAGNITUDE_THRESHOLD)
-        assert not error_event(0.11, 10.0, 0.0, Regime.MAGNITUDE_THRESHOLD)
-        assert error_event(0.11, 10.0, 0.0, Regime.MAGNITUDE_THRESHOLD, threshold=0.2)
+        assert self._is_error(0.09, "threshold", snr=10.0)
+        assert not self._is_error(0.11, "threshold", snr=10.0)
+        assert self._is_error(0.11, "threshold", snr=10.0, threshold=0.2)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigError):
-            error_event(-0.1, 1.0, 0.0)
+            MonteCarloConfig(l=1, trials=10, seed=0, threshold=-0.1)
         with pytest.raises(ConfigError):
-            error_event(0.1, 0.0, 0.0)
-
-    def test_outage_query_validation(self):
-        q = OutageQuery(2, 10.0, 1.0, Regime.EXACT)
-        assert q.l == 2
-        with pytest.raises(ConfigError):
-            OutageQuery(0, 10.0, 1.0)
-        with pytest.raises(ConfigError):
-            OutageQuery(1, 0.0, 1.0)
+            MonteCarloConfig(l=1, trials=10, seed=0, snr=0.0)
 
 
 class TestClosedForms:
@@ -131,18 +116,14 @@ class TestChiSquareDensity:
     def test_negative_argument_rejected(self):
         with pytest.raises(ConfigError):
             chi2_density(-0.1, 2)
-        with pytest.raises(ConfigError):
-            chi2_density_small_x(-0.1, 2)
 
     def test_small_x_leading_term(self):
         for l in (1, 2, 3, 5):
             x = 1e-4
-            assert chi2_density_small_x(x, l) == pytest.approx(
-                x ** (l - 1) / math.factorial(l - 1), rel=1e-12
-            )
+            leading = x ** (l - 1) / math.factorial(l - 1)
             # the exact density sits just below the leading term
-            assert chi2_density(x, l) <= chi2_density_small_x(x, l)
-            assert chi2_density(x, l) == pytest.approx(chi2_density_small_x(x, l), rel=2e-4)
+            assert chi2_density(x, l) <= leading
+            assert chi2_density(x, l) == pytest.approx(leading, rel=2e-4)
 
     def test_density_integrates_to_one(self):
         for l in (1, 3, 6):
@@ -304,13 +285,6 @@ class TestMonteCarloPErr:
                                    threshold=m_thr)
         model = TransmittanceModel.rayleigh(1.0)
         assert monte_carlo_p_err(rate_cfg, model) == monte_carlo_p_err(thr_cfg, model)
-
-    def test_snr_derived_from_noise_when_unset(self):
-        model = TransmittanceModel.rayleigh(1.0)
-        derived = MonteCarloConfig(l=1, trials=10**5, seed=3, event="threshold")
-        explicit = MonteCarloConfig(l=1, trials=10**5, seed=3, event="threshold", snr=4.0)
-        noise = NoiseSpec((0.25,))
-        assert monte_carlo_p_err(derived, model, noise=noise) == monte_carlo_p_err(explicit, model)
 
     def test_missing_event_parameters_rejected(self):
         model = TransmittanceModel.rayleigh(1.0)
