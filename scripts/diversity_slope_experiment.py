@@ -20,7 +20,8 @@ def main():
     ap.add_argument("--anchor", type=float, default=0.05,
                     help="outage probability at the lowest SNR point")
     ap.add_argument("--target-errors", type=int, default=400,
-                    help="errors to collect per point; sets trial counts")
+                    help="expected importance-sampling hits per point; sets trial "
+                         "counts (at least 100000 each)")
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
@@ -34,8 +35,9 @@ def main():
         order = l * (1.0 - args.zeta)
         print("l=%d: slope %.4f (diversity order %.2f)" % (l, res.slope, order))
         for snr, thr, est in zip(res.snr, res.thresholds, res.estimates):
-            print("  snr %.4g thr %.4g p_hat %.4g ci [%.4g, %.4g] n %d"
-                  % (snr, thr, est.p_hat, est.ci_low, est.ci_high, est.trials))
+            print("  snr %.4g thr %.4g p_hat %.4g ci [%.4g, %.4g] estimator %s hits %d of %d"
+                  % (snr, thr, est.p_hat, est.ci_low, est.ci_high, est.estimator,
+                     est.errors_observed, est.trials))
 
 
 if __name__ == "__main__":

@@ -253,3 +253,31 @@ def test_worker_sharding_is_bit_stable(tmp_path, capsys):
     ok = outputs[0] == outputs[1] == outputs[2]
     _report(capsys, 8, ok, "estimates under 1/4/16 workers byte-identical: %s" % ok)
     assert ok
+
+
+def test_importance_sampling_interval_coverage(capsys):
+    # one pooled verdict over 12 events x 200 runs; the bound, 2232/2400 = 93%,
+    # sits 4.5 binomial sd (0.44%) below the nominal 95%
+    model = TransmittanceModel.rayleigh(1.0)
+    runs = 200
+    seed = 90000
+    covered = 0
+    labels = []
+    for l in (1, 2, 3, 10):
+        for p_target in (1e-3, 1e-8, 1e-20):
+            thr = float(gammaincinv(l, p_target))
+            p_true = outage_cdf(thr, l, "exact")
+            hits = 0
+            for _ in range(runs):
+                # a fresh seed per run and event: under one seed the proposal
+                # hits the same draws at every p of an l
+                seed += 1
+                config = MonteCarloConfig(l=l, trials=10**4, seed=seed, event="threshold",
+                                          threshold=thr, estimator="is")
+                hits += monte_carlo_p_err(config, model).covers(p_true)
+            covered += hits
+            labels.append("l=%d p=%.0e: %d" % (l, p_target, hits))
+    ok = covered >= 2232
+    _report(capsys, 9, ok, "importance-sampling 95%% interval coverage %d/%d [%s] "
+            "(gate: pooled >= 2232)" % (covered, 12 * runs, "; ".join(labels)))
+    assert ok, labels

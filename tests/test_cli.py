@@ -214,6 +214,20 @@ class TestInputContract:
         assert main(["analytic"] + flags) == 2
         assert "float" in capsys.readouterr().err
 
+    def test_rate_beyond_float_range_fails_every_draw(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert main(["simulate", "--event", "rate", "--rate-bits", "2000", "--snr-db-max", "0",
+                     "--trials", "1000", "--out", str(out)]) == 0
+        header, rows = _read_csv(out)
+        assert rows[:, header.index("p_hat")].tolist() == [1.0]
+        assert rows[:, header.index("analytic")].tolist() == [1.0]
+
+    def test_batch_over_memory_cap_exits_2(self, capsys):
+        assert main(["simulate", "--l", "1000000000000", "--snr-db-max", "0"]) == 2
+        assert "byte cap" in capsys.readouterr().err
+        # the closed forms draw nothing
+        assert main(["analytic", "--l", "1000000000000", "--snr-db-max", "0"]) == 0
+
     def test_grid_size_cap(self):
         step = 0.25
         assert len(SnrGrid(0.0, (MAX_GRID_POINTS - 1) * step, step)) == MAX_GRID_POINTS

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import gammaincinv
 
 from amqd import (
     ConfigError,
@@ -28,7 +29,8 @@ from amqd import (
     run_monte_carlo,
     wilson_interval,
 )
-from amqd.error_analysis import _count_batch
+from amqd import error_analysis
+from amqd.error_analysis import _BATCH, MAX_BATCH_BYTES, _count_batch
 
 
 class TestErrorEvent:
@@ -211,6 +213,30 @@ class TestErrorEstimate:
         with pytest.raises(ConfigError):
             ErrorEstimate(0.49, 100, 0.5, 0.6, 49)
 
+    def test_crude_estimate_keeps_the_count_invariant(self):
+        assert ErrorEstimate.from_counts(49, 100).estimator == "crude"
+        with pytest.raises(ConfigError):
+            ErrorEstimate(0.5, 100, 0.4, 0.6, 49, "crude")
+
+    def test_weighted_estimate(self):
+        # weights 0.5, 0.5, 0, 0: mean 0.25, sample sd 0.2887
+        est = ErrorEstimate.from_weights(2, 1.0, 0.5, 4)
+        half = 1.96 * np.std([0.5, 0.5, 0.0, 0.0], ddof=1) / 2.0
+        assert (est.p_hat, est.estimator, est.errors_observed) == (0.25, "is", 2)
+        assert est.ci_low == 0.0  # floored
+        assert est.ci_high == pytest.approx(0.25 + half, rel=1e-12)
+        # a common factor of the weights scales the estimate and the interval,
+        # without squaring it
+        tiny = ErrorEstimate.from_weights(2, 1.0, 0.5, 4, scale=1e-200)
+        assert tiny.p_hat == pytest.approx(0.25e-200, rel=1e-12)
+        assert tiny.ci_high == pytest.approx((0.25 + half) * 1e-200, rel=1e-12)
+        # an importance-sampling p_hat is a mean weight, not hits / trials
+        ErrorEstimate(1e-9, 100, 0.0, 2e-9, 49, "is")
+        with pytest.raises(ConfigError):
+            ErrorEstimate(1.5, 100, 1.0, 2.0, 49, "is")
+        with pytest.raises(ConfigError):
+            ErrorEstimate(0.5, 100, 0.4, 0.6, 50, "x")
+
 
 class TestMonteCarloPErr:
     def test_reachable_rate_never_errors(self):
@@ -286,6 +312,16 @@ class TestMonteCarloPErr:
         model = TransmittanceModel.rayleigh(1.0)
         assert monte_carlo_p_err(rate_cfg, model) == monte_carlo_p_err(thr_cfg, model)
 
+    def test_crude_batch_memory_is_capped(self, monkeypatch):
+        def no_draw(args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(error_analysis, "_count_batch", no_draw)
+        for l in (MAX_BATCH_BYTES // (16 * _BATCH) + 1, 10**12):
+            config = MonteCarloConfig(l=l, trials=10**5, seed=0, event="threshold", threshold=9.0)
+            with pytest.raises(ConfigError, match="byte cap"):
+                monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0))
+
     def test_missing_event_parameters_rejected(self):
         model = TransmittanceModel.rayleigh(1.0)
         with pytest.raises(ConfigError):
@@ -296,6 +332,110 @@ class TestMonteCarloPErr:
             monte_carlo_p_err(
                 MonteCarloConfig(l=1, trials=10, seed=0, event="rate", snr=2.0), model
             )
+
+
+RAYLEIGH_1 = TransmittanceModel.rayleigh(1.0)
+
+
+def _is_config(l, threshold, seed=1, trials=10**5):
+    return MonteCarloConfig(l=l, trials=trials, seed=seed, event="threshold",
+                            threshold=threshold, estimator="is")
+
+
+def _rel_half_width(est):
+    return (est.ci_high - est.ci_low) / (2.0 * est.p_hat)
+
+
+class TestImportanceSampling:
+    # the last point of a 20 dB slope scan anchored at p = 0.05
+    @pytest.mark.parametrize("l,p_ref", [(3, 9.06e-8), (10, 5.8e-20)])
+    def test_rare_point_covered_with_tight_interval(self, l, p_ref):
+        t = float(gammaincinv(l, 0.05)) / 100.0
+        p = analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t)
+        assert p == pytest.approx(p_ref, rel=0.01)
+        est = monte_carlo_p_err(_is_config(l, t), RAYLEIGH_1)
+        assert est.estimator == "is" and est.trials == 10**5
+        assert est.covers(p)
+        assert _rel_half_width(est) <= 0.02
+
+    # squared weights below 1e-308 would underflow without the w_max scale
+    @pytest.mark.parametrize("l,threshold", [(1, 1e-300), (2, 1e-100), (3, 1e-100)])
+    def test_probability_near_the_float_floor(self, l, threshold):
+        p = analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=threshold)
+        assert 1e-302 < p < 1e-199
+        est = monte_carlo_p_err(_is_config(l, threshold), RAYLEIGH_1)
+        assert est.covers(p)
+        assert _rel_half_width(est) <= 0.02
+
+    def test_worker_count_does_not_change_the_estimate(self):
+        config = _is_config(2, 0.01, seed=11, trials=300000)  # 5 batches
+        estimates = [monte_carlo_p_err(config, RAYLEIGH_1, workers=w) for w in (1, 2, 4)]
+        assert estimates[0] == estimates[1] == estimates[2]
+
+    def test_rate_event(self):
+        snr, rate_bits = 1e4, 1.0
+        config = MonteCarloConfig(l=3, trials=10**5, seed=6, event="rate", snr=snr,
+                                  rate_bits=rate_bits, estimator="is")
+        est = monte_carlo_p_err(config, RAYLEIGH_1)
+        p = analytic_event_probability(RAYLEIGH_1, "rate", 3, snr=snr, rate_bits=rate_bits)
+        assert est.covers(p)
+        assert _rel_half_width(est) <= 0.02
+        # the rate event draws one sub-channel against (2^rate - 1) / snr
+        same = _is_config(1, (2.0**rate_bits - 1.0) / snr, seed=6)
+        assert monte_carlo_p_err(same, RAYLEIGH_1) == est
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        def fail(args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(error_analysis, "_weigh_batch", fail)
+
+    def test_zero_threshold_is_never_an_error(self, no_draw):
+        est = monte_carlo_p_err(_is_config(2, 0.0), RAYLEIGH_1)
+        assert (est.p_hat, est.ci_low, est.ci_high, est.errors_observed) == (0.0, 0.0, 0.0, 0)
+        assert analytic_event_probability(RAYLEIGH_1, "threshold", 2, threshold=0.0) == 0.0
+
+    def test_zero_gain_decides_the_event(self, no_draw):
+        dead = TransmittanceModel.rayleigh(0.0)
+        for threshold, p in ((0.5, 1.0), (0.0, 0.0)):
+            est = monte_carlo_p_err(_is_config(2, threshold), dead)
+            assert est.p_hat == est.ci_low == est.ci_high == p
+            assert analytic_event_probability(dead, "threshold", 2, threshold=threshold) == p
+
+    def test_infinite_threshold_is_always_an_error(self):
+        est = monte_carlo_p_err(_is_config(3, math.inf, trials=1000), RAYLEIGH_1)
+        assert est.p_hat == est.ci_low == est.ci_high == 1.0
+        assert est.errors_observed == 1000
+
+    @pytest.mark.parametrize("estimator", ["crude", "is"])
+    def test_rate_beyond_float_range_is_always_an_error(self, estimator):
+        config = MonteCarloConfig(l=1, trials=1000, seed=0, event="rate", snr=1.0,
+                                  rate_bits=2000.0, estimator=estimator)
+        assert monte_carlo_p_err(config, RAYLEIGH_1).p_hat == 1.0
+        assert analytic_event_probability(RAYLEIGH_1, "rate", 1, snr=1.0, rate_bits=2000.0) == 1.0
+
+    def test_draws_one_gamma_per_trial_whatever_l(self):
+        # over the crude batch cap, which bounds the 2 l normals per trial
+        l = MAX_BATCH_BYTES // (16 * _BATCH) + 1
+        t = float(gammaincinv(l, 1e-6))
+        est = monte_carlo_p_err(_is_config(l, t), RAYLEIGH_1)
+        assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t))
+
+    def test_deterministic_model_gives_a_verdict(self):
+        model = TransmittanceModel.fixed((0.5, 0.5))
+        assert monte_carlo_p_err(_is_config(2, 0.6), model).p_hat == 1.0
+        assert monte_carlo_p_err(_is_config(2, 0.4), model).p_hat == 0.0
+
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ConfigError):
+            MonteCarloConfig(l=1, trials=10, seed=0, threshold=0.1, estimator="x")
+
+    def test_nan_event_parameters_rejected(self):
+        with pytest.raises(ConfigError):
+            MonteCarloConfig(l=1, trials=10, seed=0, threshold=math.nan)
+        with pytest.raises(ConfigError):
+            MonteCarloConfig(l=1, trials=10, seed=0, event="rate", snr=1.0, rate_bits=math.nan)
 
 
 class TestAnalyticEventProbability:
@@ -365,6 +505,24 @@ class TestDiversitySlopeScan:
         ratios = np.asarray(res.thresholds) / res.thresholds[0]
         expected = (np.asarray(res.snr) / res.snr[0]) ** (-0.75)
         assert np.allclose(ratios, expected, rtol=1e-12)
+
+    def test_points_are_importance_sampled_on_the_trial_floor(self, monkeypatch):
+        # the scan calls the module's monte_carlo_p_err at call time, so a
+        # wrapper of that name sees every point
+        calls = []
+        inner = error_analysis.monte_carlo_p_err
+
+        def logged(config, model, **kwargs):
+            calls.append(config)
+            return inner(config, model, **kwargs)
+
+        monkeypatch.setattr(error_analysis, "monte_carlo_p_err", logged)
+        res = diversity_slope_scan(3, 0.0, seed=5, target_errors=400)
+        assert [c.estimator for c in calls] == ["is"] * 5
+        assert [e.trials for e in res.estimates] == [100000] * 5
+        # 10**6 expected hits at a hit rate above one half need under 2e6 draws
+        res = diversity_slope_scan(3, 0.0, seed=5, target_errors=10**6, num_points=3)
+        assert all(10**6 < e.trials < 2 * 10**6 for e in res.estimates)
 
     def test_invalid_scan_parameters_rejected(self):
         with pytest.raises(ConfigError):
