@@ -41,7 +41,6 @@ from .error_analysis import (
 from .exceptions import ConfigError, EstimationError
 from .experiments import (
     Table,
-    expected_error_warnings,
     gnuplot_script,
     run_analytic_table,
     run_figure2,

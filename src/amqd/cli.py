@@ -3,7 +3,9 @@
 Subcommands:
   figure2   closed-form error-probability curves with the reference defaults
   analytic  closed-form curves with caller-chosen parameters
-  simulate  Monte Carlo estimate vs closed form over an SNR grid
+  simulate  Monte Carlo estimate vs closed form over an SNR grid; every point
+            is importance sampled (one Gamma(l) draw per trial) and reported
+            with its weighted-CLT 95% interval, so any p is reachable
   validate  run every invariant suite and report pass/fail
 
 figure2 and analytic also write a gnuplot script <out>.gp next to a CSV --out.
@@ -19,7 +21,6 @@ import sys
 from .config import SETTINGS, build_experiment_config, merge_settings
 from .exceptions import ConfigError
 from .experiments import (
-    expected_error_warnings,
     run_analytic_table,
     run_figure2,
     run_monte_carlo,
@@ -91,7 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="apply the 1/l! small-outage prefactor")
     sp.set_defaults(func=_cmd_analytic)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo estimate over an SNR grid")
+    sp = sub.add_parser(
+        "simulate", help="importance-sampled Monte Carlo estimate over an SNR grid",
+        description="Importance-sampled Monte Carlo estimate of the error event at each "
+                    "grid point, with its weighted-CLT 95%% interval and the analytic "
+                    "value. The relative error stays bounded however small p is.",
+    )
     _add_common_flags(sp)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -135,10 +141,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = merge_settings(_SIMULATE_DEFAULTS, args.config, _cli_overrides(args))
     config = build_experiment_config(settings)
-    table = run_monte_carlo(config)
-    for warning in expected_error_warnings(config, table):
-        print("warning: " + warning, file=sys.stderr)
-    _emit(table, settings, gnuplot=False)
+    _emit(run_monte_carlo(config), settings, gnuplot=False)
     return 0
 
 

@@ -25,7 +25,8 @@ sigma2_f, and monte_carlo_p_err has two estimators of that probability
          p_hat +- 1.96 sd(w) / sqrt(trials); its relative error stays bounded
          as p -> 0 (about 0.4% at p = 9e-8, l = 3, from 1e5 draws).  The
          degenerate cases (t = 0, sigma2_f = 0) are decided exactly, without
-         drawing.  diversity_slope_scan uses this estimator.
+         drawing.  diversity_slope_scan and experiments.run_monte_carlo (so
+         `amqd simulate`) use this estimator; "crude" stays the default.
 
 Closed forms implemented here:
   single carrier   p_err = snr^-(1-zeta)
@@ -66,6 +67,9 @@ MAX_WORKERS = 64
 MAX_BATCH_BYTES = 1 << 30
 
 ESTIMATORS = ("crude", "is")
+
+# largest l a Monte Carlo config takes: every l up to it is an exact float
+MAX_L = 2**53
 
 
 def p_err_single_analytic(snr: float, zeta: float = 0.0) -> float:
@@ -237,6 +241,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if int(self.l) < 1:
             raise ConfigError("l must be >= 1")
+        if int(self.l) > MAX_L:
+            raise ConfigError("l must be at most 2**53")
         if int(self.trials) < 1:
             raise ConfigError("trials must be >= 1")
         if not (0 <= int(self.seed) < 2**64):
@@ -323,7 +329,9 @@ def _weigh_batch(args) -> tuple:
     t = threshold / sigma2_f
     theta, _ = _tilt(t, l)
     g = RngStream(seed, batch_index).generator().standard_gamma(l, m)
-    v = g[theta * g < t]  # the hits x = theta * g < t
+    # the hits x = theta * g < t, i.e. g < t / theta = max(t, l); tested on g
+    # because theta rounds to a subnormal or to 0 where t / l underflows
+    v = g[g < max(t, float(l))]
     # the Gamma(l, 1) over Gamma(l, theta) density ratio at x is
     # w = theta^l exp(x (1/theta - 1)) = w_max exp((g - l)(1 - theta)); taking
     # w_max out keeps v in (0, 1], so neither v nor v^2 underflows at tiny p
@@ -361,14 +369,15 @@ def _event_geometry(config: MonteCarloConfig):
 
 def _deterministic_gain(model: TransmittanceModel, event: str, l: int) -> float:
     """Aggregate |F|^2 the event compares with its threshold, for the models
-    whose magnitudes are fixed (FIXED and UNIFORM_PHASE)."""
+    whose magnitudes are fixed (FIXED and UNIFORM_PHASE).  Nothing of size l
+    is built, so any l is cheap."""
     if model.kind == FIXED:
         if len(model.values) != int(l):
             raise ConfigError("fixed model value count must equal l")
         mags2 = [abs(v) ** 2 for v in model.values]
-    else:
-        mags2 = [float(model.magnitude) ** 2] * int(l)
-    return mags2[0] if event == "rate" else sum(mags2)
+        return mags2[0] if event == "rate" else sum(mags2)
+    mag2 = float(model.magnitude) ** 2
+    return mag2 if event == "rate" else int(l) * mag2
 
 
 def monte_carlo_p_err(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amqd import ConfigError, ExperimentConfig, SnrGrid, run_validation
+from amqd import ConfigError, ExperimentConfig, SnrGrid, error_analysis, run_validation
 from amqd.cli import main
 from amqd.config import MAX_GRID_POINTS, SETTINGS
 
@@ -124,12 +124,37 @@ class TestSimulate:
         _, rows = _read_csv(out)
         assert rows[0, 1] == 1.0  # 20 bits through unit snr never fits
 
-    def test_insufficient_trials_warning(self, tmp_path, capsys):
+    @pytest.mark.parametrize("model, event, p", [
+        ("uniform-phase=0.5", "threshold", 0.0),  # l |F|^2 = 2.5e11 >= 1
+        ("uniform-phase=1e-7", "threshold", 1.0),  # l |F|^2 = 0.01 < 1
+        ("uniform-phase=0.5", "rate", 0.0),  # one sub-channel, whatever l is
+    ])
+    def test_deterministic_model_with_huge_l(self, tmp_path, model, event, p):
         out = tmp_path / "sim.csv"
-        main(["simulate", "--l", "1", "--snr-db-min", "40", "--snr-db-max", "40",
-              "--snr-db-step", "1", "--trials", "1000", "--out", str(out)])
-        captured = capsys.readouterr()
-        assert "insufficient trials" in captured.err
+        assert main(["simulate", "--model", model, "--event", event, "--rate-bits", "0.1",
+                     "--l", "1000000000000", "--snr-db-max", "0", "--trials", "10",
+                     "--out", str(out)]) == 0
+        header, rows = _read_csv(out)
+        assert rows[:, header.index("p_hat")].tolist() == [p]
+        assert rows[:, header.index("analytic")].tolist() == [p]
+
+    def test_readme_overlay_reaches_figure2_range(self, tmp_path, monkeypatch):
+        def no_count(args):
+            raise AssertionError("simulate counted crude errors")
+
+        monkeypatch.setattr(error_analysis, "_count_batch", no_count)
+        for l in (5, 10):
+            out = tmp_path / ("mc_l%d.csv" % l)
+            assert main(["simulate", "--l", str(l), "--zeta", "0.6", "--snr-db-min", "0",
+                         "--snr-db-max", "40", "--snr-db-step", "5", "--trials", "100000",
+                         "--seed", "0", "--out", str(out)]) == 0
+            header, rows = _read_csv(out)
+            p_hat = rows[:, header.index("p_hat")]
+            analytic = rows[:, header.index("analytic")]
+            assert len(rows) == 9
+            assert np.all(p_hat > 0.0)
+            assert np.all(np.abs(p_hat / analytic - 1.0) <= 0.05)
+        assert analytic[-1] == pytest.approx(2.7555e-47, rel=1e-3)  # l = 10 at 40 dB
 
 
 class TestConfigPrecedence:
@@ -222,9 +247,12 @@ class TestInputContract:
         assert rows[:, header.index("p_hat")].tolist() == [1.0]
         assert rows[:, header.index("analytic")].tolist() == [1.0]
 
-    def test_batch_over_memory_cap_exits_2(self, capsys):
-        assert main(["simulate", "--l", "1000000000000", "--snr-db-max", "0"]) == 2
-        assert "byte cap" in capsys.readouterr().err
+    def test_huge_l_gives_the_exact_answer(self, capsys):
+        # simulate draws one gamma per trial, so l is no memory bound
+        assert main(["simulate", "--l", "1000000000000", "--snr-db-max", "0"]) == 0
+        header, *rows = capsys.readouterr().out.strip().split("\n")
+        row = dict(zip(header.split(","), map(float, rows[0].split(","))))
+        assert row["p_hat"] == row["analytic"] == 0.0
         # the closed forms draw nothing
         assert main(["analytic", "--l", "1000000000000", "--snr-db-max", "0"]) == 0
 
@@ -273,6 +301,24 @@ def test_any_config_file_exits_0_or_2(config):
             json.dump(config, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["analytic", "--config", path]) in (0, 2)
+
+
+# models that simulate decides without drawing, at any l
+_SIMULATE_VALUES = _VALUES | st.sampled_from(["uniform-phase=0.5", "fixed=0.5,0.5"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries({}, optional={key: _SIMULATE_VALUES for key in SETTINGS
+                                           if key not in ("out", "trials", "workers")}))
+def test_any_simulate_config_file_exits_0_or_2(config):
+    # few trials and no pool, so no example draws millions of trials or forks
+    config.update(trials=100, workers=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["simulate", "--config", path]) in (0, 2)
 
 
 class TestValidate:

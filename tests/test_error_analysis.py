@@ -422,6 +422,21 @@ class TestImportanceSampling:
         est = monte_carlo_p_err(_is_config(l, t), RAYLEIGH_1)
         assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t))
 
+    @pytest.mark.parametrize("l", [10**15, 2**53])
+    def test_tilt_below_the_float_range(self, l):
+        # theta = t / l is a subnormal here, so t / theta misses l by far more
+        # than one gamma sd: hits must still be the draws below l, each
+        # weighing at most w_max = 0, never a NaN
+        est = monte_carlo_p_err(_is_config(l, 1e-300, trials=1000), RAYLEIGH_1)
+        assert (est.p_hat, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
+        assert 0 < est.errors_observed < 1000
+        assert analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=1e-300) == 0.0
+
+    def test_l_beyond_exact_floats_rejected(self):
+        assert MonteCarloConfig(l=2**53, trials=10, seed=0, threshold=1.0).l == 2**53
+        with pytest.raises(ConfigError, match="2\\*\\*53"):
+            MonteCarloConfig(l=2**53 + 1, trials=10, seed=0, threshold=1.0)
+
     def test_deterministic_model_gives_a_verdict(self):
         model = TransmittanceModel.fixed((0.5, 0.5))
         assert monte_carlo_p_err(_is_config(2, 0.6), model).p_hat == 1.0
