@@ -1,5 +1,5 @@
 """Multicarrier CVQKD transmission chain: transforms, Gaussian sub-channels,
-diversity metrics, and error-probability analysis with Monte Carlo checks."""
+constellations, and error-probability analysis with Monte Carlo checks."""
 
 from .channel import (
     RateAllocation,
@@ -14,13 +14,8 @@ from .channel import (
 from .config import ExperimentConfig, SnrGrid, parse_model_spec
 from .diversity import (
     Constellation,
-    DiversityMetrics,
-    DiversityParams,
     PermutationConstellation,
     build_permutation_constellation,
-    diversity_order,
-    exceeds_product_distance_bound,
-    normalized_difference,
     product_distance,
     product_distance_bound,
 )
@@ -43,7 +38,6 @@ from .experiments import (
     Table,
     gnuplot_script,
     run_analytic_table,
-    run_figure2,
     run_monte_carlo,
     write_gnuplot_script,
 )
@@ -53,16 +47,12 @@ from .sampling import (
     RngStream,
     TransmittanceModel,
     sample_modulation_block,
-    sample_modulation_vector,
     sample_noise_block,
-    sample_noise_vector,
     sample_transmittances,
 )
 from .transform import (
-    Domain,
     ModulatedVector,
     forward_transform,
-    fourier_transmittance,
     inverse_transform,
     unitary_dft,
     unitary_idft,

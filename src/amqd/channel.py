@@ -6,13 +6,12 @@ the multiuser secret-key-rate allocation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError
-from .sampling import NoiseSpec, RngStream, sample_noise_vector
+from .sampling import NoiseSpec, RngStream, sample_noise_block
 from .transform import ModulatedVector, forward_transform, inverse_transform
 
 
@@ -47,28 +46,16 @@ class SnrSpec:
     """Per-sub-channel SNR values; snr_star is the worst (minimum) of them."""
 
     snr_per_subchannel: tuple
-    snr_star: float | None = None
 
     def __post_init__(self):
         snrs = tuple(float(v) for v in self.snr_per_subchannel)
         if len(snrs) == 0 or any(v <= 0.0 for v in snrs):
             raise ConfigError("per-sub-channel SNRs must be positive")
         object.__setattr__(self, "snr_per_subchannel", snrs)
-        worst = min(snrs)
-        if self.snr_star is None:
-            object.__setattr__(self, "snr_star", worst)
-        elif not math.isclose(float(self.snr_star), worst, rel_tol=1e-12, abs_tol=0.0):
-            raise ConfigError("snr_star must equal the minimum per-sub-channel SNR")
 
-    @classmethod
-    def from_variances(cls, sigma2_omega_prime: float, noise: NoiseSpec) -> "SnrSpec":
-        """SNR'_i = sigma2_omega_prime / sigma2_N_i."""
-        s2 = float(sigma2_omega_prime)
-        if s2 <= 0.0:
-            raise ConfigError("signal variance must be positive")
-        if any(v <= 0.0 for v in noise.sigma2_per_subchannel):
-            raise ConfigError("noise variances must be positive to form SNRs")
-        return cls(tuple(s2 / v for v in noise.sigma2_per_subchannel))
+    @property
+    def snr_star(self) -> float:
+        return min(self.snr_per_subchannel)
 
 
 @dataclass(frozen=True)
@@ -76,15 +63,13 @@ class RateAllocation:
     """Secret-key-rate allocation across users and sub-channels.
 
     zeta_per_user[k] is user k's degree-of-freedom ratio; p_prime is the
-    aggregate private rate input (taken as a raw parameter), and
-    p_prime_per_subchannel optionally resolves it per sub-channel.
+    aggregate private rate input (taken as a raw parameter).
     """
 
     zeta_per_user: tuple
     k_in: int
     k_out: int
     p_prime: float
-    p_prime_per_subchannel: tuple = ()
 
     def __post_init__(self):
         zs = tuple(float(z) for z in self.zeta_per_user)
@@ -95,10 +80,6 @@ class RateAllocation:
             raise ConfigError("k_in and k_out must be >= 1")
         if float(self.p_prime) < 0.0:
             raise ConfigError("p_prime must be nonnegative")
-        ps = tuple(float(p) for p in self.p_prime_per_subchannel)
-        if any(p < 0.0 for p in ps):
-            raise ConfigError("per-sub-channel rates must be nonnegative")
-        object.__setattr__(self, "p_prime_per_subchannel", ps)
 
     @property
     def n_min(self) -> int:
@@ -118,9 +99,9 @@ def apply_channel(d: ModulatedVector, ch: SubchannelSet, rng: RngStream) -> Modu
     """output_i = F_i * d_i + noise_i with noise freshly drawn from ch.noise."""
     if len(d) != ch.l:
         raise ConfigError("input length must equal the number of sub-channels")
-    delta = sample_noise_vector(ch.noise, rng)
+    delta = sample_noise_block(ch.noise, rng, 1)[0]
     gains = np.asarray(ch.f_transmittance, dtype=np.complex128)
-    return ModulatedVector(gains * d.entries + delta, d.domain_tag)
+    return ModulatedVector(gains * d.entries + delta)
 
 
 def end_to_end_roundtrip(z: ModulatedVector, ch: SubchannelSet, rng: RngStream) -> ModulatedVector:
@@ -128,17 +109,15 @@ def end_to_end_roundtrip(z: ModulatedVector, ch: SubchannelSet, rng: RngStream) 
     return forward_transform(apply_channel(inverse_transform(z), ch, rng))
 
 
-def worst_case_set(
-    ch: SubchannelSet, snr: SnrSpec, magnitude_exponent: float = 2.0
-) -> WorstCaseSet:
-    """Indices with |F_i|^exponent >= snr_star^-l, and the weakest survivor.
+def worst_case_set(ch: SubchannelSet, snr: SnrSpec) -> WorstCaseSet:
+    """Indices with |F_i|^2 >= snr_star^-l, and the weakest survivor.
 
     Ties on the minimum magnitude resolve to the lowest index.  An empty
     survivor tuple is a valid result: it is the outage event itself.
     """
     threshold = float(snr.snr_star) ** (-ch.l)
     mags = np.abs(np.asarray(ch.f_transmittance, dtype=np.complex128))
-    survivors = tuple(i for i, m in enumerate(mags) if m ** magnitude_exponent >= threshold)
+    survivors = tuple(i for i, m in enumerate(mags) if m ** 2 >= threshold)
     if not survivors:
         return WorstCaseSet((), None, None)
     surv_mags = mags[list(survivors)]
@@ -146,14 +125,8 @@ def worst_case_set(
     return WorstCaseSet(survivors, survivors[k], float(surv_mags[k]))
 
 
-def secret_key_rate(alloc: RateAllocation, user: int, subchannel: int | None = None) -> float:
-    """zeta_k / n_min times the (per-sub-channel) private rate."""
+def secret_key_rate(alloc: RateAllocation, user: int) -> float:
+    """zeta_k / n_min times the aggregate private rate."""
     if not (0 <= int(user) < len(alloc.zeta_per_user)):
         raise ConfigError("user index out of range")
-    zeta = alloc.zeta_per_user[int(user)]
-    if subchannel is None:
-        return zeta / alloc.n_min * alloc.p_prime
-    i = int(subchannel)
-    if not (0 <= i < len(alloc.p_prime_per_subchannel)):
-        raise ConfigError("sub-channel index out of range")
-    return zeta / alloc.n_min * alloc.p_prime_per_subchannel[i]
+    return alloc.zeta_per_user[int(user)] / alloc.n_min * alloc.p_prime

@@ -20,12 +20,7 @@ import sys
 
 from .config import SETTINGS, build_experiment_config, merge_settings
 from .exceptions import ConfigError
-from .experiments import (
-    run_analytic_table,
-    run_figure2,
-    run_monte_carlo,
-    write_gnuplot_script,
-)
+from .experiments import run_analytic_table, run_monte_carlo, write_gnuplot_script
 from .validation import run_validation
 
 _COMMON_DEFAULTS = {
@@ -126,7 +121,7 @@ def _emit(table, settings: dict, gnuplot: bool) -> None:
 def _cmd_figure2(args: argparse.Namespace) -> int:
     settings = merge_settings(_FIGURE2_DEFAULTS, args.config, _cli_overrides(args))
     config = build_experiment_config(settings)
-    _emit(run_figure2(config), settings, gnuplot=True)
+    _emit(run_analytic_table(config), settings, gnuplot=True)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Phase-space constellations, permutation spreading, and diversity metrics."""
+"""Phase-space constellations, permutation spreading, and product distances."""
 
 from __future__ import annotations
 
@@ -40,11 +40,6 @@ class Constellation:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=np.complex128)
-
-    @classmethod
-    def from_points(cls, points) -> "Constellation":
-        pts = tuple(complex(p) for p in points)
-        return cls(pts, math.log2(max(2, len(pts))))
 
     @classmethod
     def square_grid(cls, rate_bits: float) -> "Constellation":
@@ -105,19 +100,9 @@ def build_permutation_constellation(
     return PermutationConstellation(base, perms)
 
 
-def normalized_difference(
-    p_a: complex, p_b: complex, sigma2_omega_prime: float, sigma2_n: float
-) -> complex:
-    """(p_a - p_b) / sqrt(sigma2_omega_prime / sigma2_n); points may be complex."""
-    if float(sigma2_omega_prime) <= 0.0 or float(sigma2_n) <= 0.0:
-        raise ConfigError("variances must be positive")
-    return (complex(p_a) - complex(p_b)) / math.sqrt(
-        float(sigma2_omega_prime) / float(sigma2_n)
-    )
-
-
 def product_distance(p_a, p_b, sigma2_omega_prime: float, sigma2_n_per_subchannel) -> float:
-    """Product over sub-channels of the squared normalized difference magnitudes.
+    """Product over sub-channels of the squared normalized differences
+    |(a_i - b_i) / sqrt(sigma2_omega_prime / sigma2_n_i)|^2.
 
     A zero factor (identical components) is allowed and simply zeroes the
     product; the caller decides what to do with it.
@@ -131,9 +116,12 @@ def product_distance(p_a, p_b, sigma2_omega_prime: float, sigma2_n_per_subchanne
         s2n = np.full(a.size, float(s2n))
     if s2n.shape != a.shape:
         raise ConfigError("noise variances must broadcast to the codeword length")
+    s2w = float(sigma2_omega_prime)
+    if s2w <= 0.0 or np.any(s2n <= 0.0):
+        raise ConfigError("variances must be positive")
     prod = 1.0
     for pa_i, pb_i, s2_i in zip(a, b, s2n):
-        prod *= abs(normalized_difference(pa_i, pb_i, sigma2_omega_prime, s2_i)) ** 2
+        prod *= abs((complex(pa_i) - complex(pb_i)) / math.sqrt(s2w / float(s2_i))) ** 2
     return prod
 
 
@@ -144,65 +132,3 @@ def product_distance_bound(l: int, rate_bits: float, c: float = 1.0) -> float:
     if float(c) <= 0.0:
         raise ConfigError("c must be positive")
     return (float(c) / (int(l) * 2.0 ** float(rate_bits))) ** int(l)
-
-
-def exceeds_product_distance_bound(
-    value: float, l: int, rate_bits: float, c: float = 1.0
-) -> bool:
-    """True when a measured product distance clears the floor (strictly)."""
-    return float(value) > product_distance_bound(l, rate_bits, c)
-
-
-@dataclass(frozen=True)
-class DiversityMetrics:
-    """Constant and rate entering the product-distance floor."""
-
-    per_subchannel_rate: float
-    c: float = 1.0
-
-    def __post_init__(self):
-        if float(self.c) <= 0.0:
-            raise ConfigError("c must be positive")
-
-    def bound(self, l: int) -> float:
-        return product_distance_bound(l, self.per_subchannel_rate, self.c)
-
-    def exceeds(self, value: float, l: int) -> bool:
-        return exceeds_product_distance_bound(value, l, self.per_subchannel_rate, self.c)
-
-
-@dataclass(frozen=True)
-class DiversityParams:
-    """(l, zeta) and the diversity order delta they induce."""
-
-    l: int
-    zeta: float
-    delta: float
-
-    def __post_init__(self):
-        if int(self.l) < 1:
-            raise ConfigError("l must be >= 1")
-        if not (0.0 <= float(self.zeta) < 1.0):
-            raise ConfigError("zeta must lie in [0, 1)")
-        if float(self.delta) < 0.0:
-            raise ConfigError("delta must be nonnegative")
-
-
-SINGLE = "single"
-AMQD = "amqd"
-
-
-def diversity_order(l: int, zeta: float, mode: str = AMQD) -> DiversityParams:
-    """Diversity order: 1 - zeta for a single carrier, l * (1 - zeta) multicarrier."""
-    z = float(zeta)
-    if not (0.0 <= z < 1.0):
-        raise ConfigError("zeta must lie in [0, 1); the diversity order would vanish")
-    if mode == SINGLE:
-        if int(l) != 1:
-            raise ConfigError("single-carrier mode requires l = 1")
-        return DiversityParams(1, z, 1.0 - z)
-    if mode == AMQD:
-        if int(l) < 1:
-            raise ConfigError("l must be >= 1")
-        return DiversityParams(int(l), z, int(l) * (1.0 - z))
-    raise ConfigError(f"unknown mode: {mode!r}")

@@ -500,9 +500,6 @@ class SlopeScanResult:
     estimates: tuple
     slope: float
 
-    def points(self):
-        return [(s, e.p_hat) for s, e in zip(self.snr, self.estimates)]
-
 
 def diversity_slope_scan(
     l: int,

@@ -49,10 +49,6 @@ class Table:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
 
 def run_analytic_table(config: ExperimentConfig, include_factorial: bool = False) -> Table:
     """Closed-form single-carrier and multicarrier curves over the SNR grid."""
@@ -64,11 +60,6 @@ def run_analytic_table(config: ExperimentConfig, include_factorial: bool = False
             row.append(p_err_amqd_analytic(snr, l, config.zeta, include_factorial))
         rows.append(tuple(row))
     return Table(columns, rows)
-
-
-def run_figure2(config: ExperimentConfig) -> Table:
-    """Reference error-probability figure; pure power laws, no factorial prefactor."""
-    return run_analytic_table(config, include_factorial=False)
 
 
 def _rate_bits_at(config: ExperimentConfig, snr: float) -> float:

@@ -7,12 +7,13 @@ on execution order or worker count.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError
-from .transform import Domain, ModulatedVector
 
 _U64 = 2**64
 
@@ -97,7 +98,7 @@ class TransmittanceModel:
     """Per-sub-channel Fourier-domain gain model.
 
     rayleigh: F ~ CN(0, sigma2_f), i.e. |F|^2 exponential with mean sigma2_f.
-    fixed: configured complex values used verbatim.
+    fixed: configured finite complex values used verbatim.
     uniform_phase: constant magnitude, phase uniform on [0, 2*pi).
     """
 
@@ -108,12 +109,15 @@ class TransmittanceModel:
 
     def __post_init__(self):
         if self.kind == RAYLEIGH:
-            if float(self.sigma2_f) < 0.0:
-                raise ConfigError("sigma2_f must be nonnegative")
+            if not (0.0 <= float(self.sigma2_f) < math.inf):
+                raise ConfigError("sigma2_f must be finite and nonnegative")
         elif self.kind == FIXED:
             if not self.values:
                 raise ConfigError("fixed model needs at least one value")
-            object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+            values = tuple(complex(v) for v in self.values)
+            if not all(cmath.isfinite(v) for v in values):
+                raise ConfigError("fixed gains must be finite")
+            object.__setattr__(self, "values", values)
         elif self.kind == UNIFORM_PHASE:
             if self.magnitude is None or not (0.0 <= float(self.magnitude) <= 1.0):
                 raise ConfigError("uniform_phase magnitude must lie in [0, 1]")
@@ -135,31 +139,19 @@ class TransmittanceModel:
 
 def _complex_normal_block(g: np.random.Generator, count: int, variances) -> np.ndarray:
     # each row consumes its own contiguous run of the normal stream (real
-    # parts, then imaginary parts), so row 0 of any block reproduces the
-    # single-draw case; the layout is part of the determinism contract
+    # parts, then imaginary parts), so row 0 of any block equals a one-row
+    # block from the same stream; the layout is part of the determinism contract
     n = len(variances)
     draws = g.standard_normal((count, 2, n))
     scale = np.sqrt(np.asarray(variances, dtype=np.float64) / 2.0)
     return (draws[:, 0, :] + 1j * draws[:, 1, :]) * scale
 
 
-def sample_modulation_vector(spec: ComplexGaussianSpec, rng: RngStream) -> ModulatedVector:
-    """One draw of the modulated Gaussian vector z."""
-    block = _complex_normal_block(rng.generator(), 1, spec.variance_per_entry)
-    return ModulatedVector(block[0], Domain.SINGLE_CARRIER)
-
-
 def sample_modulation_block(spec: ComplexGaussianSpec, rng: RngStream, count: int) -> np.ndarray:
-    """count independent draws, shape (count, n); row 0 equals the single draw."""
+    """count independent draws, shape (count, n); row 0 equals a one-row block."""
     if int(count) < 1:
         raise ConfigError("count must be >= 1")
     return _complex_normal_block(rng.generator(), int(count), spec.variance_per_entry)
-
-
-def sample_noise_vector(spec: NoiseSpec, rng: RngStream) -> np.ndarray:
-    """One complex noise draw per sub-channel; each quadrature has variance sigma2."""
-    doubled = tuple(2.0 * v for v in spec.sigma2_per_subchannel)
-    return _complex_normal_block(rng.generator(), 1, doubled)[0]
 
 
 def sample_noise_block(spec: NoiseSpec, rng: RngStream, count: int) -> np.ndarray:
@@ -170,23 +162,18 @@ def sample_noise_block(spec: NoiseSpec, rng: RngStream, count: int) -> np.ndarra
 
 
 def sample_transmittances(
-    model: TransmittanceModel, l: int, rng: RngStream, count: int | None = None
+    model: TransmittanceModel, l: int, rng: RngStream, count: int
 ) -> np.ndarray:
-    """Fourier-domain gains for l sub-channels; shape (l,) or (count, l)."""
+    """count draws of the Rayleigh gains of l sub-channels, shape (count, l).
+
+    The fixed and uniform-phase models have deterministic magnitudes, and
+    error_analysis decides their events without drawing.
+    """
+    if model.kind != RAYLEIGH:
+        raise ConfigError(f"only the {RAYLEIGH} model is sampled, not {model.kind!r}")
     l = int(l)
     if l < 1:
         raise ConfigError("l must be >= 1")
-    m = 1 if count is None else int(count)
-    if m < 1:
+    if int(count) < 1:
         raise ConfigError("count must be >= 1")
-    if model.kind == RAYLEIGH:
-        block = _complex_normal_block(rng.generator(), m, (model.sigma2_f,) * l)
-    elif model.kind == FIXED:
-        if len(model.values) != l:
-            raise ConfigError("fixed model value count must equal l")
-        block = np.tile(np.asarray(model.values, dtype=np.complex128), (m, 1))
-    else:  # uniform_phase
-        g = rng.generator()
-        phase = g.uniform(0.0, 2.0 * np.pi, size=(m, l))
-        block = float(model.magnitude) * np.exp(1j * phase)
-    return block[0] if count is None else block
+    return _complex_normal_block(rng.generator(), int(count), (model.sigma2_f,) * l)

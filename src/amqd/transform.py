@@ -9,41 +9,22 @@ and Parseval holds without bookkeeping factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .exceptions import ConfigError
 
-# admissible time-domain transmittance components live in [0, 1/sqrt(2)]
-RE_IM_BOUND = 1.0 / np.sqrt(2.0)
-
-
-class Domain(Enum):
-    """Which side of the transform a vector lives on."""
-
-    SINGLE_CARRIER = "single_carrier"
-    SUBCARRIER = "subcarrier"
-
-    def flipped(self) -> "Domain":
-        if self is Domain.SINGLE_CARRIER:
-            return Domain.SUBCARRIER
-        return Domain.SINGLE_CARRIER
-
 
 @dataclass(eq=False)
 class ModulatedVector:
-    """Complex amplitude vector tagged with the domain it currently lives in."""
+    """Nonempty 1-d complex amplitude vector."""
 
     entries: np.ndarray
-    domain_tag: Domain = Domain.SINGLE_CARRIER
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.complex128)
         if self.entries.ndim != 1 or self.entries.size == 0:
             raise ConfigError("modulated vector must be a nonempty 1-d complex array")
-        if not isinstance(self.domain_tag, Domain):
-            raise ConfigError("domain_tag must be a Domain")
 
     def __len__(self) -> int:
         return int(self.entries.size)
@@ -60,28 +41,10 @@ def unitary_idft(x: np.ndarray) -> np.ndarray:
 
 
 def forward_transform(v: ModulatedVector) -> ModulatedVector:
-    """Unitary DFT of the vector; flips the domain tag."""
-    return ModulatedVector(unitary_dft(v.entries), v.domain_tag.flipped())
+    """Unitary DFT of the vector."""
+    return ModulatedVector(unitary_dft(v.entries))
 
 
 def inverse_transform(v: ModulatedVector) -> ModulatedVector:
-    """Unitary inverse DFT of the vector; flips the domain tag."""
-    return ModulatedVector(unitary_idft(v.entries), v.domain_tag.flipped())
-
-
-def fourier_transmittance(t_time) -> np.ndarray:
-    """Fourier-domain transmittance coefficients of a time-domain gain vector.
-
-    Entries must satisfy 0 <= Re <= 1/sqrt(2) and 0 <= Im <= 1/sqrt(2); this
-    bound applies only to user-supplied time-domain gains.  Random
-    Fourier-domain models bypass this path and are unbounded by construction.
-    """
-    t = np.asarray(t_time, dtype=np.complex128)
-    if t.ndim != 1 or t.size == 0:
-        raise ConfigError("transmittance vector must be a nonempty 1-d array")
-    re, im = t.real, t.imag
-    if np.any(re < 0.0) or np.any(re > RE_IM_BOUND) or np.any(im < 0.0) or np.any(im > RE_IM_BOUND):
-        raise ConfigError(
-            "time-domain transmittance out of bounds: components must lie in [0, 1/sqrt(2)]"
-        )
-    return unitary_dft(t)
+    """Unitary inverse DFT of the vector."""
+    return ModulatedVector(unitary_idft(v.entries))

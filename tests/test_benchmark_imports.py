@@ -1,0 +1,64 @@
+"""The benchmark under perfbench/ imports names from amqd and rebinds some of
+amqd's module attributes.  These tests read the perfbench sources (and change
+nothing there) and check that each of those names still exists, so a deletion
+in amqd cannot silently break the benchmark."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# module attributes perfbench rebinds (spies, stops) or reads by attribute access
+REBOUND = [
+    ("amqd.cli", "_emit"),
+    ("amqd.cli", "run_monte_carlo"),
+    ("amqd.cli", "run_validation"),
+    ("amqd.experiments", "run_monte_carlo"),
+    ("amqd.error_analysis", "analytic_event_probability"),
+    ("amqd.error_analysis", "monte_carlo_p_err"),
+    ("amqd.error_analysis", "_BATCH"),
+]
+
+
+def _is_amqd(module):
+    return module == "amqd" or module.startswith("amqd.")
+
+
+def _imported_names():
+    """(file, module, name) for every `from amqd[.<module>] import name` and
+    (file, module, None) for every `import amqd[.<module>]` in perfbench/*.py."""
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and _is_amqd(node.module or ""):
+                found.update((path.name, node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                found.update((path.name, alias.name, None) for alias in node.names
+                             if _is_amqd(alias.name))
+    return sorted(found, key=lambda t: (t[0], t[1], t[2] or ""))
+
+
+IMPORTED = _imported_names()
+
+
+def test_the_walk_finds_the_benchmark_imports():
+    names = {name for _, _, name in IMPORTED}
+    assert {"monte_carlo_p_err", "diversity_slope_scan", "cli"} <= names
+
+
+@pytest.mark.parametrize("path, module, name", IMPORTED,
+                         ids=["%s:%s.%s" % t for t in IMPORTED])
+def test_perfbench_import_resolves(path, module, name):
+    mod = importlib.import_module(module)
+    if name is not None and not hasattr(mod, name):
+        # `from package import submodule` imports the submodule
+        importlib.import_module("%s.%s" % (module, name))
+
+
+@pytest.mark.parametrize("module, attr", REBOUND, ids=["%s.%s" % t for t in REBOUND])
+def test_rebound_attribute_exists(module, attr):
+    assert hasattr(importlib.import_module(module), attr)

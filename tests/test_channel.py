@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from amqd import (
     ConfigError,
-    Domain,
     ModulatedVector,
     NoiseSpec,
     RateAllocation,
@@ -24,7 +23,7 @@ from amqd.sampling import ComplexGaussianSpec
 
 
 def subcarrier(entries):
-    return ModulatedVector(np.asarray(entries, dtype=complex), Domain.SUBCARRIER)
+    return ModulatedVector(np.asarray(entries, dtype=complex))
 
 
 class TestApplyChannel:
@@ -77,7 +76,6 @@ class TestEndToEndRoundtrip:
         z = ModulatedVector(g.standard_normal(64) + 1j * g.standard_normal(64))
         out = end_to_end_roundtrip(z, SubchannelSet.all_pass(64), RngStream(21, 1))
         assert np.max(np.abs(out.entries - z.entries)) <= 1e-12
-        assert out.domain_tag is Domain.SINGLE_CARRIER
 
     def test_scalar_channel_commutes_with_transform(self):
         g = RngStream(22, 0).generator()
@@ -114,15 +112,6 @@ class TestSnrSpec:
         spec = SnrSpec((4.0, 2.0, 8.0))
         assert spec.snr_star == 2.0
 
-    def test_mismatched_star_rejected(self):
-        with pytest.raises(ConfigError):
-            SnrSpec((4.0, 2.0), snr_star=4.0)
-
-    def test_from_variances(self):
-        spec = SnrSpec.from_variances(2.0, NoiseSpec((0.5, 1.0)))
-        assert spec.snr_per_subchannel == (4.0, 2.0)
-        assert spec.snr_star == 2.0
-
     def test_nonpositive_snr_rejected(self):
         with pytest.raises(ConfigError):
             SnrSpec((1.0, 0.0))
@@ -148,12 +137,11 @@ class TestWorstCaseSet:
         res = worst_case_set(ch, SnrSpec((2.0, 2.0)))
         assert res.min_index == 0
 
-    def test_magnitude_exponent_knob(self):
-        # |F| = 0.6, l = 1, snr_star = 2: |F|^2 = 0.36 < 0.5 but |F|^1 = 0.6 >= 0.5
+    def test_threshold_is_on_squared_magnitude(self):
+        # |F| = 0.6, l = 1, snr_star = 2: |F|^2 = 0.36 < 0.5 although |F| = 0.6 >= 0.5
         ch = SubchannelSet(1, (0.6,), NoiseSpec.iid(1, 1.0))
-        snr = SnrSpec((2.0,))
-        assert worst_case_set(ch, snr, magnitude_exponent=2.0).survivors == ()
-        assert worst_case_set(ch, snr, magnitude_exponent=1.0).survivors == (0,)
+        assert worst_case_set(ch, SnrSpec((2.0,))).survivors == ()
+        assert worst_case_set(ch, SnrSpec((2.8,))).survivors == (0,)  # 0.36 >= 1/2.8
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=8),
@@ -181,16 +169,12 @@ class TestSecretKeyRate:
     def test_single_user_single_pair(self):
         assert secret_key_rate(RateAllocation((0.6,), 1, 1, 1.0), 0) == pytest.approx(0.6)
 
-    def test_per_subchannel_rate(self):
-        alloc = RateAllocation((0.5,), 2, 2, 4.0, p_prime_per_subchannel=(2.0, 6.0))
-        assert secret_key_rate(alloc, 0, subchannel=1) == pytest.approx(1.5)
-
     def test_invalid_indices_rejected(self):
         alloc = RateAllocation((0.5,), 1, 1, 1.0)
         with pytest.raises(ConfigError):
             secret_key_rate(alloc, 1)
         with pytest.raises(ConfigError):
-            secret_key_rate(alloc, 0, subchannel=0)
+            secret_key_rate(alloc, -1)
 
     def test_zeta_out_of_range_rejected(self):
         with pytest.raises(ConfigError):

@@ -138,6 +138,14 @@ class TestSimulate:
         assert rows[:, header.index("p_hat")].tolist() == [p]
         assert rows[:, header.index("analytic")].tolist() == [p]
 
+    @pytest.mark.parametrize("event", ["threshold", "rate"])
+    @pytest.mark.parametrize("model", ["fixed=nan", "fixed=inf", "fixed=1+nanj"])
+    def test_non_finite_fixed_gain_exits_2(self, capsys, model, event):
+        # no comparison with NaN holds, so such a gain would read as p = 0
+        assert main(["simulate", "--model", model, "--event", event, "--snr-db-max", "4",
+                     "--trials", "10"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_readme_overlay_reaches_figure2_range(self, tmp_path, monkeypatch):
         def no_count(args):
             raise AssertionError("simulate counted crude errors")
@@ -321,6 +329,47 @@ def test_any_simulate_config_file_exits_0_or_2(config):
             assert main(["simulate", "--config", path]) in (0, 2)
 
 
+def _tokens(near):
+    # mostly near-valid values, so many examples run to the end; otherwise
+    # any float (nan and inf too) or text that argparse may reject
+    pick = {0: st.text(max_size=4), 1: st.floats(), 2: st.floats()}
+    return st.integers(0, 9).flatmap(lambda k: pick.get(k, near)).map(str)
+
+
+_CLI_FLAGS = {
+    "--l": st.lists(st.integers(1, 12) | st.integers(), min_size=1, max_size=2),
+    "--zeta": _tokens(st.floats(0.0, 1.0)),
+    "--snr-db-min": _tokens(st.floats(-60.0, 60.0)),
+    "--snr-db-max": _tokens(st.floats(-60.0, 60.0)),
+    "--snr-db-step": _tokens(st.floats(0.1, 20.0)),
+    "--rate-bits": _tokens(st.floats(0.0, 40.0)),
+    "--model": st.sampled_from(["rayleigh", "fixed=0.5", "fixed=0.5,0.5", "fixed=nan",
+                                "fixed=1e400", "uniform-phase=0.5", "uniform-phase=nan"])
+               | st.text(max_size=12),
+    "--event": st.sampled_from(["rate", "threshold", "rate", "threshold", "outage"]),
+    "--seed": st.integers(0, 2**32) | st.integers() | st.integers(2**64 - 3, 2**64 + 3),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["analytic", "simulate"]),
+       st.fixed_dictionaries({}, optional=_CLI_FLAGS),
+       st.integers(1, 1000) | st.integers(-2, 1000), st.integers(1, 2) | st.integers(-1, 2))
+def test_any_command_line_exits_0_or_2(command, flags, trials, workers):
+    # at most 1000 trials is one batch per point, so no example opens a pool
+    argv = [command, "--trials=%d" % trials, "--workers=%d" % workers]
+    for flag, value in flags.items():
+        # --flag=value passes values that start with '-' (such as -inf) through
+        argv += ["%s=%s" % (flag, token) for token in (value if isinstance(value, list)
+                                                       else [value])]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value with exit code 2
+            code = exc.code
+    assert code in (0, 2), argv
+
+
 class TestValidate:
     def test_validate_passes_and_prints_every_check(self, capsys):
         assert main(["validate", "--trials", "50000", "--seed", "1"]) == 0
@@ -329,6 +378,25 @@ class TestValidate:
         assert len(lines) >= 10
         assert all(ln.startswith("PASS") for ln in lines)
         assert "0 failed" in out
+
+    def test_default_validate_prints_no_warning(self, capsys):
+        assert main(["validate"]) == 0
+        assert "WARN" not in capsys.readouterr().out
+
+    def test_grid_end_does_not_warn(self, capsys):
+        # mc_calibration samples fixed thresholds, about 1900 and 1600 expected
+        # errors at 20000 trials, whatever the grid's last snr
+        assert main(["validate", "--snr-db-max", "40", "--trials", "20000"]) == 0
+        out = capsys.readouterr().out
+        assert "WARN" not in out
+        assert "0 warnings" in out
+
+    def test_few_trials_warn_about_the_sampled_events(self, capsys):
+        assert main(["validate", "--trials", "500"]) == 0
+        warnings = [ln for ln in capsys.readouterr().out.split("\n") if ln.startswith("WARN")]
+        assert len(warnings) == 2
+        assert "~47.6 expected errors at threshold=0.1 (l=1)" in warnings[0]
+        assert "~40.2 expected errors at threshold=1 (l=3)" in warnings[1]
 
     def test_fault_injection_is_caught(self):
         config = ExperimentConfig(l_values=(1,), zeta=0.0, snr_grid=SnrGrid(0, 10, 5),

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +6,11 @@ from hypothesis import strategies as st
 from amqd import (
     ConfigError,
     Constellation,
-    DiversityMetrics,
     RngStream,
     build_permutation_constellation,
-    diversity_order,
-    exceeds_product_distance_bound,
-    normalized_difference,
+    fit_diversity_slope,
+    p_err_amqd_analytic,
+    p_err_single_analytic,
     product_distance,
     product_distance_bound,
 )
@@ -43,7 +40,7 @@ class TestConstellation:
 
     def test_single_point_rejected(self):
         with pytest.raises(ConfigError):
-            Constellation.from_points((1.0,))
+            Constellation((1.0,), 1.0)
 
 
 class TestPermutationConstellation:
@@ -83,20 +80,22 @@ class TestPermutationConstellation:
 
 
 class TestNormalizedDifference:
+    """One-component product distances: |(a - b) / sqrt(sigma2_omega' / sigma2_n)|^2."""
+
     def test_equal_inputs_give_zero(self):
-        assert normalized_difference(0.7, 0.7, 1.0, 1.0) == 0.0
+        assert product_distance([0.7], [0.7], 1.0, 1.0) == 0.0
 
     def test_scaling_by_snr_root(self):
         # (2) / sqrt(4/1) = 1
-        assert normalized_difference(3.0, 1.0, 4.0, 1.0) == pytest.approx(1.0)
-        # (1) / sqrt(1/4) = 2
-        assert normalized_difference(1.0, 0.0, 1.0, 4.0) == pytest.approx(2.0)
+        assert product_distance([3.0], [1.0], 4.0, 1.0) == pytest.approx(1.0)
+        # (1) / sqrt(1/4) = 2, squared
+        assert product_distance([1.0], [0.0], 1.0, 4.0) == pytest.approx(4.0)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ConfigError):
-            normalized_difference(1.0, 0.0, 0.0, 1.0)
+            product_distance([1.0], [0.0], 0.0, 1.0)
         with pytest.raises(ConfigError):
-            normalized_difference(1.0, 0.0, 1.0, 0.0)
+            product_distance([1.0], [0.0], 1.0, 0.0)
 
 
 class TestProductDistance:
@@ -107,11 +106,12 @@ class TestProductDistance:
         # deltas 1 and 2 -> product 4 with unit variances
         assert product_distance([1.0, 2.0], [0.0, 0.0], 1.0, 1.0) == pytest.approx(4.0)
 
-    def test_composed_from_normalized_differences(self):
+    def test_composed_from_per_subchannel_factors(self):
         val = product_distance([3.0, 1.0], [1.0, 0.0], 4.0, (1.0, 16.0))
-        d1 = normalized_difference(3.0, 1.0, 4.0, 1.0)
-        d2 = normalized_difference(1.0, 0.0, 4.0, 16.0)
-        assert val == pytest.approx(d1**2 * d2**2)
+        d1 = product_distance([3.0], [1.0], 4.0, 1.0)  # (2 / sqrt(4))^2 = 1
+        d2 = product_distance([1.0], [0.0], 4.0, 16.0)  # (1 / sqrt(1/4))^2 = 4
+        assert val == pytest.approx(d1 * d2)
+        assert val == pytest.approx(4.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -140,20 +140,11 @@ class TestProductDistanceBound:
     def test_known_values(self, l, rate, c, expected):
         assert product_distance_bound(l, rate, c) == pytest.approx(expected, rel=1e-12)
 
-    def test_predicate(self):
-        assert exceeds_product_distance_bound(0.1, 2, 1.0, 1.0)
-        assert not exceeds_product_distance_bound(0.0625, 2, 1.0, 1.0)  # strict
-
-    def test_metrics_wrapper(self):
-        m = DiversityMetrics(per_subchannel_rate=1.0, c=1.0)
-        assert m.bound(2) == pytest.approx(0.0625)
-        assert m.exceeds(0.1, 2)
-
     def test_nonpositive_c_rejected(self):
         with pytest.raises(ConfigError):
             product_distance_bound(2, 1.0, 0.0)
         with pytest.raises(ConfigError):
-            DiversityMetrics(per_subchannel_rate=1.0, c=-1.0)
+            product_distance_bound(2, 1.0, -1.0)
 
     @given(
         st.integers(min_value=1, max_value=10),
@@ -168,28 +159,30 @@ class TestProductDistanceBound:
         assert product_distance_bound(l, hi, 1.0) < product_distance_bound(l, lo, 1.0)
 
 
+SNR_GRID = (10.0, 100.0, 1000.0)
+
+
+def order_of(p_err):
+    """Diversity order of a closed form, read off its log-log slope."""
+    return fit_diversity_slope([(s, p_err(s)) for s in SNR_GRID])
+
+
 class TestDiversityOrder:
+    """The closed forms decay as snr^-(1-zeta) (one carrier) and snr^-(l(1-zeta))."""
+
     def test_single_carrier_full_diversity(self):
-        assert diversity_order(1, 0.0, "single").delta == 1.0
+        assert order_of(lambda s: p_err_single_analytic(s, 0.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_single_carrier_reduced(self):
-        assert diversity_order(1, 0.6, "single").delta == pytest.approx(0.4)
+        assert order_of(lambda s: p_err_single_analytic(s, 0.6)) == pytest.approx(0.4)
 
     @pytest.mark.parametrize("l,zeta,expected", [(5, 0.6, 2.0), (10, 0.6, 4.0), (7, 0.0, 7.0)])
     def test_multicarrier_orders(self, l, zeta, expected):
-        assert diversity_order(l, zeta, "amqd").delta == pytest.approx(expected)
-
-    def test_single_mode_with_many_subchannels_rejected(self):
-        with pytest.raises(ConfigError):
-            diversity_order(3, 0.0, "single")
+        assert order_of(lambda s: p_err_amqd_analytic(s, l, zeta)) == pytest.approx(expected)
 
     def test_zeta_one_rejected(self):
         with pytest.raises(ConfigError):
-            diversity_order(2, 1.0, "amqd")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            diversity_order(2, 0.0, "mimo")
+            p_err_amqd_analytic(10.0, 2, 1.0)
 
     @given(
         st.integers(min_value=1, max_value=32),
@@ -201,9 +194,13 @@ class TestDiversityOrder:
         lo, hi = sorted((z1, z2))
         if hi - lo < 1e-12:
             return
-        assert diversity_order(l, hi, "amqd").delta < diversity_order(l, lo, "amqd").delta
+        assert order_of(lambda s: p_err_amqd_analytic(s, l, hi)) < order_of(
+            lambda s: p_err_amqd_analytic(s, l, lo)
+        )
 
     @given(st.integers(min_value=1, max_value=31), st.floats(min_value=0.0, max_value=0.99))
     @settings(max_examples=60, deadline=None)
     def test_strictly_increasing_in_l(self, l, zeta):
-        assert diversity_order(l + 1, zeta, "amqd").delta > diversity_order(l, zeta, "amqd").delta
+        assert order_of(lambda s: p_err_amqd_analytic(s, l + 1, zeta)) > order_of(
+            lambda s: p_err_amqd_analytic(s, l, zeta)
+        )

@@ -469,6 +469,14 @@ class TestAnalyticEventProbability:
         assert analytic_event_probability(model, "threshold", 2, threshold=0.6) == 1.0
         assert analytic_event_probability(model, "threshold", 2, threshold=0.4) == 0.0
 
+    def test_fixed_length_mismatch_rejected(self):
+        # the one deterministic-gain handler serves both the oracle and the estimate
+        model = TransmittanceModel.fixed((1.0,))
+        with pytest.raises(ConfigError):
+            analytic_event_probability(model, "threshold", 2, threshold=0.5)
+        with pytest.raises(ConfigError):
+            monte_carlo_p_err(MonteCarloConfig(l=2, trials=10, seed=0, threshold=0.5), model)
+
 
 class TestFitDiversitySlope:
     def test_exact_power_law(self):

@@ -5,18 +5,13 @@ from hypothesis import strategies as st
 
 from amqd import (
     ConfigError,
-    Domain,
     ModulatedVector,
     RngStream,
     forward_transform,
-    fourier_transmittance,
     inverse_transform,
     unitary_dft,
     unitary_idft,
 )
-
-BOUND = 1.0 / np.sqrt(2.0)
-
 
 def random_vector(n, seed=0):
     g = RngStream(seed, n).generator()
@@ -31,12 +26,6 @@ class TestForwardTransform:
     def test_unit_impulse_spreads_evenly(self):
         out = forward_transform(ModulatedVector([1.0, 0.0, 0.0, 0.0]))
         assert np.allclose(out.entries, 0.5, atol=1e-15)
-
-    def test_domain_tag_flips_both_ways(self):
-        v = ModulatedVector(np.ones(4), Domain.SINGLE_CARRIER)
-        assert forward_transform(v).domain_tag is Domain.SUBCARRIER
-        assert inverse_transform(v).domain_tag is Domain.SUBCARRIER
-        assert forward_transform(forward_transform(v)).domain_tag is Domain.SINGLE_CARRIER
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 257, 1000, 4096])
     def test_roundtrip_is_identity(self, n):
@@ -62,40 +51,6 @@ class TestInverseTransform:
         e_in = np.sum(np.abs(v) ** 2)
         e_out = np.sum(np.abs(out.entries) ** 2)
         assert abs(e_out - e_in) / e_in <= 1e-12
-
-
-class TestFourierTransmittance:
-    def test_all_zero_gains(self):
-        assert np.all(fourier_transmittance(np.zeros(6)) == 0.0)
-
-    def test_constant_vector_concentrates_in_dc_bin(self):
-        c = 0.5 + 0.5j
-        out = fourier_transmittance([c, c, c, c])
-        assert abs(out[0] - (1.0 + 1.0j)) <= 1e-15
-        assert np.max(np.abs(out[1:])) <= 1e-15
-
-    def test_parseval_admissible_vector(self):
-        g = RngStream(11, 8).generator()
-        t = g.uniform(0.0, BOUND, 8) + 1j * g.uniform(0.0, BOUND, 8)
-        out = fourier_transmittance(t)
-        e_in = np.sum(np.abs(t) ** 2)
-        assert abs(np.sum(np.abs(out) ** 2) - e_in) / e_in <= 1e-12
-
-    def test_boundary_values_accepted(self):
-        fourier_transmittance([0.0, BOUND, BOUND + 1j * BOUND, 1j * BOUND])
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [-0.01, 0.1],
-            [0.75, 0.1],
-            [0.1 - 0.01j, 0.1],
-            [0.1 + 0.75j, 0.1],
-        ],
-    )
-    def test_out_of_bound_gains_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            fourier_transmittance(bad)
 
 
 class TestVectorValidation:
