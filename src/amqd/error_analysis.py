@@ -40,17 +40,19 @@ batches of 65536, batch b drawing from the Philox substream keyed by
 (seed, spawn_key=(b,)), and the per-batch counts (or weight sums) are combined
 in batch order, so the result is byte-identical for any worker count.
 
-Batches run on a process pool when more than one worker is asked for.  A run
-over a grid (run_monte_carlo, diversity_slope_scan) opens one pool for all of
-its points, and a pool has at most one worker per batch of a point, so a
-one-batch run opens none.  Worker counts are capped at MAX_WORKERS (64).
+Batches run on a thread pool when more than one worker is asked for: the
+draws, ufuncs and reductions of a batch release the GIL, so threads share the
+cores without forking or pickling.  A run over a grid (run_monte_carlo,
+diversity_slope_scan) opens one pool for all of its points, and a pool has at
+most one worker per batch of a point, so a one-batch run opens none.  Worker
+counts are capped at MAX_WORKERS (64).
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,19 +279,15 @@ def batches_per_point(model: TransmittanceModel, trials: int) -> int:
 
 @contextlib.contextmanager
 def worker_pool(workers: int, batches: int):
-    """Process pool for mapping batches: min(workers, batches) processes, or
-    None when that is <= 1.  Terminated and joined on exit, so the workers are
-    reaped (and counted in RUSAGE_CHILDREN) before the caller returns."""
+    """Thread pool for mapping batches: min(workers, batches) threads, or
+    None when that is <= 1.  Shut down on exit, which joins every thread, so
+    none outlives the caller's run."""
     size = min(check_workers(workers), int(batches))
     if size <= 1:
         yield None
         return
-    pool = multiprocessing.Pool(size)
-    try:
+    with ThreadPoolExecutor(size) as pool:
         yield pool
-    finally:
-        pool.terminate()
-        pool.join()
 
 
 def _count_batch(args) -> int:
@@ -344,7 +342,7 @@ def _weigh_batch(args) -> tuple:
 def _map_batches(pool, kernel, batches) -> list:
     if pool is None or len(batches) == 1:
         return [kernel(args) for args in batches]
-    return pool.map(kernel, batches)
+    return list(pool.map(kernel, batches))
 
 
 def _event_geometry(config: MonteCarloConfig):
@@ -394,7 +392,7 @@ def monte_carlo_p_err(
     count, because batch b always consumes substream (seed, spawn_key=(b,))
     and the batch results are combined in batch order.  Batches are mapped on
     `pool` when one is given (a run over many points opens it once with
-    worker_pool); otherwise a pool of up to `workers` processes is opened for
+    worker_pool); otherwise a pool of up to `workers` threads is opened for
     this call alone.
     """
     check_workers(workers)

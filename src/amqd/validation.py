@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .channel import (
     RateAllocation,
@@ -301,6 +300,10 @@ def _check_closed_forms(report, config):
 
 
 def _check_outage_oracle(report):
+    # imported here, the one check that integrates: scipy.integrate loads
+    # scipy.optimize and scipy.sparse.linalg, which no other command needs
+    from scipy import integrate
+
     worst = 0.0
     for l in range(1, 11):
         for t in (1e-4, 1e-2, 0.1, 1.0, 5.0):

@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amqd
 from amqd import ConfigError, ExperimentConfig, SnrGrid, error_analysis, run_validation
 from amqd.cli import main
 from amqd.config import MAX_GRID_POINTS, SETTINGS
@@ -19,6 +23,16 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
     return header, np.asarray(rows)
+
+
+def test_cli_import_leaves_integration_out():
+    # only validate's outage oracle integrates, so it imports scipy.integrate
+    # (and the scipy.optimize / scipy.sparse.linalg that come with it) itself
+    code = "import sys, amqd.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(amqd.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 class TestFigure2:
@@ -193,12 +207,10 @@ class TestConfigPrecedence:
         assert "model" in capsys.readouterr().err
 
     def test_worker_count_above_cap_exits_2(self, monkeypatch, capsys):
-        import multiprocessing.pool
-
         def no_pool(*args, **kwargs):
-            raise AssertionError("a rejected worker count must start no process")
+            raise AssertionError("a rejected worker count must open no pool")
 
-        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        monkeypatch.setattr(error_analysis, "ThreadPoolExecutor", no_pool)
         assert main(["simulate", "--workers", "65", "--trials", "200000"]) == 2
         assert "workers" in capsys.readouterr().err
 

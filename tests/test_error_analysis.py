@@ -1,6 +1,5 @@
 import math
-import multiprocessing
-import multiprocessing.pool
+import threading
 
 import numpy as np
 import pytest
@@ -558,17 +557,25 @@ class TestDiversitySlopeScan:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Process count of every pool opened, seen by a spy on multiprocessing.pool.Pool."""
+    """Thread count of every pool opened, seen by a spy on the executor class
+    amqd.error_analysis opens its pools with."""
     sizes = []
-    base = multiprocessing.pool.Pool
+    base = error_analysis.ThreadPoolExecutor
 
     class SpyPool(base):
-        def __init__(self, processes=None, *args, **kwargs):
-            sizes.append(processes)
-            super().__init__(processes, *args, **kwargs)
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", SpyPool)
+    monkeypatch.setattr(error_analysis, "ThreadPoolExecutor", SpyPool)
     return sizes
+
+
+@pytest.fixture
+def new_threads():
+    """Threads alive now that were not alive when the test started."""
+    before = set(threading.enumerate())
+    return lambda: [t for t in threading.enumerate() if t not in before]
 
 
 def _sweep(trials, workers):
@@ -577,22 +584,22 @@ def _sweep(trials, workers):
 
 
 class TestWorkerPool:
-    def test_run_opens_one_pool_and_reaps_it(self, pool_sizes):
+    def test_run_opens_one_pool_and_reaps_it(self, pool_sizes, new_threads):
         table = run_monte_carlo(_sweep(200000, 2))  # 3 points of 4 batches
         assert len(table.rows) == 3
         assert pool_sizes == [2]
-        assert multiprocessing.active_children() == []
+        assert new_threads() == []
         assert table.rows == run_monte_carlo(_sweep(200000, 1)).rows
 
     def test_one_batch_points_open_no_pool(self, pool_sizes):
         run_monte_carlo(_sweep(65536, 4))
         assert pool_sizes == []
 
-    def test_pool_has_at_most_one_worker_per_batch(self, pool_sizes):
+    def test_pool_has_at_most_one_worker_per_batch(self, pool_sizes, new_threads):
         config = MonteCarloConfig(l=2, trials=300000, seed=5, event="threshold", threshold=0.3)
         monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0), workers=16)  # 5 batches
         assert pool_sizes == [5]
-        assert multiprocessing.active_children() == []
+        assert new_threads() == []
 
     def test_deterministic_model_opens_no_pool(self, pool_sizes):
         config = _sweep(300000, 2)
@@ -600,11 +607,11 @@ class TestWorkerPool:
         run_monte_carlo(config)
         assert pool_sizes == []
 
-    def test_slope_scan_opens_one_pool(self, pool_sizes):
+    def test_slope_scan_opens_one_pool(self, pool_sizes, new_threads):
         res = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, min_trials=100000,
                                    num_points=3, workers=2)
         assert pool_sizes == [2]
-        assert multiprocessing.active_children() == []
+        assert new_threads() == []
         serial = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, min_trials=100000,
                                       num_points=3, workers=1)
         assert res == serial
@@ -617,3 +624,34 @@ class TestWorkerPool:
         with pytest.raises(ConfigError):
             _sweep(300000, workers)
         assert pool_sizes == []
+
+    def test_kernel_error_propagates_and_joins_the_pool(self, monkeypatch, pool_sizes,
+                                                        new_threads):
+        ran_on = []
+
+        def failing(args):
+            ran_on.append(threading.current_thread())
+            if args[1] == 1:
+                raise FloatingPointError("batch 1")
+            return 0
+
+        monkeypatch.setattr(error_analysis, "_count_batch", failing)
+        config = MonteCarloConfig(l=1, trials=300000, seed=0, event="threshold", threshold=0.1)
+        with pytest.raises(FloatingPointError, match="batch 1"):
+            monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0), workers=2)
+        assert pool_sizes == [2]
+        # the batches ran on the pool's threads, and none of them is left alive
+        assert threading.main_thread() not in ran_on
+        assert new_threads() == []
+
+    @pytest.mark.parametrize("estimator", ["crude", "is"])
+    @pytest.mark.parametrize("l", [1, 3, 10])
+    def test_estimates_identical_at_any_worker_count(self, estimator, l):
+        # 4 full batches and a partial one
+        config = MonteCarloConfig(l=l, trials=4 * _BATCH + 1234, seed=11, event="threshold",
+                                  threshold=float(gammaincinv(l, 0.01)), estimator=estimator)
+        serial = monte_carlo_p_err(config, RAYLEIGH_1)
+        for workers in (1, 2, 16):
+            assert monte_carlo_p_err(config, RAYLEIGH_1, workers=workers) == serial
+            with error_analysis.worker_pool(workers, 5) as pool:
+                assert monte_carlo_p_err(config, RAYLEIGH_1, pool=pool) == serial
