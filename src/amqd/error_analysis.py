@@ -40,18 +40,22 @@ batches of 65536, batch b drawing from the Philox substream keyed by
 (seed, spawn_key=(b,)), and the per-batch counts (or weight sums) are combined
 in batch order, so the result is byte-identical for any worker count.
 
-Batches run on a thread pool when more than one worker is asked for: the
-draws, ufuncs and reductions of a batch release the GIL, so threads share the
-cores without forking or pickling.  A run over a grid (run_monte_carlo,
-diversity_slope_scan) opens one pool for all of its points, and a pool has at
-most one worker per batch of a point, so a one-batch run opens none.  Worker
-counts are capped at MAX_WORKERS (64).
+Batches run on threads when more than one worker is asked for: the draws,
+ufuncs and reductions of a batch release the GIL, so threads share the cores
+without forking or pickling.  The calling thread is one of the workers: it
+maps batches alongside its helper threads and takes any batch a helper has not
+started, so a helper slow to wake does not stall a point.  A run over a grid
+(run_monte_carlo, diversity_slope_scan) opens one pool for all of its points,
+and a pool has at most one worker per batch of a point, so a one-batch run
+opens none.  Each worker draws into arrays it reuses for the whole run rather
+than allocating them per batch.  Worker counts are capped at MAX_WORKERS (64).
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -277,25 +281,94 @@ def batches_per_point(model: TransmittanceModel, trials: int) -> int:
     return -(-int(trials) // _BATCH)
 
 
+class _Scratch:
+    """Arrays one batch runner reuses from batch to batch.  Arrays drawn fresh
+    per batch go back to malloc after each batch, which can hand their pages
+    back to the operating system, and the next batch page-faults them in
+    again."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
+        a = self._arrays.get(name)
+        if a is None or a.size < n:
+            a = self._arrays[name] = np.empty(n, dtype)
+        return a[:n].reshape(shape)
+
+
+class BatchPool:
+    """The calling thread and `size - 1` helper threads mapping batches.  The
+    caller drains batches alongside the helpers instead of waiting for them,
+    so a helper that is slow to wake never holds up a point: the caller takes
+    its batch.  Each thread keeps one _Scratch for the pool's lifetime."""
+
+    def __init__(self, helpers: ThreadPoolExecutor, size: int):
+        self._helpers = helpers
+        self._size = size
+        self._local = threading.local()
+
+    def _scratch(self) -> _Scratch:
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = _Scratch()
+        return scratch
+
+    def map(self, kernel, batches) -> list:
+        """[kernel(args, scratch) for args in batches], in batch order."""
+        results = [None] * len(batches)
+        todo = iter(range(len(batches)))
+        lock = threading.Lock()
+
+        def drain():
+            scratch = self._scratch()
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = kernel(batches[i], scratch)
+                except BaseException:
+                    with lock:  # no runner starts another batch
+                        for _ in todo:
+                            pass
+                    raise
+
+        helpers = [self._helpers.submit(drain) for _ in range(min(self._size, len(batches)) - 1)]
+        try:
+            drain()
+        finally:
+            # drop the helpers that never started and wait for the others
+            failures = [f.exception() for f in helpers if not f.cancel()]
+        for exc in failures:
+            if exc is not None:
+                raise exc
+        return results
+
+
 @contextlib.contextmanager
 def worker_pool(workers: int, batches: int):
-    """Thread pool for mapping batches: min(workers, batches) threads, or
-    None when that is <= 1.  Shut down on exit, which joins every thread, so
-    none outlives the caller's run."""
+    """Batch runners for a run: the calling thread and min(workers, batches) - 1
+    helper threads, or None when min(workers, batches) <= 1.  The helpers are
+    shut down on exit, which joins them, so none outlives the caller's run."""
     size = min(check_workers(workers), int(batches))
     if size <= 1:
         yield None
         return
-    with ThreadPoolExecutor(size) as pool:
-        yield pool
+    with ThreadPoolExecutor(size - 1) as helpers:
+        yield BatchPool(helpers, size)
 
 
-def _count_batch(args) -> int:
-    """Error count for one batch; pure function of its arguments."""
+def _count_batch(args, scratch: _Scratch | None = None) -> int:
+    """Error count for one batch; pure function of its arguments (scratch only
+    lends it arrays to draw into)."""
     seed, batch_index, m, l, sigma2_f, threshold = args
+    scratch = scratch or _Scratch()
     g = RngStream(seed, batch_index).generator()
-    re = g.standard_normal((m, l))
-    im = g.standard_normal((m, l))
+    re = g.standard_normal(out=scratch.array("re", (m, l)))
+    im = g.standard_normal(out=scratch.array("im", (m, l)))
     # in place, in the order of ((re*re + im*im) * (sigma2_f/2)).sum(axis=1),
     # so every sum is bit-identical to that expression; the row sum stays a
     # single numpy reduction (pairwise once l >= 8)
@@ -303,8 +376,8 @@ def _count_batch(args) -> int:
     np.multiply(im, im, out=im)
     np.add(re, im, out=re)
     np.multiply(re, sigma2_f / 2.0, out=re)
-    s = re.sum(axis=1)
-    return int(np.count_nonzero(s < threshold))
+    s = re.sum(axis=1, out=scratch.array("sum", (m,)))
+    return int(np.count_nonzero(np.less(s, threshold, out=scratch.array("hit", (m,), bool))))
 
 
 def _tilt(t: float, l: int) -> tuple:
@@ -318,31 +391,36 @@ def _tilt(t: float, l: int) -> tuple:
     return theta, l * (math.log(t) - math.log(l) + 1.0 - theta)
 
 
-def _weigh_batch(args) -> tuple:
+def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     """(hits, sum v, sum v^2) of one importance-sampled batch, v = w / w_max
     being each draw's likelihood-ratio weight over the largest one (0 off the
-    event); pure function of its arguments.  Needs threshold > 0 and
-    sigma2_f > 0."""
+    event); pure function of its arguments (scratch only lends it arrays to
+    draw into).  Needs threshold > 0 and sigma2_f > 0."""
     seed, batch_index, m, l, sigma2_f, threshold = args
+    scratch = scratch or _Scratch()
     t = threshold / sigma2_f
     theta, _ = _tilt(t, l)
-    g = RngStream(seed, batch_index).generator().standard_gamma(l, m)
+    g = RngStream(seed, batch_index).generator().standard_gamma(
+        l, out=scratch.array("gamma", (m,)))
     # the hits x = theta * g < t, i.e. g < t / theta = max(t, l); tested on g
     # because theta rounds to a subnormal or to 0 where t / l underflows
-    v = g[g < max(t, float(l))]
+    v = g[np.less(g, max(t, float(l)), out=scratch.array("hit", (m,), bool))]
     # the Gamma(l, 1) over Gamma(l, theta) density ratio at x is
     # w = theta^l exp(x (1/theta - 1)) = w_max exp((g - l)(1 - theta)); taking
     # w_max out keeps v in (0, 1], so neither v nor v^2 underflows at tiny p
     v -= l
     v *= 1.0 - theta
     np.exp(v, out=v)
-    return int(v.size), float(v.sum()), float((v * v).sum())
+    sum_v = float(v.sum())
+    np.multiply(v, v, out=v)
+    return int(v.size), sum_v, float(v.sum())
 
 
-def _map_batches(pool, kernel, batches) -> list:
+def _map_batches(pool: BatchPool | None, kernel, batches) -> list:
     if pool is None or len(batches) == 1:
-        return [kernel(args) for args in batches]
-    return list(pool.map(kernel, batches))
+        scratch = _Scratch()
+        return [kernel(args, scratch) for args in batches]
+    return pool.map(kernel, batches)
 
 
 def _event_geometry(config: MonteCarloConfig):
@@ -392,8 +470,8 @@ def monte_carlo_p_err(
     count, because batch b always consumes substream (seed, spawn_key=(b,))
     and the batch results are combined in batch order.  Batches are mapped on
     `pool` when one is given (a run over many points opens it once with
-    worker_pool); otherwise a pool of up to `workers` threads is opened for
-    this call alone.
+    worker_pool); otherwise a pool of up to `workers` threads, the caller's
+    among them, is opened for this call alone.
     """
     check_workers(workers)
     l_draw, threshold = _event_geometry(config)

@@ -557,8 +557,9 @@ class TestDiversitySlopeScan:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Thread count of every pool opened, seen by a spy on the executor class
-    amqd.error_analysis opens its pools with."""
+    """Helper-thread count of every pool opened, seen by a spy on the executor
+    class amqd.error_analysis opens its pools with.  The calling thread is a
+    pool's other runner, so a pool of n helpers maps batches on n + 1 threads."""
     sizes = []
     base = error_analysis.ThreadPoolExecutor
 
@@ -587,7 +588,7 @@ class TestWorkerPool:
     def test_run_opens_one_pool_and_reaps_it(self, pool_sizes, new_threads):
         table = run_monte_carlo(_sweep(200000, 2))  # 3 points of 4 batches
         assert len(table.rows) == 3
-        assert pool_sizes == [2]
+        assert pool_sizes == [1]
         assert new_threads() == []
         assert table.rows == run_monte_carlo(_sweep(200000, 1)).rows
 
@@ -598,7 +599,7 @@ class TestWorkerPool:
     def test_pool_has_at_most_one_worker_per_batch(self, pool_sizes, new_threads):
         config = MonteCarloConfig(l=2, trials=300000, seed=5, event="threshold", threshold=0.3)
         monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0), workers=16)  # 5 batches
-        assert pool_sizes == [5]
+        assert pool_sizes == [4]
         assert new_threads() == []
 
     def test_deterministic_model_opens_no_pool(self, pool_sizes):
@@ -610,7 +611,7 @@ class TestWorkerPool:
     def test_slope_scan_opens_one_pool(self, pool_sizes, new_threads):
         res = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, min_trials=100000,
                                    num_points=3, workers=2)
-        assert pool_sizes == [2]
+        assert pool_sizes == [1]
         assert new_threads() == []
         serial = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, min_trials=100000,
                                       num_points=3, workers=1)
@@ -627,10 +628,7 @@ class TestWorkerPool:
 
     def test_kernel_error_propagates_and_joins_the_pool(self, monkeypatch, pool_sizes,
                                                         new_threads):
-        ran_on = []
-
-        def failing(args):
-            ran_on.append(threading.current_thread())
+        def failing(args, scratch=None):
             if args[1] == 1:
                 raise FloatingPointError("batch 1")
             return 0
@@ -639,10 +637,35 @@ class TestWorkerPool:
         config = MonteCarloConfig(l=1, trials=300000, seed=0, event="threshold", threshold=0.1)
         with pytest.raises(FloatingPointError, match="batch 1"):
             monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0), workers=2)
-        assert pool_sizes == [2]
-        # the batches ran on the pool's threads, and none of them is left alive
-        assert threading.main_thread() not in ran_on
+        assert pool_sizes == [1]
         assert new_threads() == []
+
+    def test_caller_maps_the_batches_a_stalled_helper_never_starts(self):
+        # the one helper thread is held busy (for at most 10 s, so a map that
+        # waits for it fails rather than hangs): every batch must run on the
+        # calling thread, and map must not wait for the helper to come free
+        release = threading.Event()
+        ran_on = []
+
+        def kernel(args, scratch):
+            ran_on.append(threading.current_thread())
+            return args * 2
+
+        with error_analysis.worker_pool(2, 4) as pool:
+            pool._helpers.submit(release.wait, 10.0)
+            try:
+                assert pool.map(kernel, [0, 1, 2, 3]) == [0, 2, 4, 6]
+            finally:
+                release.set()
+        assert ran_on == [threading.current_thread()] * 4
+
+    def test_scratch_reuse_keeps_kernels_bitwise(self):
+        # one scratch lent to batches of different sizes and dimensions
+        scratch = error_analysis._Scratch()
+        for m, l in ((1234, 3), (_BATCH, 3), (5000, 10), (_BATCH, 1)):
+            for kernel in (_count_batch, error_analysis._weigh_batch):
+                args = (4, 7, m, l, 0.9, 0.5 * l)
+                assert kernel(args, scratch) == kernel(args)
 
     @pytest.mark.parametrize("estimator", ["crude", "is"])
     @pytest.mark.parametrize("l", [1, 3, 10])
