@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_analysis import check_workers
+from .error_analysis import MAX_GRID_POINTS, check_workers
 from .exceptions import ConfigError
 from .sampling import TransmittanceModel
 
 
-MAX_GRID_POINTS = 10_000
 MAX_ABS_DB = 3000.0  # 10^(dB/10) stays a normal, nonzero float
 
 

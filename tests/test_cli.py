@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -27,12 +28,34 @@ def _read_csv(path):
 
 def test_cli_import_leaves_integration_out():
     # only validate's outage oracle integrates, so it imports scipy.integrate
-    # (and the scipy.optimize / scipy.sparse.linalg that come with it) itself
-    code = "import sys, amqd.cli; print('scipy.integrate' in sys.modules)"
+    # (and the scipy.optimize / scipy.sparse.linalg that come with it) itself;
+    # the outage CDF and its inverse need no scipy at all
     env = dict(os.environ, PYTHONPATH=str(Path(amqd.__file__).resolve().parent.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "False"
+    report = "; import sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    for code in (
+        "import amqd.cli",
+        "from amqd.cli import main; main(['simulate', '--l', '3', '--trials', '1000'])",
+        "from amqd import diversity_slope_scan; diversity_slope_scan(2, 0.0, seed=0)",
+    ):
+        out = subprocess.run([sys.executable, "-c", "import sys; " + code + report], env=env,
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert out.strip().splitlines()[-1] == "[]", code
+
+
+def _slope_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "diversity_slope_experiment.py"
+    spec = importlib.util.spec_from_file_location("diversity_slope_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flags", [["--l", "0"], ["--snr-max", "inf"], ["--points", "2"]])
+def test_slope_script_reports_config_errors(flags, capsys):
+    assert _slope_script().main(flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err
 
 
 class TestFigure2:

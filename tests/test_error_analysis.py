@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 from scipy.special import gammaincinv
 
 from amqd import (
@@ -29,7 +29,15 @@ from amqd import (
     wilson_interval,
 )
 from amqd import error_analysis
-from amqd.error_analysis import _BATCH, MAX_BATCH_BYTES, _count_batch
+from amqd.error_analysis import (
+    _BATCH,
+    MAX_BATCH_BYTES,
+    MAX_GRID_POINTS,
+    MAX_L,
+    _count_batch,
+    gamma_p,
+    gamma_p_inv,
+)
 
 
 class TestErrorEvent:
@@ -165,6 +173,93 @@ class TestOutageCdf:
             outage_cdf(-1.0, 2)
         with pytest.raises(ConfigError):
             outage_cdf(1.0, 2, "fancy")
+
+    # P(l, t) at large l, about 5.3 sd below the mean, from mpmath at 40 digits
+    # (at l = 1e6 quadrature of the density and the summed Poisson tail agree)
+    @pytest.mark.parametrize("l, t, reference", [
+        (10**6, 995000.0, 2.749580359270071e-07),
+        (10**9, 999841886.1169916, 2.862756601805267e-07),
+        (2**53, 9007198780209664.0, 2.866514484576506e-07),
+    ])
+    def test_large_l_matches_mpmath_references(self, l, t, reference):
+        assert outage_cdf(t, l, "exact") == pytest.approx(reference, rel=1e-12)
+
+
+# gamma_p's relative accuracy, with room for the reference's own rounding
+_P_REL = 1e-12
+
+
+def _scipy_rounding(l, t):
+    """Bound on scipy.special.gammainc's own relative error.  Where
+    |t - l| > 0.4 l it takes ln(e^-t t^l / Gamma(l)) as l ln t - t - lgamma(l),
+    whose rounding grows with those terms: against mpmath at 40 digits it is
+    off by 7e-12 at l = 3928, t = 0.52 l."""
+    if abs(t - l) <= 0.4 * l:
+        return 0.0
+    return 2.0**-52 * (2.0 * l * abs(math.log(t)) + t + 3.0 * math.lgamma(l))
+
+
+def _thresholds(l):
+    """Any t in [0, inf], or one in [0, 4 l], where P(l, t) is not all 0 or 1."""
+    return (st.floats(min_value=0.0, allow_nan=False)
+            | st.floats(min_value=0.0, max_value=4.0).map(lambda lam: lam * l))
+
+
+class TestGammaP:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_bounded_and_nondecreasing(self, data):
+        l = data.draw(st.integers(min_value=1, max_value=MAX_L))
+        lo, hi = sorted((data.draw(_thresholds(l)), data.draw(_thresholds(l))))
+        p_lo, p_hi = gamma_p(l, lo), gamma_p(l, hi)
+        assert 0.0 <= p_lo <= 1.0 and 0.0 <= p_hi <= 1.0
+        # neighbouring floats can move P by less than its rounding
+        assert p_lo <= p_hi * (1.0 + _P_REL)
+
+    @given(st.integers(min_value=1, max_value=MAX_L),
+           st.floats(min_value=1e-300, max_value=1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=400, deadline=None)
+    def test_inverse_round_trip(self, l, a):
+        t = gamma_p_inv(l, a)
+        p = gamma_p(l, t)
+        if abs(p - a) <= 1e-10 * a:
+            return
+        # at large l one float step of t moves P by more than 1e-10 a (near
+        # the median at l = 2**53 by about 8e-9), so t must be the float
+        # nearest the root: a lies between P at its two neighbours
+        below = gamma_p(l, math.nextafter(t, 0.0))
+        above = gamma_p(l, math.nextafter(t, math.inf))
+        assert below * (1.0 - 1e-10) <= a <= above * (1.0 + 1e-10)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_up_to_l_1e4(self, data):
+        l = data.draw(st.integers(min_value=1, max_value=10**4))
+        t = data.draw(_thresholds(l))
+        reference = float(special.gammainc(l, t))
+        if reference < 1e-300:
+            return
+        tol = _P_REL + _scipy_rounding(l, t)
+        assert abs(gamma_p(l, t) - reference) <= tol * reference
+
+    def test_edges(self):
+        for l in (1, 3, 1000, MAX_L):
+            assert gamma_p(l, 0.0) == 0.0
+            assert gamma_p(l, math.inf) == 1.0
+            assert gamma_p_inv(l, 0.0) == 0.0
+            assert gamma_p_inv(l, 1.0) == math.inf
+
+    @pytest.mark.parametrize("l, t", [(0, 1.0), (-1, 1.0), (MAX_L + 1, 1.0), (2, -1.0),
+                                      (2, math.nan)])
+    def test_invalid_arguments_rejected(self, l, t):
+        with pytest.raises(ConfigError):
+            gamma_p(l, t)
+
+    @pytest.mark.parametrize("l, p", [(0, 0.5), (MAX_L + 1, 0.5), (2, -0.1), (2, 1.5),
+                                      (2, math.nan)])
+    def test_inverse_invalid_arguments_rejected(self, l, p):
+        with pytest.raises(ConfigError):
+            gamma_p_inv(l, p)
 
 
 class TestWilsonInterval:
@@ -553,6 +648,31 @@ class TestDiversitySlopeScan:
             diversity_slope_scan(1, 0.0, seed=0, anchor_probability=1.5)
         with pytest.raises(ConfigError):
             diversity_slope_scan(1, 0.0, seed=0, snr_min=100.0, snr_max=10.0)
+
+    @pytest.mark.parametrize("l, kwargs", [
+        (0, {}),
+        (-1, {}),
+        (MAX_L + 1, {}),
+        (2, {"sigma2_f": 0.0}),
+        (2, {"sigma2_f": -1.0}),
+        (2, {"sigma2_f": math.inf}),
+        (2, {"snr_max": math.inf}),
+        (2, {"snr_min": math.nan}),
+        (2, {"min_trials": 10, "max_trials": 9}),
+        (2, {"min_trials": 0}),
+        (2, {"num_points": MAX_GRID_POINTS + 1}),
+        (2, {"seed": -1}),
+        (2, {"seed": 2**64 - 3}),
+        (2, {"workers": 0}),
+    ])
+    def test_bad_input_is_a_config_error_before_any_evaluation(self, monkeypatch, l, kwargs):
+        def evaluated(*args, **kw):
+            raise AssertionError("evaluated before the inputs were checked")
+
+        for name in ("gamma_p", "gamma_p_inv", "monte_carlo_p_err"):
+            monkeypatch.setattr(error_analysis, name, evaluated)
+        with pytest.raises(ConfigError):
+            diversity_slope_scan(l, 0.0, **dict({"seed": 0}, **kwargs))
 
 
 @pytest.fixture
