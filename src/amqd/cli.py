@@ -8,6 +8,14 @@ Subcommands:
             with its weighted-CLT 95% interval, so any p is reachable
   validate  run every invariant suite and report pass/fail
 
+Each command has a flag for each setting it reads, and nothing else; a JSON
+--config file may set those same settings, and flags override it:
+  figure2, analytic  --l --zeta --snr-db-min --snr-db-max --snr-db-step --out
+                     --format (analytic also --factorial)
+  simulate           those, and --trials --seed --model --event --rate-bits
+                     --workers
+  validate           --trials --seed --workers
+
 figure2 and analytic also write a gnuplot script <out>.gp next to a CSV --out.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or config error.
@@ -23,51 +31,46 @@ from .exceptions import ConfigError
 from .experiments import run_analytic_table, run_monte_carlo, write_gnuplot_script
 from .validation import run_validation
 
-_COMMON_DEFAULTS = {
-    "trials": 100000,
-    "seed": 0,
-    "model": "rayleigh",
-    "event": "threshold",
-    "rate_bits": None,
-    "workers": 1,
-    "out": None,
-    "format": "csv",
+# The flag of each setting; its dest is the SETTINGS key.
+_FLAGS = {
+    "l": dict(type=int, action="append", help="information-carrying sub-channels; repeatable"),
+    "zeta": dict(type=float, help="degree-of-freedom ratio in [0, 1)"),
+    "snr_db_min": dict(type=float, help="grid start in dB"),
+    "snr_db_max": dict(type=float, help="grid end in dB (inclusive)"),
+    "snr_db_step": dict(type=float, help="grid step in dB"),
+    "trials": dict(type=int, help="Monte Carlo trials per estimate"),
+    "seed": dict(type=int, help="base seed; simulate's grid point i uses seed + i"),
+    "model": dict(help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>"),
+    "event": dict(choices=("rate", "threshold"), help="error event to sample"),
+    "rate_bits": dict(type=float, help="explicit rate target for the rate event "
+                                       "(default: zeta * log2(1 + snr))"),
+    "workers": dict(type=int, help="parallel Monte Carlo workers (1-64; one pool per run)"),
+    "out": dict(help="output path; stdout when omitted"),
+    "format": dict(choices=("csv", "json"), help="output format"),
 }
 
-_FIGURE2_DEFAULTS = dict(
-    _COMMON_DEFAULTS,
-    l=[5, 10], zeta=0.6, snr_db_min=0.0, snr_db_max=40.0, snr_db_step=1.0, trials=1,
-)
-_ANALYTIC_DEFAULTS = dict(
-    _COMMON_DEFAULTS,
-    l=[1], zeta=0.0, snr_db_min=0.0, snr_db_max=40.0, snr_db_step=1.0, trials=1,
-)
-_SIMULATE_DEFAULTS = dict(
-    _COMMON_DEFAULTS,
-    l=[1], zeta=0.0, snr_db_min=0.0, snr_db_max=20.0, snr_db_step=2.0,
-)
+# The settings each command reads: its flags, and the keys its config file may set.
+_CURVE_SETTINGS = ("l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "out", "format")
+_SIMULATE_SETTINGS = tuple(SETTINGS)
+_VALIDATE_SETTINGS = ("trials", "seed", "workers")
+
+# Every setting's default; the settings a command does not read still reach
+# ExperimentConfig, with these values.
+_DEFAULTS = {
+    "l": [1], "zeta": 0.0, "snr_db_min": 0.0, "snr_db_max": 20.0, "snr_db_step": 2.0,
+    "trials": 100000, "seed": 0, "model": "rayleigh", "event": "threshold",
+    "rate_bits": None, "workers": 1, "out": None, "format": "csv",
+}
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--l", type=int, action="append",
-                    help="information-carrying sub-channels; repeatable")
-    sp.add_argument("--zeta", type=float, help="degree-of-freedom ratio in [0, 1)")
-    sp.add_argument("--snr-db-min", type=float, help="grid start in dB")
-    sp.add_argument("--snr-db-max", type=float, help="grid end in dB (inclusive)")
-    sp.add_argument("--snr-db-step", type=float, help="grid step in dB")
-    sp.add_argument("--trials", type=int, help="Monte Carlo trials per grid point")
-    sp.add_argument("--seed", type=int, help="base seed; grid point i uses seed + i")
-    sp.add_argument("--model",
-                    help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>")
-    sp.add_argument("--event", choices=("rate", "threshold"), help="error event to sample")
-    sp.add_argument("--rate-bits", type=float,
-                    help="explicit rate target for the rate event "
-                         "(default: zeta * log2(1 + snr))")
-    sp.add_argument("--workers", type=int,
-                    help="parallel Monte Carlo workers (1-64; one pool per run)")
-    sp.add_argument("--out", help="output path; stdout when omitted")
-    sp.add_argument("--format", choices=("csv", "json"), help="output format")
-    sp.add_argument("--config", help="JSON config file; flags override its values")
+def _add_command(sub, name: str, settings: tuple, func, defaults: dict,
+                 **parser_kwargs) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name, **parser_kwargs)
+    for key in settings:
+        sp.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+    sp.add_argument("--config", help="JSON config file of these settings; flags override it")
+    sp.set_defaults(func=func, settings=settings, defaults=dict(_DEFAULTS, **defaults))
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,35 +79,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multicarrier CVQKD transmission-chain simulation and error analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    curves = dict(snr_db_max=40.0, snr_db_step=1.0)
 
-    sp = sub.add_parser("figure2", help="reference closed-form error-probability curves")
-    _add_common_flags(sp)
-    sp.set_defaults(func=_cmd_figure2)
+    sp = _add_command(sub, "figure2", _CURVE_SETTINGS, _cmd_curves,
+                      dict(curves, l=[5, 10], zeta=0.6),
+                      help="reference closed-form error-probability curves")
+    sp.set_defaults(factorial=False)
 
-    sp = sub.add_parser("analytic", help="closed-form curves for chosen l and zeta")
-    _add_common_flags(sp)
+    sp = _add_command(sub, "analytic", _CURVE_SETTINGS, _cmd_curves, curves,
+                      help="closed-form curves for chosen l and zeta")
     sp.add_argument("--factorial", action="store_true",
                     help="apply the 1/l! small-outage prefactor")
-    sp.set_defaults(func=_cmd_analytic)
 
-    sp = sub.add_parser(
-        "simulate", help="importance-sampled Monte Carlo estimate over an SNR grid",
+    _add_command(
+        sub, "simulate", _SIMULATE_SETTINGS, _cmd_simulate, {},
+        help="importance-sampled Monte Carlo estimate over an SNR grid",
         description="Importance-sampled Monte Carlo estimate of the error event at each "
                     "grid point, with its weighted-CLT 95%% interval and the analytic "
                     "value. The relative error stays bounded however small p is.",
     )
-    _add_common_flags(sp)
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("validate", help="run all invariant suites")
-    _add_common_flags(sp)
-    sp.set_defaults(func=_cmd_validate)
-
+    _add_command(sub, "validate", _VALIDATE_SETTINGS, _cmd_validate, {},
+                 help="run all invariant suites")
     return parser
 
 
-def _cli_overrides(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key) for key in SETTINGS}
+def _merged_settings(args: argparse.Namespace) -> dict:
+    cli = {key: getattr(args, key) for key in args.settings}
+    return merge_settings(args.defaults, args.config, cli)
 
 
 def _emit(table, settings: dict, gnuplot: bool) -> None:
@@ -118,31 +119,22 @@ def _emit(table, settings: dict, gnuplot: bool) -> None:
         sys.stdout.write(table.to_csv() if fmt == "csv" else table.to_json())
 
 
-def _cmd_figure2(args: argparse.Namespace) -> int:
-    settings = merge_settings(_FIGURE2_DEFAULTS, args.config, _cli_overrides(args))
+def _cmd_curves(args: argparse.Namespace) -> int:
+    settings = _merged_settings(args)
     config = build_experiment_config(settings)
-    _emit(run_analytic_table(config), settings, gnuplot=True)
-    return 0
-
-
-def _cmd_analytic(args: argparse.Namespace) -> int:
-    settings = merge_settings(_ANALYTIC_DEFAULTS, args.config, _cli_overrides(args))
-    config = build_experiment_config(settings)
-    table = run_analytic_table(config, include_factorial=bool(args.factorial))
-    _emit(table, settings, gnuplot=True)
+    _emit(run_analytic_table(config, include_factorial=args.factorial), settings, gnuplot=True)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings = merge_settings(_SIMULATE_DEFAULTS, args.config, _cli_overrides(args))
+    settings = _merged_settings(args)
     config = build_experiment_config(settings)
     _emit(run_monte_carlo(config), settings, gnuplot=False)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    settings = merge_settings(_SIMULATE_DEFAULTS, args.config, _cli_overrides(args))
-    config = build_experiment_config(settings)
+    config = build_experiment_config(_merged_settings(args))
     report = run_validation(config)
     for check in report.checks:
         print("%s %s: %s" % ("PASS" if check.passed else "FAIL", check.name, check.detail))

@@ -149,8 +149,9 @@ def _format(value):
     return value
 
 
-# Every setting, with what a config file may give for it.  The command line
-# has one flag per key (its dest is the key), so cli takes its keys from here.
+# Every setting, with what a config file may give for it.  Each command has a
+# flag (its dest is the key) for the settings it reads, and a config file given
+# to that command may set those keys alone.
 SETTINGS = {
     "l": ("an integer or a list of integers", _integers),
     "zeta": ("a number", _number),
@@ -168,7 +169,7 @@ SETTINGS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, keys) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -178,9 +179,10 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - set(SETTINGS)
+    unknown = set(raw) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}; "
+                          f"this command takes {sorted(keys)}")
     settings = {}
     for key, value in raw.items():
         expected, convert = SETTINGS[key]
@@ -192,10 +194,11 @@ def _read_config_file(path: str) -> dict:
 
 
 def merge_settings(defaults: dict, config_path: str | None, cli: dict) -> dict:
-    """Layer the three sources; CLI values of None mean 'flag not given'."""
+    """Layer the three sources; CLI values of None mean 'flag not given'.
+    The config file may set only the keys `cli` has, the command's flags."""
     merged = dict(defaults)
     if config_path:
-        merged.update(_read_config_file(config_path))
+        merged.update(_read_config_file(config_path, cli))
     for key, value in cli.items():
         if value is not None:
             merged[key] = value

@@ -101,6 +101,9 @@ MAX_L = 2**53
 # most points an SNR grid (config.SnrGrid) or a slope scan may have
 MAX_GRID_POINTS = 10_000
 
+# most trials a slope scan gives one point
+MAX_SCAN_TRIALS = 2_000_000_000
+
 
 def p_err_single_analytic(snr: float, zeta: float = 0.0) -> float:
     """Single-carrier error probability snr^-(1-zeta)."""
@@ -320,7 +323,8 @@ def outage_cdf(threshold: float, l: int, mode: str = "exact") -> float:
     """P[sum of l unit-mean squared gains < threshold].
 
     exact: regularized lower incomplete gamma P(l, threshold).
-    approx: threshold^l / l!, the small-threshold evaluation.
+    approx: threshold^l / l!, the small-threshold evaluation, for l <= 170
+    (beyond it l! leaves the float range).
     """
     if int(l) < 1:
         raise ConfigError("l must be >= 1")
@@ -330,7 +334,12 @@ def outage_cdf(threshold: float, l: int, mode: str = "exact") -> float:
     if mode == "exact":
         return gamma_p(l, t)
     if mode == "approx":
-        return t ** int(l) / math.factorial(int(l))
+        if int(l) > 170:
+            raise ConfigError("the approx outage's 1/l! leaves the float range beyond l = 170")
+        try:
+            return t ** int(l) / math.factorial(int(l))
+        except OverflowError:
+            raise ConfigError(f"threshold^l overflows a float at threshold={t:g}, l={l}") from None
     raise ConfigError(f"unknown outage mode: {mode!r}")
 
 
@@ -488,9 +497,10 @@ class BatchPool:
     """The calling thread and `size - 1` helper threads mapping batches.  The
     caller drains batches alongside the helpers instead of waiting for them,
     so a helper that is slow to wake never holds up a point: the caller takes
-    its batch.  Each thread keeps one _Scratch for the pool's lifetime."""
+    its batch.  Each thread keeps one _Scratch for the pool's lifetime.  A
+    size-1 pool has no helpers, so the caller maps every batch itself."""
 
-    def __init__(self, helpers: ThreadPoolExecutor, size: int):
+    def __init__(self, helpers: ThreadPoolExecutor | None, size: int):
         self._helpers = helpers
         self._size = size
         self._local = threading.local()
@@ -537,11 +547,11 @@ class BatchPool:
 @contextlib.contextmanager
 def worker_pool(workers: int, batches: int):
     """Batch runners for a run: the calling thread and min(workers, batches) - 1
-    helper threads, or None when min(workers, batches) <= 1.  The helpers are
+    helper threads; below two runners no executor is opened.  The helpers are
     shut down on exit, which joins them, so none outlives the caller's run."""
     size = min(check_workers(workers), int(batches))
     if size <= 1:
-        yield None
+        yield BatchPool(None, 1)
         return
     with ThreadPoolExecutor(size - 1) as helpers:
         yield BatchPool(helpers, size)
@@ -600,13 +610,6 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     sum_v = float(v.sum())
     np.multiply(v, v, out=v)
     return int(v.size), sum_v, float(v.sum())
-
-
-def _map_batches(pool: BatchPool | None, kernel, batches) -> list:
-    if pool is None or len(batches) == 1:
-        scratch = _Scratch()
-        return [kernel(args, scratch) for args in batches]
-    return pool.map(kernel, batches)
 
 
 def _event_geometry(config: MonteCarloConfig):
@@ -697,10 +700,10 @@ def monte_carlo_p_err(
         b += 1
     kernel = _count_batch if crude else _weigh_batch
     if pool is not None:
-        results = _map_batches(pool, kernel, batches)
+        results = pool.map(kernel, batches)
     else:
         with worker_pool(workers, len(batches)) as own:
-            results = _map_batches(own, kernel, batches)
+            results = own.map(kernel, batches)
     if crude:
         return ErrorEstimate.from_counts(sum(results), trials)
     hits, sum_v, sum_v2 = (sum(column) for column in zip(*results))
@@ -773,11 +776,10 @@ def diversity_slope_scan(
     anchor_probability: float = 0.05,
     target_errors: int = 400,
     min_trials: int = 100000,
-    max_trials: int = 2_000_000_000,
-    sigma2_f: float = 1.0,
     workers: int = 1,
 ) -> SlopeScanResult:
-    """Measure the error-probability slope of the aggregate outage event.
+    """Measure the error-probability slope of the aggregate outage event of
+    unit-variance Rayleigh gains.
 
     The threshold follows t(snr) = t0 * (snr/snr_min)^-(1-zeta), which makes
     the outage probability scale as snr^-(l(1-zeta)) for small t, so the
@@ -785,7 +787,7 @@ def diversity_slope_scan(
     where the outage CDF equals anchor_probability.  Every point is estimated
     by importance sampling (estimator "is"), and its trial count aims at
     target_errors expected hits of the sampling law, P(Gamma(l) < max(t, l)),
-    clamped to [min_trials, max_trials]; that hit rate is above one half at any
+    clamped to [min_trials, MAX_SCAN_TRIALS]; that hit rate is above one half at any
     threshold, so the usual budgets sit on the min_trials floor.
     Point i uses seed + i.  One worker pool serves every point.  Every
     argument is checked, with a ConfigError, before anything is evaluated.
@@ -799,26 +801,23 @@ def diversity_slope_scan(
         raise ConfigError("need 0 < snr_min < snr_max < inf")
     if int(target_errors) < 1:
         raise ConfigError("target_errors must be >= 1")
-    if not (1 <= int(min_trials) <= int(max_trials)):
-        raise ConfigError("need 1 <= min_trials <= max_trials")
+    if not (1 <= int(min_trials) <= MAX_SCAN_TRIALS):
+        raise ConfigError(f"need 1 <= min_trials <= {MAX_SCAN_TRIALS}")
     z = float(zeta)
     if not (0.0 <= z < 1.0):
         raise ConfigError("zeta must lie in [0, 1)")
-    s2 = float(sigma2_f)
-    if not (0.0 < s2 < math.inf):
-        raise ConfigError("sigma2_f must be positive and finite")
     if not (0 <= int(seed) and int(seed) + int(num_points) <= 2**64):
         raise ConfigError("seed + i must fit in an unsigned 64-bit integer at every point")
     check_workers(workers)
 
     snr = np.logspace(math.log10(float(snr_min)), math.log10(float(snr_max)), int(num_points))
     t0 = gamma_p_inv(l, float(anchor_probability))
-    thr = s2 * t0 * (snr / snr[0]) ** (-(1.0 - z))
+    thr = t0 * (snr / snr[0]) ** (-(1.0 - z))
     # hit probability of the proposal theta * Gamma(l), theta = min(t/l, 1): budgeting only
-    q_hit = np.array([gamma_p(l, max(t / s2, l)) for t in thr])
+    q_hit = np.array([gamma_p(l, max(t, l)) for t in thr])
 
-    trials = np.clip(np.ceil(int(target_errors) / q_hit), int(min_trials), int(max_trials))
-    model = TransmittanceModel.rayleigh(s2)
+    trials = np.clip(np.ceil(int(target_errors) / q_hit), int(min_trials), MAX_SCAN_TRIALS)
+    model = TransmittanceModel.rayleigh(1.0)
     estimates = []
     with worker_pool(workers, batches_per_point(model, int(trials.max()))) as pool:
         for i, (t_i, n_i) in enumerate(zip(thr, trials)):

@@ -19,6 +19,20 @@ from amqd.cli import main
 from amqd.config import MAX_GRID_POINTS, SETTINGS
 
 
+# the settings each command reads: its flags, and the keys its config file may set
+CURVE_SETTINGS = ("l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "out", "format")
+COMMAND_SETTINGS = {
+    "figure2": CURVE_SETTINGS,
+    "analytic": CURVE_SETTINGS,
+    "simulate": tuple(SETTINGS),
+    "validate": ("trials", "seed", "workers"),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
 def _read_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -190,7 +204,7 @@ class TestSimulate:
         monkeypatch.setattr(error_analysis, "_count_batch", no_count)
         for l in (5, 10):
             out = tmp_path / ("mc_l%d.csv" % l)
-            assert main(["simulate", "--l", str(l), "--zeta", "0.6", "--snr-db-min", "0",
+            assert main(["simulate", "--l", str(l), "--snr-db-min", "0",
                          "--snr-db-max", "40", "--snr-db-step", "5", "--trials", "100000",
                          "--seed", "0", "--out", str(out)]) == 0
             header, rows = _read_csv(out)
@@ -199,13 +213,13 @@ class TestSimulate:
             assert len(rows) == 9
             assert np.all(p_hat > 0.0)
             assert np.all(np.abs(p_hat / analytic - 1.0) <= 0.05)
-        assert analytic[-1] == pytest.approx(2.7555e-47, rel=1e-3)  # l = 10 at 40 dB
+        assert analytic[-1] == pytest.approx(2.7555e-47, rel=1e-3)  # snr^-l / l! at l = 10, 40 dB
 
 
 class TestConfigPrecedence:
     def test_cli_beats_file_beats_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"zeta": 0.5, "l": [2], "seed": 9}))
+        cfg.write_text(json.dumps({"zeta": 0.5, "l": [2]}))
         out = tmp_path / "t.csv"
         assert main(["analytic", "--config", str(cfg), "--zeta", "0.25",
                      "--out", str(out)]) == 0
@@ -226,7 +240,7 @@ class TestConfigPrecedence:
         assert main(["analytic", "--config", str(tmp_path / "nope.json")]) == 2
 
     def test_bad_model_spec_exits_2(self, capsys):
-        assert main(["analytic", "--model", "fancy"]) == 2
+        assert main(["simulate", "--model", "fancy"]) == 2
         assert "model" in capsys.readouterr().err
 
     def test_worker_count_above_cap_exits_2(self, monkeypatch, capsys):
@@ -243,6 +257,52 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
 
 
+# a value of each setting that every command reading it accepts
+_GOOD_VALUES = {
+    "l": 2, "zeta": 0.5, "snr_db_min": 0.0, "snr_db_max": 2.0, "snr_db_step": 1.0,
+    "trials": 20000, "seed": 3, "model": "rayleigh", "event": "threshold", "rate_bits": 1.0,
+    "workers": 1, "out": "out.csv", "format": "csv",
+}
+_UNREAD = [(command, key) for command, keys in COMMAND_SETTINGS.items()
+           for key in SETTINGS if key not in keys]
+
+
+class TestCommandSettings:
+    """Each command has a flag and a config key for every setting it reads,
+    and for no other."""
+
+    @pytest.mark.parametrize("command, key", _UNREAD)
+    def test_setting_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                       command, key):
+        monkeypatch.chdir(tmp_path)
+        value = _GOOD_VALUES[key]
+        with pytest.raises(SystemExit) as exc:
+            main([command, _flag(key), str(value)])
+        assert exc.value.code == 2
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        assert main([command, "--config", "cfg.json"]) == 2
+        assert "unknown config keys: [%r]" % key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+    def test_every_setting_read_is_a_flag_and_a_config_key(self, tmp_path, monkeypatch, capsys,
+                                                           command):
+        monkeypatch.chdir(tmp_path)
+        keys = COMMAND_SETTINGS[command]
+        out = tmp_path / "out.csv"
+
+        def run(argv):
+            assert main([command] + argv) == 0
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return capsys.readouterr().out, written
+
+        by_flags = run([token for key in keys for token in (_flag(key), str(_GOOD_VALUES[key]))])
+        (tmp_path / "cfg.json").write_text(json.dumps({key: _GOOD_VALUES[key] for key in keys}))
+        assert run(["--config", "cfg.json"]) == by_flags
+        assert (by_flags[1] is not None) == ("out" in keys)
+
+
 class TestInputContract:
     """Every bad input is a config error with exit code 2, never a traceback."""
 
@@ -253,16 +313,22 @@ class TestInputContract:
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
-        assert main(["analytic", "--config", str(cfg)]) == 2
+        # each value fails its type check, before any draw
+        assert main(["simulate", "--config", str(cfg)]) == 2
         assert "config key %r" % key in capsys.readouterr().err
 
-    def test_integral_numbers_are_integers(self, tmp_path):
+    def test_integral_numbers_are_integers(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "t.csv"
-        cfg.write_text(json.dumps({"trials": 1000000, "seed": 2.0, "l": [2, 3.0]}))
+        cfg.write_text(json.dumps({"l": [2, 3.0]}))
         assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
         header, _ = _read_csv(out)
         assert header == ["snr", "p_single", "p_amqd_l2", "p_amqd_l3"]
+        cfg.write_text(json.dumps({"trials": 1000.0, "seed": 2.0}))
+        assert main(["simulate", "--config", str(cfg), "--snr-db-max", "0"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["simulate", "--trials", "1000", "--seed", "2", "--snr-db-max", "0"]) == 0
+        assert capsys.readouterr().out == from_file
 
     @pytest.mark.parametrize("flags", [
         ["--snr-db-max", "1e400"],
@@ -336,7 +402,8 @@ _VALUES = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.fixed_dictionaries({}, optional={key: _VALUES for key in SETTINGS if key != "out"}))
+@given(st.fixed_dictionaries({}, optional={key: _VALUES for key in CURVE_SETTINGS
+                                           if key != "out"}))
 def test_any_config_file_exits_0_or_2(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -386,13 +453,19 @@ _CLI_FLAGS = {
 }
 
 
+_CURVE_FLAGS = {_flag(key) for key in CURVE_SETTINGS}
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["analytic", "simulate"]),
        st.fixed_dictionaries({}, optional=_CLI_FLAGS),
        st.integers(1, 1000) | st.integers(-2, 1000), st.integers(1, 2) | st.integers(-1, 2))
 def test_any_command_line_exits_0_or_2(command, flags, trials, workers):
-    # at most 1000 trials is one batch per point, so no example opens a pool
-    argv = [command, "--trials=%d" % trials, "--workers=%d" % workers]
+    if command == "analytic":  # only the flags analytic takes
+        argv = [command]
+        flags = {flag: value for flag, value in flags.items() if flag in _CURVE_FLAGS}
+    else:  # at most 1000 trials is one batch per point, so no example opens a pool
+        argv = [command, "--trials=%d" % trials, "--workers=%d" % workers]
     for flag, value in flags.items():
         # --flag=value passes values that start with '-' (such as -inf) through
         argv += ["%s=%s" % (flag, token) for token in (value if isinstance(value, list)
@@ -420,8 +493,8 @@ class TestValidate:
 
     def test_grid_end_does_not_warn(self, capsys):
         # mc_calibration samples fixed thresholds, about 1900 and 1600 expected
-        # errors at 20000 trials, whatever the grid's last snr
-        assert main(["validate", "--snr-db-max", "40", "--trials", "20000"]) == 0
+        # errors at 20000 trials; validate has no snr grid to warn about
+        assert main(["validate", "--trials", "20000"]) == 0
         out = capsys.readouterr().out
         assert "WARN" not in out
         assert "0 warnings" in out

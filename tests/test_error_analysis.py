@@ -34,6 +34,7 @@ from amqd.error_analysis import (
     MAX_BATCH_BYTES,
     MAX_GRID_POINTS,
     MAX_L,
+    MAX_SCAN_TRIALS,
     _count_batch,
     gamma_p,
     gamma_p_inv,
@@ -173,6 +174,11 @@ class TestOutageCdf:
             outage_cdf(-1.0, 2)
         with pytest.raises(ConfigError):
             outage_cdf(1.0, 2, "fancy")
+
+    @pytest.mark.parametrize("t, l", [(0.5, 171), (2.0, 2000), (1e10, 40)])
+    def test_approx_beyond_float_range_is_a_config_error(self, t, l):
+        with pytest.raises(ConfigError, match="float range|overflows a float"):
+            outage_cdf(t, l, "approx")
 
     # P(l, t) at large l, about 5.3 sd below the mean, from mpmath at 40 digits
     # (at l = 1e6 quadrature of the density and the summed Poisson tail agree)
@@ -653,12 +659,9 @@ class TestDiversitySlopeScan:
         (0, {}),
         (-1, {}),
         (MAX_L + 1, {}),
-        (2, {"sigma2_f": 0.0}),
-        (2, {"sigma2_f": -1.0}),
-        (2, {"sigma2_f": math.inf}),
         (2, {"snr_max": math.inf}),
         (2, {"snr_min": math.nan}),
-        (2, {"min_trials": 10, "max_trials": 9}),
+        (2, {"min_trials": MAX_SCAN_TRIALS + 1}),
         (2, {"min_trials": 0}),
         (2, {"num_points": MAX_GRID_POINTS + 1}),
         (2, {"seed": -1}),
