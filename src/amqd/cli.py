@@ -4,7 +4,7 @@ Subcommands:
   figure2   closed-form error-probability curves with the reference defaults
   analytic  closed-form curves with caller-chosen parameters
   simulate  Monte Carlo estimate vs closed form over an SNR grid; every point
-            is importance sampled (one Gamma(l) draw per trial) and reported
+            is importance sampled (a Gamma(l) draw per trial) and reported
             with its weighted-CLT 95% interval, so any p is reachable
   validate  run every invariant suite and report pass/fail
 
@@ -39,7 +39,8 @@ _FLAGS = {
     "snr_db_max": dict(type=float, help="grid end in dB (inclusive)"),
     "snr_db_step": dict(type=float, help="grid step in dB"),
     "trials": dict(type=int, help="Monte Carlo trials per estimate"),
-    "seed": dict(type=int, help="base seed; simulate's grid point i uses seed + i"),
+    "seed": dict(type=int, help="seed; batch b of simulate's grid point i draws from the "
+                                "stream keyed (seed, b, i)"),
     "model": dict(help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>"),
     "event": dict(choices=("rate", "threshold"), help="error event to sample"),
     "rate_bits": dict(type=float, help="explicit rate target for the rate event "

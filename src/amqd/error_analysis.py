@@ -18,14 +18,22 @@ sigma2_f, and monte_carlo_p_err has two estimators of that probability
          Wilson interval.  Each batch draws 2 * l normals per trial, at most
          MAX_BATCH_BYTES per batch (a ConfigError beyond, before any draw).
   is     importance sampling by exponential twisting: draw
-         x = theta * Gamma(l_draw, 1) with theta = min(t / l_draw, 1), so more
-         than half of the draws hit whatever p is, and weigh each hit x < t by
-         the likelihood ratio w = theta^l exp(x (1/theta - 1)) <= 1.  Then
+         x = theta * G with G ~ Gamma(l_draw, 1) and theta = min(t / l_draw, 1),
+         so more than half of the draws hit whatever p is, and weigh each hit
+         x < t by the likelihood ratio w = theta^l exp(x (1/theta - 1)) <= 1.
+         G is -ln(u_1 ... u_l) for l_draw <= 4, l_draw uniform blocks
+         multiplied in place (Devroye 1986, IX.3), with ln taken for the hits
+         alone; for l_draw >= 5 it is numpy's standard_gamma, the one draw
+         that serves l up to MAX_L.  Either way a batch holds at most two
+         draws per trial, so its memory does not grow with l.  Then
          p_hat = sum(w) / trials with the weighted-CLT interval
          p_hat +- 1.96 sd(w) / sqrt(trials); its relative error stays bounded
-         as p -> 0 (about 0.4% at p = 9e-8, l = 3, from 1e5 draws).  The
-         degenerate cases (t = 0, sigma2_f = 0) are decided exactly, without
-         drawing.  diversity_slope_scan and experiments.run_monte_carlo (so
+         as p -> 0 (about 0.4% at p = 9e-8, l = 3, from 1e5 draws).  Where
+         there is no variance estimate (one trial, or no hit) the interval is
+         [0, min(w_max, 1)], since p <= w_max; where theta = 1 every hit
+         weighs 1, and the hits get a Wilson interval.  The degenerate cases
+         (t = 0, t = inf, sigma2_f = 0) are decided exactly, without drawing.
+         diversity_slope_scan and experiments.run_monte_carlo (so
          `amqd simulate`) use this estimator; "crude" stays the default.
 
 Closed forms implemented here:
@@ -59,8 +67,11 @@ quadrature check imports scipy.integrate, loads scipy.
 
 Monte Carlo estimates are exactly reproducible: trials are split into fixed
 batches of 65536, batch b drawing from the Philox substream keyed by
-(seed, spawn_key=(b,)), and the per-batch counts (or weight sums) are combined
-in batch order, so the result is byte-identical for any worker count.
+(seed, spawn_key=(b,)), or (seed, spawn_key=(b, i)) at point i of a grid run,
+and the per-batch counts (or weight sums) are combined in batch order, so the
+result is byte-identical for any worker count.  Because a grid run keys its
+points by index rather than by seed + i, no point of one seed reuses a stream
+of another seed.
 
 Batches run on threads when more than one worker is asked for: the draws,
 ufuncs and reductions of a batch release the GIL, so threads share the cores
@@ -94,6 +105,10 @@ MAX_WORKERS = 64
 MAX_BATCH_BYTES = 1 << 30
 
 ESTIMATORS = ("crude", "is")
+
+# largest l whose importance-sampled Gamma(l) draw is a product of l uniforms;
+# standard_gamma is faster beyond it
+_PRODUCT_MAX_L = 4
 
 # largest l a Monte Carlo config takes: every l up to it is an exact float
 MAX_L = 2**53
@@ -396,22 +411,26 @@ class ErrorEstimate:
             raise ConfigError("confidence interval must contain p_hat")
 
     @classmethod
-    def from_counts(cls, errors: int, trials: int) -> "ErrorEstimate":
+    def from_counts(cls, errors: int, trials: int, estimator: str = "crude") -> "ErrorEstimate":
         lo, hi = wilson_interval(errors, trials)
-        return cls(int(errors) / int(trials), int(trials), lo, hi, int(errors))
+        return cls(int(errors) / int(trials), int(trials), lo, hi, int(errors), estimator)
 
     @classmethod
     def from_weights(cls, hits: int, sum_w: float, sum_w2: float, trials: int,
                      scale: float = 1.0) -> "ErrorEstimate":
         """Importance-sampling estimate from `trials` likelihood-ratio weights
-        scale * w_i (w_i = 0 off the event), given sum w_i and sum w_i^2:
-        p_hat = scale * mean(w) with the 95% weighted-CLT interval
-        p_hat +- 1.96 scale sd(w) / sqrt(trials), clipped to [0, 1].  The
-        scale keeps the squares of tiny weights from underflowing."""
+        scale * w_i with w_i in [0, 1] (w_i = 0 off the event), given sum w_i
+        and sum w_i^2: p_hat = scale * mean(w) with the 95% weighted-CLT
+        interval p_hat +- 1.96 scale sd(w) / sqrt(trials), clipped to [0, 1].
+        The scale keeps the squares of tiny weights from underflowing.  With
+        no variance estimate (one trial, or no hit) the interval is
+        [0, min(scale, 1)]: p is a mean weight, so it is at most scale."""
         n = int(trials)
         mean = float(sum_w) / n
-        var = max(float(sum_w2) - float(sum_w) * mean, 0.0) / (n - 1) if n > 1 else 0.0
         p = min(scale * mean, 1.0)
+        if n == 1 or int(hits) == 0:
+            return cls(p, n, 0.0, min(scale, 1.0), int(hits), "is")
+        var = max(float(sum_w2) - float(sum_w) * mean, 0.0) / (n - 1)
         half = 1.96 * scale * math.sqrt(var / n)
         return cls(p, n, max(p - half, 0.0), min(p + half, 1.0), int(hits), "is")
 
@@ -428,6 +447,10 @@ class MonteCarloConfig:
                        (threshold defaults to 1/snr when unset).
     event "rate":      per-sub-channel event log2(1 + |F|^2 * snr) < rate_bits,
                        drawn on one sub-channel per trial.
+
+    point: the grid point this estimate is, or None.  Batch b draws from the
+    substream keyed (seed, spawn_key=(b,)), or (b, point) at a grid point, so
+    the points of one seed and those of any other seed share no stream.
     """
 
     l: int
@@ -438,6 +461,7 @@ class MonteCarloConfig:
     rate_bits: float | None = None
     threshold: float | None = None
     estimator: str = "crude"
+    point: int | None = None
 
     def __post_init__(self):
         if int(self.l) < 1:
@@ -458,6 +482,8 @@ class MonteCarloConfig:
             raise ConfigError("rate_bits must be nonnegative")
         if self.threshold is not None and not (float(self.threshold) >= 0.0):
             raise ConfigError("threshold must be nonnegative")
+        if self.point is not None and not (0 <= int(self.point) < 2**64):
+            raise ConfigError("point must fit in an unsigned 64-bit integer")
 
 
 def check_workers(workers: int) -> int:
@@ -596,16 +622,28 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     scratch = scratch or _Scratch()
     t = threshold / sigma2_f
     theta, _ = _tilt(t, l)
-    g = RngStream(seed, batch_index).generator().standard_gamma(
-        l, out=scratch.array("gamma", (m,)))
-    # the hits x = theta * g < t, i.e. g < t / theta = max(t, l); tested on g
-    # because theta rounds to a subnormal or to 0 where t / l underflows
-    v = g[np.less(g, max(t, float(l)), out=scratch.array("hit", (m,), bool))]
+    g = RngStream(seed, batch_index).generator()
+    # the hits x = theta * G < t, i.e. G < cut = t / theta = max(t, l); tested
+    # on G because theta rounds to a subnormal or to 0 where t / l underflows
+    cut = max(t, float(l))
+    if l <= _PRODUCT_MAX_L:
+        # G = -ln(u_1 ... u_l) for uniforms u_i (Devroye 1986, IX.3), and
+        # G < cut is u > e^-cut, so ln is taken for the hits alone
+        x = g.random(out=scratch.array("gamma", (m,)))
+        for _ in range(l - 1):
+            x *= g.random(out=scratch.array("uniform", (m,)))
+        keep, bound, ln_u = np.greater, math.exp(-cut), np.log
+    else:
+        x = g.standard_gamma(l, out=scratch.array("gamma", (m,)))
+        keep, bound, ln_u = np.less, cut, np.negative
+    v = x[keep(x, bound, out=scratch.array("hit", (m,), bool))]
+    ln_u(v, out=v)  # ln u = -G for each hit
     # the Gamma(l, 1) over Gamma(l, theta) density ratio at x is
-    # w = theta^l exp(x (1/theta - 1)) = w_max exp((g - l)(1 - theta)); taking
-    # w_max out keeps v in (0, 1], so neither v nor v^2 underflows at tiny p
-    v -= l
-    v *= 1.0 - theta
+    # w = theta^l exp(x (1/theta - 1)) = w_max exp((G - l)(1 - theta))
+    # = w_max exp((ln u + l)(theta - 1)); taking w_max out keeps v in (0, 1],
+    # so neither v nor v^2 underflows at tiny p
+    v += l
+    v *= theta - 1.0
     np.exp(v, out=v)
     sum_v = float(v.sum())
     np.multiply(v, v, out=v)
@@ -656,11 +694,12 @@ def monte_carlo_p_err(
     the estimator config.estimator names.
 
     Deterministic given (config, model): identical results for any worker
-    count, because batch b always consumes substream (seed, spawn_key=(b,))
-    and the batch results are combined in batch order.  Batches are mapped on
-    `pool` when one is given (a run over many points opens it once with
-    worker_pool); otherwise a pool of up to `workers` threads, the caller's
-    among them, is opened for this call alone.
+    count, because batch b always consumes substream (seed, spawn_key=(b,)),
+    or (b, point) when config.point is set, and the batch results are
+    combined in batch order.  Batches are mapped on `pool` when one is given
+    (a run over many points opens it once with worker_pool); otherwise a pool
+    of up to `workers` threads, the caller's among them, is opened for this
+    call alone.
     """
     check_workers(workers)
     l_draw, threshold = _event_geometry(config)
@@ -672,7 +711,8 @@ def monte_carlo_p_err(
         k = trials if error else 0
         if crude:
             return ErrorEstimate.from_counts(k, trials)
-        return ErrorEstimate.from_weights(k, float(k), float(k), trials)
+        p = float(error)
+        return ErrorEstimate(p, trials, p, p, k, "is")
 
     if model.kind in (FIXED, UNIFORM_PHASE):
         # magnitudes are deterministic for these models, so the event is too
@@ -686,8 +726,9 @@ def monte_carlo_p_err(
         if batch_bytes > MAX_BATCH_BYTES:
             raise ConfigError(f"one Monte Carlo batch at l={l_draw} would draw {batch_bytes:.3g} "
                               f"bytes of normals, over the {MAX_BATCH_BYTES} byte cap")
-    elif threshold == 0.0 or sigma2_f == 0.0:
-        # G < 0 never holds; with no gain, 0 < threshold always does
+    elif threshold in (0.0, math.inf) or sigma2_f == 0.0:
+        # G < 0 never holds and G < inf always does; with no gain,
+        # 0 < threshold always does
         return verdict(threshold > 0.0)
 
     batches = []
@@ -695,7 +736,8 @@ def monte_carlo_p_err(
     b = 0
     while done < trials:
         m = min(_BATCH, trials - done)
-        batches.append((int(config.seed), b, m, l_draw, sigma2_f, threshold))
+        key = b if config.point is None else (b, int(config.point))
+        batches.append((int(config.seed), key, m, l_draw, sigma2_f, threshold))
         done += m
         b += 1
     kernel = _count_batch if crude else _weigh_batch
@@ -707,8 +749,11 @@ def monte_carlo_p_err(
     if crude:
         return ErrorEstimate.from_counts(sum(results), trials)
     hits, sum_v, sum_v2 = (sum(column) for column in zip(*results))
-    w_max = math.exp(_tilt(threshold / sigma2_f, l_draw)[1])
-    return ErrorEstimate.from_weights(hits, sum_v, sum_v2, trials, scale=w_max)
+    theta, log_w_max = _tilt(threshold / sigma2_f, l_draw)
+    if theta == 1.0:
+        # an untilted proposal weighs every hit 1: the hits are a binomial count
+        return ErrorEstimate.from_counts(hits, trials, "is")
+    return ErrorEstimate.from_weights(hits, sum_v, sum_v2, trials, scale=math.exp(log_w_max))
 
 
 def analytic_event_probability(
@@ -789,8 +834,9 @@ def diversity_slope_scan(
     target_errors expected hits of the sampling law, P(Gamma(l) < max(t, l)),
     clamped to [min_trials, MAX_SCAN_TRIALS]; that hit rate is above one half at any
     threshold, so the usual budgets sit on the min_trials floor.
-    Point i uses seed + i.  One worker pool serves every point.  Every
-    argument is checked, with a ConfigError, before anything is evaluated.
+    Batch b of point i draws from the substream (seed, spawn_key=(b, i)).
+    One worker pool serves every point.  Every argument is checked, with a
+    ConfigError, before anything is evaluated.
     """
     l = _check_l(l)
     if not (3 <= int(num_points) <= MAX_GRID_POINTS):
@@ -806,8 +852,8 @@ def diversity_slope_scan(
     z = float(zeta)
     if not (0.0 <= z < 1.0):
         raise ConfigError("zeta must lie in [0, 1)")
-    if not (0 <= int(seed) and int(seed) + int(num_points) <= 2**64):
-        raise ConfigError("seed + i must fit in an unsigned 64-bit integer at every point")
+    if not (0 <= int(seed) < 2**64):
+        raise ConfigError("seed must fit in an unsigned 64-bit integer")
     check_workers(workers)
 
     snr = np.logspace(math.log10(float(snr_min)), math.log10(float(snr_max)), int(num_points))
@@ -822,8 +868,8 @@ def diversity_slope_scan(
     with worker_pool(workers, batches_per_point(model, int(trials.max()))) as pool:
         for i, (t_i, n_i) in enumerate(zip(thr, trials)):
             config = MonteCarloConfig(
-                l=int(l), trials=int(n_i), seed=int(seed) + i, event="threshold",
-                threshold=float(t_i), estimator="is",
+                l=int(l), trials=int(n_i), seed=int(seed), event="threshold",
+                threshold=float(t_i), estimator="is", point=i,
             )
             estimates.append(monte_carlo_p_err(config, model, workers=workers, pool=pool))
     slope = fit_diversity_slope([(float(s), e.p_hat) for s, e in zip(snr, estimates)])

@@ -74,7 +74,8 @@ def run_monte_carlo(config: ExperimentConfig) -> Table:
 
     Every point is importance sampled (estimator "is"), so p_hat and its
     weighted-CLT interval keep a bounded relative error however small the
-    analytic p is.  Grid point i runs with seed + i.  The threshold event uses
+    analytic p is.  Batch b of grid point i draws from the substream
+    (seed, spawn_key=(b, i)).  The threshold event uses
     threshold 1/snr; the rate event targets rate_bits (default
     zeta * log2(1 + snr)).  One worker pool serves every grid point.
     """
@@ -91,11 +92,12 @@ def run_monte_carlo(config: ExperimentConfig) -> Table:
             mc = MonteCarloConfig(
                 l=l,
                 trials=config.trials,
-                seed=config.seed + i,
+                seed=config.seed,
                 event=config.event,
                 snr=snr,
                 rate_bits=rate_bits,
                 estimator="is",
+                point=i,
             )
             est = monte_carlo_p_err(mc, config.model, workers=config.workers, pool=pool)
             oracle = analytic_event_probability(

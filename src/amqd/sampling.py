@@ -1,7 +1,7 @@
 """Seeded sampling of every random object in the transmission chain.
 
 All randomness is drawn from counter-based Philox substreams keyed by
-(seed, stream_index), so a sample depends only on those two integers and not
+(seed, stream_index), so a sample depends only on those two keys and not
 on execution order or worker count.
 """
 
@@ -20,19 +20,29 @@ _U64 = 2**64
 
 @dataclass(frozen=True)
 class RngStream:
-    """Substream handle: identical (seed, stream_index) gives bit-identical draws."""
+    """Substream handle: identical (seed, stream_index) gives bit-identical draws.
+
+    stream_index is the SeedSequence spawn key: one integer i, keying (i,), or
+    a tuple of integers; a Monte Carlo grid point p keys its batch b as (b, p).
+    """
 
     seed: int
-    stream_index: int = 0
+    stream_index: int | tuple = 0
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < _U64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if not (0 <= int(self.stream_index) < _U64):
-            raise ConfigError("stream_index must fit in an unsigned 64-bit integer")
+        key = self.spawn_key()
+        if not key or not all(0 <= k < _U64 for k in key):
+            raise ConfigError("stream_index must be unsigned 64-bit integers")
+
+    def spawn_key(self) -> tuple:
+        if isinstance(self.stream_index, tuple):
+            return tuple(int(k) for k in self.stream_index)
+        return (int(self.stream_index),)
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(int(self.seed), spawn_key=(int(self.stream_index),))
+        ss = np.random.SeedSequence(int(self.seed), spawn_key=self.spawn_key())
         return np.random.Generator(np.random.Philox(ss))
 
 

@@ -197,6 +197,28 @@ class TestSimulate:
                      "--trials", "10"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_one_trial_interval_holds_the_analytic_value(self, tmp_path):
+        # one weight gives no variance estimate: the interval is [0, w_max],
+        # which holds p because p is a mean weight
+        out = tmp_path / "mc.csv"
+        for l in ("1", "2", "5"):
+            assert main(["simulate", "--l", l, "--snr-db-max", "2", "--trials", "1",
+                         "--out", str(out)]) == 0
+            header, rows = _read_csv(out)
+            lo, hi, p = (rows[:, header.index(c)] for c in ("ci_low", "ci_high", "analytic"))
+            assert np.all(lo < hi)
+            assert np.all((lo <= p) & (p <= hi))
+
+    def test_two_trials_report_intervals_not_points(self, tmp_path):
+        # two weights do give a variance estimate, and the weighted-CLT
+        # interval on it covers only about 80% of the time, so only its width
+        # is checked here
+        out = tmp_path / "mc.csv"
+        assert main(["simulate", "--l", "2", "--snr-db-max", "2", "--trials", "2",
+                     "--out", str(out)]) == 0
+        header, rows = _read_csv(out)
+        assert np.all(rows[:, header.index("ci_low")] < rows[:, header.index("ci_high")])
+
     def test_readme_overlay_reaches_figure2_range(self, tmp_path, monkeypatch):
         def no_count(args):
             raise AssertionError("simulate counted crude errors")
@@ -357,7 +379,9 @@ class TestInputContract:
         assert rows[:, header.index("analytic")].tolist() == [1.0]
 
     def test_huge_l_gives_the_exact_answer(self, capsys):
-        # simulate draws one gamma per trial, so l is no memory bound
+        # an importance-sampled batch holds at most two draws per trial
+        # (l <= 4 multiplies l uniform blocks into two arrays, larger l draws
+        # one gamma), so l is no memory bound
         assert main(["simulate", "--l", "1000000000000", "--snr-db-max", "0"]) == 0
         header, *rows = capsys.readouterr().out.strip().split("\n")
         row = dict(zip(header.split(","), map(float, rows[0].split(","))))
