@@ -34,7 +34,9 @@ from .validation import run_validation
 # The flag of each setting; its dest is the SETTINGS key.
 _FLAGS = {
     "l": dict(type=int, action="append", help="information-carrying sub-channels; repeatable"),
-    "zeta": dict(type=float, help="degree-of-freedom ratio in [0, 1)"),
+    "zeta": dict(type=float, help="degree-of-freedom ratio in [0, 1); simulate reads it only "
+                                  "for the rate event's default target, and its threshold "
+                                  "event ignores it"),
     "snr_db_min": dict(type=float, help="grid start in dB"),
     "snr_db_max": dict(type=float, help="grid end in dB (inclusive)"),
     "snr_db_step": dict(type=float, help="grid step in dB"),
@@ -44,7 +46,8 @@ _FLAGS = {
     "model": dict(help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>"),
     "event": dict(choices=("rate", "threshold"), help="error event to sample"),
     "rate_bits": dict(type=float, help="explicit rate target for the rate event "
-                                       "(default: zeta * log2(1 + snr))"),
+                                       "(default: zeta * log2(1 + snr)); the threshold "
+                                       "event ignores it"),
     "workers": dict(type=int, help="parallel Monte Carlo workers (1-64; one pool per run)"),
     "out": dict(help="output path; stdout when omitted"),
     "format": dict(choices=("csv", "json"), help="output format"),

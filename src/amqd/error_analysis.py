@@ -22,10 +22,13 @@ sigma2_f, and monte_carlo_p_err has two estimators of that probability
          so more than half of the draws hit whatever p is, and weigh each hit
          x < t by the likelihood ratio w = theta^l exp(x (1/theta - 1)) <= 1.
          G is -ln(u_1 ... u_l) for l_draw <= 4, l_draw uniform blocks
-         multiplied in place (Devroye 1986, IX.3), with ln taken for the hits
-         alone; for l_draw >= 5 it is numpy's standard_gamma, the one draw
-         that serves l up to MAX_L.  Either way a batch holds at most two
-         draws per trial, so its memory does not grow with l.  Then
+         multiplied in place (Devroye 1986, IX.3); for l_draw >= 5 it is
+         numpy's standard_gamma, the one draw that serves l up to MAX_L.
+         Every draw is weighed, with no gathering of the hits: a miss is
+         first clamped to the edge of the hit region (u to e^-cut, G to the
+         cut), so its weight is finite, and the hit mask then zeroes it.
+         Either way a batch holds at most two draws per trial, so its memory
+         does not grow with l.  Then
          p_hat = sum(w) / trials with the weighted-CLT interval
          p_hat +- 1.96 sd(w) / sqrt(trials); its relative error stays bounded
          as p -> 0 (about 0.4% at p = 9e-8, l = 3, from 1e5 draws).  Where
@@ -75,17 +78,25 @@ of another seed.
 
 Batches run on threads when more than one worker is asked for: the draws,
 ufuncs and reductions of a batch release the GIL, so threads share the cores
-without forking or pickling.  The calling thread is one of the workers: it
-maps batches alongside its helper threads and takes any batch a helper has not
-started, so a helper slow to wake does not stall a point.  A run over a grid
-(run_monte_carlo, diversity_slope_scan) opens one pool for all of its points,
-and a pool has at most one worker per batch of a point, so a one-batch run
-opens none.  Each worker draws into arrays it reuses for the whole run rather
-than allocating them per batch.  Worker counts are capped at MAX_WORKERS (64).
+without forking or pickling.  A pool's threads take batches from one FIFO
+queue.  The calling thread is one of the workers: while it waits for a
+point's results it runs queued batches itself, so a helper slow to wake does
+not stall a point.  A run over a grid (run_monte_carlo, diversity_slope_scan)
+opens one pool for all of its points, and a pool has at most one worker per
+batch of a point, so a one-batch run opens none.  The run still estimates
+each point with one monte_carlo_p_err call, but its pool queues the batches of
+the next points as the queue drains, while fewer than _LOOKAHEAD batches per
+thread are queued or uncollected, so the helpers roll from one point into the
+next instead of idling at the end of each, and the lookahead's memory does
+not grow with the grid.  A failing batch clears the queue, and so does leaving
+the pool, before its helpers are joined.  Each worker draws into arrays it
+reuses for the whole run rather than allocating them per batch.  Worker
+counts are capped at MAX_WORKERS (64).
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import threading
@@ -109,6 +120,9 @@ ESTIMATORS = ("crude", "is")
 # largest l whose importance-sampled Gamma(l) draw is a product of l uniforms;
 # standard_gamma is faster beyond it
 _PRODUCT_MAX_L = 4
+
+# least positive float, the floor of a missed uniform product
+_TINY = math.ulp(0.0)
 
 # largest l a Monte Carlo config takes: every l up to it is an exact float
 MAX_L = 2**53
@@ -519,17 +533,46 @@ class _Scratch:
         return a[:n].reshape(shape)
 
 
+# a grid run queues the batches of its later points while fewer than this
+# many batches per pool thread are queued or uncollected.  A simulate run of
+# 41 points x 2 batches at 2 threads (2-core host, 60 alternating rounds) took
+# a median 0.062 s at 2, 0.064 s at 1, 0.062 s with the whole grid queued at
+# once and 0.074 s with no lookahead
+_LOOKAHEAD = 2
+
+# the result of a batch queued or running
+_PENDING = object()
+
+
 class BatchPool:
-    """The calling thread and `size - 1` helper threads mapping batches.  The
-    caller drains batches alongside the helpers instead of waiting for them,
-    so a helper that is slow to wake never holds up a point: the caller takes
-    its batch.  Each thread keeps one _Scratch for the pool's lifetime.  A
-    size-1 pool has no helpers, so the caller maps every batch itself."""
+    """The calling thread and `size - 1` helper threads running batches from
+    one FIFO queue.  A batch is known by (kernel, args): kernels are pure
+    functions of their args, so a batch queued ahead is the batch asked for.
+
+    map queues the batches it is given (those not queued already) and
+    collects their results.  While it waits, the calling thread runs queued
+    batches itself, so a helper slow to wake never holds up a point.  A grid
+    run also hands its points to look_ahead, which queues the batches of the
+    later points whenever fewer than _LOOKAHEAD * size batches are queued or
+    uncollected, so the helpers roll from one point into the next instead of
+    idling at the end of each.  The pool then holds at most one point beyond
+    that bound, whatever the grid length.  A failing batch clears the queue,
+    so no batch starts after it, and map raises its exception.  A helper
+    stops when the queue is empty and is submitted again when batches are
+    queued.  Each thread keeps one _Scratch for the pool's lifetime.  A
+    size-1 pool has no helpers and does not look ahead."""
 
     def __init__(self, helpers: ThreadPoolExecutor | None, size: int):
         self._helpers = helpers
         self._size = size
         self._local = threading.local()
+        self._cond = threading.Condition()
+        self._queue = collections.deque()  # batches not started, in order
+        self._results = {}  # batch -> result, or _PENDING until it is done
+        self._running = 0  # helpers submitted and not yet stopped
+        self._error = None
+        self._plans = None  # the batches of each later point, planned lazily
+        self._next = None  # the first of them not queued
 
     def _scratch(self) -> _Scratch:
         scratch = getattr(self._local, "scratch", None)
@@ -537,50 +580,127 @@ class BatchPool:
             scratch = self._local.scratch = _Scratch()
         return scratch
 
+    def look_ahead(self, configs, model: TransmittanceModel) -> None:
+        """Queue the batches of these grid points, in order and as the queue
+        drains, before map asks for them; configs must be the points the run
+        maps, in the order it maps them."""
+        if self._helpers is None:
+            return
+
+        def plans():
+            for config in configs:
+                decided, kernel, batches = _plan(config, model)
+                if decided is None:
+                    yield [(kernel, args) for args in batches]
+
+        with self._cond:
+            self._plans = plans()
+            self._advance()
+
+    def _advance(self) -> None:
+        try:
+            self._next = next(self._plans, None)
+        except ConfigError:  # monte_carlo_p_err raises it when the run gets there
+            self._next = None
+        if self._next is None:
+            self._plans = None
+
+    def _put(self, batches) -> None:
+        for batch in batches:
+            if batch not in self._results:
+                self._results[batch] = _PENDING
+                self._queue.append(batch)
+        while self._running < min(self._size - 1, len(self._queue)):
+            self._running += 1
+            self._helpers.submit(self._drain)
+
+    def _top_up(self) -> None:
+        while self._next is not None and len(self._results) < _LOOKAHEAD * self._size:
+            self._put(self._next)
+            self._advance()
+
+    def _run(self, batch, scratch: _Scratch) -> None:
+        kernel, args = batch
+        try:
+            result = kernel(args, scratch)
+        except BaseException as exc:  # map re-raises it on the calling thread
+            with self._cond:
+                self._error = self._error or exc
+                self._close()
+                self._cond.notify_all()
+            return
+        with self._cond:
+            if batch in self._results:
+                self._results[batch] = result
+                self._cond.notify_all()
+
+    def _drain(self) -> None:
+        scratch = self._scratch()
+        while True:
+            with self._cond:
+                self._top_up()
+                if not self._queue:
+                    self._running -= 1
+                    return
+                batch = self._queue.popleft()
+            self._run(batch, scratch)
+
+    def _close(self) -> None:
+        """Start no further batch."""
+        with self._cond:
+            self._queue.clear()
+            self._plans = self._next = None
+
     def map(self, kernel, batches) -> list:
         """[kernel(args, scratch) for args in batches], in batch order."""
-        results = [None] * len(batches)
-        todo = iter(range(len(batches)))
-        lock = threading.Lock()
-
-        def drain():
-            scratch = self._scratch()
-            while True:
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = kernel(batches[i], scratch)
-                except BaseException:
-                    with lock:  # no runner starts another batch
-                        for _ in todo:
-                            pass
-                    raise
-
-        helpers = [self._helpers.submit(drain) for _ in range(min(self._size, len(batches)) - 1)]
+        keys = [(kernel, args) for args in batches]
+        scratch = self._scratch()
+        with self._cond:
+            if self._error is not None:
+                raise self._error
+            self._put(keys)
+            # the lookahead has reached these batches, so it moves past them
+            while self._next is not None and self._next[0] in self._results:
+                self._advance()
+        collected = {}
         try:
-            drain()
+            for key in keys:
+                while key not in collected:
+                    with self._cond:
+                        if self._results[key] is not _PENDING:
+                            collected[key] = self._results.pop(key)
+                            continue
+                        if self._error is not None:
+                            raise self._error
+                        self._top_up()
+                        if not self._queue:
+                            self._cond.wait()
+                            continue
+                        batch = self._queue.popleft()
+                    self._run(batch, scratch)
         finally:
-            # drop the helpers that never started and wait for the others
-            failures = [f.exception() for f in helpers if not f.cancel()]
-        for exc in failures:
-            if exc is not None:
-                raise exc
-        return results
+            with self._cond:
+                for key in keys:
+                    self._results.pop(key, None)
+        return [collected[key] for key in keys]
 
 
 @contextlib.contextmanager
 def worker_pool(workers: int, batches: int):
     """Batch runners for a run: the calling thread and min(workers, batches) - 1
-    helper threads; below two runners no executor is opened.  The helpers are
-    shut down on exit, which joins them, so none outlives the caller's run."""
+    helper threads; below two runners no executor is opened.  On exit the
+    queue is cleared, so no further batch starts, and the helpers are shut
+    down, which joins them, so none outlives the caller's run."""
     size = min(check_workers(workers), int(batches))
     if size <= 1:
         yield BatchPool(None, 1)
         return
     with ThreadPoolExecutor(size - 1) as helpers:
-        yield BatchPool(helpers, size)
+        pool = BatchPool(helpers, size)
+        try:
+            yield pool
+        finally:
+            pool._close()
 
 
 def _count_batch(args, scratch: _Scratch | None = None) -> int:
@@ -626,28 +746,37 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     # the hits x = theta * G < t, i.e. G < cut = t / theta = max(t, l); tested
     # on G because theta rounds to a subnormal or to 0 where t / l underflows
     cut = max(t, float(l))
+    hit = scratch.array("hit", (m,), bool)
     if l <= _PRODUCT_MAX_L:
         # G = -ln(u_1 ... u_l) for uniforms u_i (Devroye 1986, IX.3), and
-        # G < cut is u > e^-cut, so ln is taken for the hits alone
+        # G < cut is u > e^-cut
         x = g.random(out=scratch.array("gamma", (m,)))
         for _ in range(l - 1):
             x *= g.random(out=scratch.array("uniform", (m,)))
-        keep, bound, ln_u = np.greater, math.exp(-cut), np.log
+        edge = math.exp(-cut)
+        np.greater(x, edge, out=hit)
+        # a miss moves to the edge of the hit region (to the least positive
+        # float where e^-cut underflows), so ln u stays finite for every draw
+        np.maximum(x, max(edge, _TINY), out=x)
+        np.log(x, out=x)
     else:
         x = g.standard_gamma(l, out=scratch.array("gamma", (m,)))
-        keep, bound, ln_u = np.less, cut, np.negative
-    v = x[keep(x, bound, out=scratch.array("hit", (m,), bool))]
-    ln_u(v, out=v)  # ln u = -G for each hit
-    # the Gamma(l, 1) over Gamma(l, theta) density ratio at x is
-    # w = theta^l exp(x (1/theta - 1)) = w_max exp((G - l)(1 - theta))
-    # = w_max exp((ln u + l)(theta - 1)); taking w_max out keeps v in (0, 1],
-    # so neither v nor v^2 underflows at tiny p
-    v += l
-    v *= theta - 1.0
-    np.exp(v, out=v)
-    sum_v = float(v.sum())
-    np.multiply(v, v, out=v)
-    return int(v.size), sum_v, float(v.sum())
+        np.less(x, cut, out=hit)
+        np.minimum(x, cut, out=x)
+        np.negative(x, out=x)
+    # x is ln u = -G for every draw.  The Gamma(l, 1) over Gamma(l, theta)
+    # density ratio at theta G is w = theta^l exp(theta G (1/theta - 1))
+    # = w_max exp((G - l)(1 - theta)) = w_max exp((ln u + l)(theta - 1));
+    # taking w_max out keeps v in (0, 1], so neither v nor v^2 underflows at
+    # tiny p.  Every draw is weighed rather than the hits gathered first; a
+    # clamped miss weighs about 1 here, and the hit mask zeroes it
+    x += l
+    x *= theta - 1.0
+    np.exp(x, out=x)
+    np.multiply(x, hit, out=x)
+    sum_v = float(x.sum())
+    np.multiply(x, x, out=x)
+    return int(np.count_nonzero(hit)), sum_v, float(x.sum())
 
 
 def _event_geometry(config: MonteCarloConfig):
@@ -683,36 +812,22 @@ def _deterministic_gain(model: TransmittanceModel, event: str, l: int) -> float:
     return mag2 if event == "rate" else int(l) * mag2
 
 
-def monte_carlo_p_err(
-    config: MonteCarloConfig,
-    model: TransmittanceModel,
-    *,
-    workers: int = 1,
-    pool=None,
-) -> ErrorEstimate:
-    """Estimate the configured error event by sampling the gain model, with
-    the estimator config.estimator names.
-
-    Deterministic given (config, model): identical results for any worker
-    count, because batch b always consumes substream (seed, spawn_key=(b,)),
-    or (b, point) when config.point is set, and the batch results are
-    combined in batch order.  Batches are mapped on `pool` when one is given
-    (a run over many points opens it once with worker_pool); otherwise a pool
-    of up to `workers` threads, the caller's among them, is opened for this
-    call alone.
-    """
-    check_workers(workers)
+def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
+    """(estimate, None, None) for an event decided without drawing, otherwise
+    (None, kernel, batch args) of the batches that estimate it.  Both
+    monte_carlo_p_err and a grid run's lookahead plan a point here, so they
+    agree on which points draw and on every batch they draw."""
     l_draw, threshold = _event_geometry(config)
     trials = int(config.trials)
     crude = config.estimator == "crude"
 
-    def verdict(error: bool) -> ErrorEstimate:
+    def verdict(error: bool) -> tuple:
         # an event decided without drawing: every trial an error, or none
         k = trials if error else 0
         if crude:
-            return ErrorEstimate.from_counts(k, trials)
+            return ErrorEstimate.from_counts(k, trials), None, None
         p = float(error)
-        return ErrorEstimate(p, trials, p, p, k, "is")
+        return ErrorEstimate(p, trials, p, p, k, "is"), None, None
 
     if model.kind in (FIXED, UNIFORM_PHASE):
         # magnitudes are deterministic for these models, so the event is too
@@ -731,23 +846,46 @@ def monte_carlo_p_err(
         # 0 < threshold always does
         return verdict(threshold > 0.0)
 
+    seed = int(config.seed)
     batches = []
-    done = 0
-    b = 0
-    while done < trials:
-        m = min(_BATCH, trials - done)
+    for b in range(batches_per_point(model, trials)):
         key = b if config.point is None else (b, int(config.point))
-        batches.append((int(config.seed), key, m, l_draw, sigma2_f, threshold))
-        done += m
-        b += 1
-    kernel = _count_batch if crude else _weigh_batch
+        m = min(_BATCH, trials - b * _BATCH)
+        batches.append((seed, key, m, l_draw, sigma2_f, threshold))
+    return None, _count_batch if crude else _weigh_batch, batches
+
+
+def monte_carlo_p_err(
+    config: MonteCarloConfig,
+    model: TransmittanceModel,
+    *,
+    workers: int = 1,
+    pool=None,
+) -> ErrorEstimate:
+    """Estimate the configured error event by sampling the gain model, with
+    the estimator config.estimator names.
+
+    Deterministic given (config, model): identical results for any worker
+    count, because batch b always consumes substream (seed, spawn_key=(b,)),
+    or (b, point) when config.point is set, and the batch results are
+    combined in batch order.  Batches are mapped on `pool` when one is given
+    (a run over many points opens it once with worker_pool, and may have
+    queued this point's batches already); otherwise a pool of up to
+    `workers` threads, the caller's among them, is opened for this call alone.
+    """
+    check_workers(workers)
+    decided, kernel, batches = _plan(config, model)
+    if decided is not None:
+        return decided
     if pool is not None:
         results = pool.map(kernel, batches)
     else:
         with worker_pool(workers, len(batches)) as own:
             results = own.map(kernel, batches)
-    if crude:
+    trials = int(config.trials)
+    if config.estimator == "crude":
         return ErrorEstimate.from_counts(sum(results), trials)
+    _, _, _, l_draw, sigma2_f, threshold = batches[0]
     hits, sum_v, sum_v2 = (sum(column) for column in zip(*results))
     theta, log_w_max = _tilt(threshold / sigma2_f, l_draw)
     if theta == 1.0:
@@ -835,7 +973,8 @@ def diversity_slope_scan(
     clamped to [min_trials, MAX_SCAN_TRIALS]; that hit rate is above one half at any
     threshold, so the usual budgets sit on the min_trials floor.
     Batch b of point i draws from the substream (seed, spawn_key=(b, i)).
-    One worker pool serves every point.  Every argument is checked, with a
+    One worker pool serves every point, and queues the batches of the next
+    points while it maps one.  Every argument is checked, with a
     ConfigError, before anything is evaluated.
     """
     l = _check_l(l)
@@ -864,14 +1003,12 @@ def diversity_slope_scan(
 
     trials = np.clip(np.ceil(int(target_errors) / q_hit), int(min_trials), MAX_SCAN_TRIALS)
     model = TransmittanceModel.rayleigh(1.0)
-    estimates = []
+    configs = [MonteCarloConfig(l=int(l), trials=int(n_i), seed=int(seed), event="threshold",
+                                threshold=float(t_i), estimator="is", point=i)
+               for i, (t_i, n_i) in enumerate(zip(thr, trials))]
     with worker_pool(workers, batches_per_point(model, int(trials.max()))) as pool:
-        for i, (t_i, n_i) in enumerate(zip(thr, trials)):
-            config = MonteCarloConfig(
-                l=int(l), trials=int(n_i), seed=int(seed), event="threshold",
-                threshold=float(t_i), estimator="is", point=i,
-            )
-            estimates.append(monte_carlo_p_err(config, model, workers=workers, pool=pool))
+        pool.look_ahead(configs, model)
+        estimates = [monte_carlo_p_err(c, model, workers=workers, pool=pool) for c in configs]
     slope = fit_diversity_slope([(float(s), e.p_hat) for s, e in zip(snr, estimates)])
     return SlopeScanResult(tuple(float(s) for s in snr), tuple(float(t) for t in thr),
                            tuple(estimates), slope)

@@ -77,33 +77,37 @@ def run_monte_carlo(config: ExperimentConfig) -> Table:
     analytic p is.  Batch b of grid point i draws from the substream
     (seed, spawn_key=(b, i)).  The threshold event uses
     threshold 1/snr; the rate event targets rate_bits (default
-    zeta * log2(1 + snr)).  One worker pool serves every grid point.
+    zeta * log2(1 + snr)).  One worker pool serves every grid point, and
+    queues the batches of the next points while it maps one.
     """
     if len(config.l_values) != 1:
         raise ConfigError("the Monte Carlo sweep takes a single l")
     l = config.l_values[0]
     columns = ["snr", "p_hat", "ci_low", "ci_high", "analytic"]
+    points = []
+    for i, snr in enumerate(config.snr_grid.linear_values()):
+        snr = float(snr)
+        rate_bits = _rate_bits_at(config, snr) if config.event == "rate" else None
+        points.append(MonteCarloConfig(
+            l=l,
+            trials=config.trials,
+            seed=config.seed,
+            event=config.event,
+            snr=snr,
+            rate_bits=rate_bits,
+            estimator="is",
+            point=i,
+        ))
     rows = []
     batches = batches_per_point(config.model, config.trials)
     with worker_pool(config.workers, batches) as pool:
-        for i, snr in enumerate(config.snr_grid.linear_values()):
-            snr = float(snr)
-            rate_bits = _rate_bits_at(config, snr) if config.event == "rate" else None
-            mc = MonteCarloConfig(
-                l=l,
-                trials=config.trials,
-                seed=config.seed,
-                event=config.event,
-                snr=snr,
-                rate_bits=rate_bits,
-                estimator="is",
-                point=i,
-            )
+        pool.look_ahead(points, config.model)
+        for mc in points:
             est = monte_carlo_p_err(mc, config.model, workers=config.workers, pool=pool)
             oracle = analytic_event_probability(
-                config.model, config.event, l, snr=snr, rate_bits=rate_bits
+                config.model, config.event, l, snr=mc.snr, rate_bits=mc.rate_bits
             )
-            rows.append((snr, est.p_hat, est.ci_low, est.ci_high, oracle))
+            rows.append((mc.snr, est.p_hat, est.ci_low, est.ci_high, oracle))
     return Table(columns, rows)
 
 

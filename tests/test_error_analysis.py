@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -497,6 +499,58 @@ class TestImportanceSampling:
         assert sum_v * w_max == pytest.approx(w.sum(), rel=1e-12)
         assert sum_v2 * w_max**2 == pytest.approx((w * w).sum(), rel=1e-12)
 
+    @pytest.mark.parametrize("l, threshold", [(1, 0.3), (3, 0.9), (2, 900.0), (5, 1.5),
+                                              (7, 2.0), (6, 800.0)])
+    def test_weigh_kernel_clamps_the_misses(self, monkeypatch, l, threshold):
+        # a uniform block holding an exact 0 (a product of 0, so ln 0 = -inf,
+        # and e^-cut underflows to 0 at threshold 900) and a Gamma block with
+        # draws far above the cut (whose unclamped weight overflows to inf):
+        # every sum must stay finite and match a reference over the hits alone
+        blocks = []
+
+        class Generator:
+            def __init__(self):
+                self._rng = np.random.default_rng(l)
+
+            def random(self, out):
+                out[:] = self._rng.random(out.size)
+                out[::97] = 0.0
+                blocks.append(out.copy())
+                return out
+
+            def standard_gamma(self, shape, out):
+                out[:] = self._rng.standard_gamma(shape, out.size)
+                out[::89] = 1e300
+                out[1::89] = 1e6
+                blocks.append(out.copy())
+                return out
+
+        class Stream:
+            def __init__(self, seed, key):
+                pass
+
+            def generator(self):
+                return Generator()
+
+        monkeypatch.setattr(error_analysis, "RngStream", Stream)
+        m, sigma2_f = 4096, 0.8
+        hits, sum_v, sum_v2 = error_analysis._weigh_batch((0, 0, m, l, sigma2_f, threshold))
+        t = threshold / sigma2_f
+        cut = max(t, l)
+        if l <= 4:
+            u = np.prod(blocks, axis=0)
+            hit = u > math.exp(-cut)
+            gam = -np.log(u[hit])
+        else:
+            hit = blocks[0] < cut
+            gam = blocks[0][hit]
+        theta = min(t / l, 1.0)
+        v = np.exp((gam - l) * (1.0 - theta))  # w / w_max over the hits
+        assert 0 < hits == hit.sum() < m
+        assert math.isfinite(sum_v) and math.isfinite(sum_v2)
+        assert sum_v == pytest.approx(v.sum(), rel=1e-12)
+        assert sum_v2 == pytest.approx((v * v).sum(), rel=1e-12)
+
     def test_untilted_proposal_counts_hits_with_a_wilson_interval(self):
         # t >= l leaves the proposal untilted (theta = 1), so every hit weighs 1
         for l in (2, 6):
@@ -926,3 +980,143 @@ class TestWorkerPool:
             assert monte_carlo_p_err(config, RAYLEIGH_1, workers=workers) == serial
             with error_analysis.worker_pool(workers, 5) as pool:
                 assert monte_carlo_p_err(config, RAYLEIGH_1, pool=pool) == serial
+
+
+def _grid(points, trials, workers):
+    return ExperimentConfig(l_values=(1,), zeta=0.0, trials=trials, seed=8, workers=workers,
+                            snr_grid=SnrGrid(0.0, 0.5 * (points - 1), 0.5))
+
+
+def _point_and_batch(args):
+    b, point = args[1]
+    return point, b
+
+
+class TestLookAhead:
+    """A grid run queues the batches of its later points while it maps one."""
+
+    @pytest.fixture
+    def returns(self, monkeypatch):
+        """("return", point) logged as each monte_carlo_p_err of a grid run returns."""
+        from amqd import experiments
+
+        log = []
+        inner = experiments.monte_carlo_p_err
+
+        def logged(config, model, **kwargs):
+            est = inner(config, model, **kwargs)
+            log.append(("return", config.point))
+            return est
+
+        monkeypatch.setattr(experiments, "monte_carlo_p_err", logged)
+        return log
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every BatchPool a grid run hands its points to."""
+        seen = []
+        inner = error_analysis.BatchPool.look_ahead
+
+        def look_ahead(self, configs, model):
+            seen.append(self)
+            return inner(self, configs, model)
+
+        monkeypatch.setattr(error_analysis.BatchPool, "look_ahead", look_ahead)
+        return seen
+
+    def test_next_point_starts_before_a_point_returns(self, monkeypatch, returns, new_threads):
+        config = _grid(3, _BATCH + 5000, 2)  # 3 points of 2 batches
+        serial = run_monte_carlo(_grid(3, _BATCH + 5000, 1)).rows
+        del returns[:]
+        log, lock = returns, threading.Lock()
+        started = threading.Event()
+        kernel = error_analysis._weigh_batch
+
+        def recorded(args, scratch=None):
+            point, b = _point_and_batch(args)
+            with lock:
+                log.append(("start", point))
+            if point == 1:
+                started.set()
+            if (point, b) == (0, 1):
+                # hold point 0 open (for at most 10 s) until point 1 has started
+                started.wait(10.0)
+            return kernel(args, scratch)
+
+        monkeypatch.setattr(error_analysis, "_weigh_batch", recorded)
+        assert run_monte_carlo(config).rows == serial
+        assert log.index(("start", 1)) < log.index(("return", 0))
+        assert [e for e in log if e[0] == "return"] == [("return", i) for i in range(3)]
+        assert sorted(e for e in log if e[0] == "start") == [("start", i) for i in range(3)
+                                                             for _ in range(2)]
+        assert new_threads() == []
+
+    def test_failing_batch_of_a_queued_point_stops_the_run(self, monkeypatch, pools, pool_sizes,
+                                                           new_threads):
+        # batch 0 of point 1 fails while point 0 is still being collected:
+        # batch 1 of point 0 is held (for at most 10 s) until the pool has
+        # recorded the failure, so only the thread that ran the failing batch
+        # is free to start another one, and it must not
+        starts, lock = [], threading.Lock()
+        kernel = error_analysis._weigh_batch
+
+        def failing(args, scratch=None):
+            point, b = _point_and_batch(args)
+            with lock:
+                starts.append((point, b))
+            if (point, b) == (1, 0):
+                raise FloatingPointError("point 1, batch 0")
+            if (point, b) == (0, 1):
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    with pools[0]._cond:
+                        if pools[0]._error is not None:
+                            break
+                    time.sleep(0.001)
+            return kernel(args, scratch)
+
+        monkeypatch.setattr(error_analysis, "_weigh_batch", failing)
+        with pytest.raises(FloatingPointError, match="point 1, batch 0"):
+            run_monte_carlo(_grid(6, _BATCH + 5000, 2))
+        assert sorted(starts) == [(0, 0), (0, 1), (1, 0)]
+        assert pool_sizes == [1]
+        assert new_threads() == []
+
+    @pytest.mark.parametrize("trials", [_BATCH + 1, 5 * _BATCH])
+    def test_lookahead_is_bounded_on_a_long_grid(self, monkeypatch, trials):
+        # the uncollected batches are at most _LOOKAHEAD batches per thread
+        # plus the point queued last, whatever the grid length
+        held = []
+        inner = error_analysis.BatchPool._put
+
+        def put(self, batches):
+            inner(self, batches)
+            held.append(len(self._results))
+
+        monkeypatch.setattr(error_analysis.BatchPool, "_put", put)
+        monkeypatch.setattr(error_analysis, "_weigh_batch",
+                            lambda args, scratch=None: (1, 0.5, 0.25))
+        rows = run_monte_carlo(_grid(400, trials, 2)).rows
+        assert len(rows) == 400
+        per_point = -(-trials // _BATCH)
+        bound = error_analysis._LOOKAHEAD * 2 - 1 + per_point
+        # more than one point was held at a time, never more than the bound,
+        # and the bound is far below the grid's 400 points
+        assert per_point < max(held) <= bound < 400 * per_point
+
+    def test_many_threads_with_fast_switching_keep_every_estimate(self):
+        # more helpers than cores, and the interpreter switching threads every
+        # microsecond: a lost or misplaced batch result would change a row
+        serial = run_monte_carlo(_grid(40, 3 * _BATCH + 7, 1)).rows
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(
+                target=lambda: outcome.append(run_monte_carlo(_grid(40, 3 * _BATCH + 7, 8)).rows))
+            run.start()
+            run.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        assert outcome == [serial]
