@@ -78,25 +78,25 @@ of another seed.
 
 Batches run on threads when more than one worker is asked for: the draws,
 ufuncs and reductions of a batch release the GIL, so threads share the cores
-without forking or pickling.  A pool's threads take batches from one FIFO
-queue.  The calling thread is one of the workers: while it waits for a
-point's results it runs queued batches itself, so a helper slow to wake does
-not stall a point.  A run over a grid (run_monte_carlo, diversity_slope_scan)
-opens one pool for all of its points, and a pool has at most one worker per
-batch of a point, so a one-batch run opens none.  The run still estimates
-each point with one monte_carlo_p_err call, but its pool queues the batches of
-the next points as the queue drains, while fewer than _LOOKAHEAD batches per
-thread are queued or uncollected, so the helpers roll from one point into the
-next instead of idling at the end of each, and the lookahead's memory does
-not grow with the grid.  A failing batch clears the queue, and so does leaving
-the pool, before its helpers are joined.  Each worker draws into arrays it
-reuses for the whole run rather than allocating them per batch.  Worker
-counts are capped at MAX_WORKERS (64).
+without forking or pickling.  A run opens one pool (worker_pool) over the
+points it will estimate, and the pool's threads take the batches of every
+point from one stream, in the order the run collects them.  The calling
+thread is one of the workers: while it waits for a result it runs the next
+batch of the stream itself, so a helper slow to wake does not stall a point.
+A thread starts a batch only while fewer than _LOOKAHEAD batches per thread
+are started and not yet collected, so the helpers roll from one point into
+the next instead of idling at the end of each, and the pool's memory does not
+grow with the grid.  monte_carlo_points runs a grid (run_monte_carlo,
+diversity_slope_scan) this way and still estimates each point with one
+monte_carlo_p_err call.  A pool has at most one worker per batch of its
+largest point, so a one-batch run opens none.  A failing batch stops the
+stream, and so does leaving the pool, before its helpers are joined.  Each
+worker draws into arrays it reuses for the whole run rather than allocating
+them per batch.  Worker counts are capped at MAX_WORKERS (64).
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
 import threading
@@ -440,6 +440,8 @@ class ErrorEstimate:
         no variance estimate (one trial, or no hit) the interval is
         [0, min(scale, 1)]: p is a mean weight, so it is at most scale."""
         n = int(trials)
+        if n < 1:
+            raise ConfigError("trials must be >= 1")
         mean = float(sum_w) / n
         p = min(scale * mean, 1.0)
         if n == 1 or int(hits) == 0:
@@ -533,174 +535,155 @@ class _Scratch:
         return a[:n].reshape(shape)
 
 
-# a grid run queues the batches of its later points while fewer than this
-# many batches per pool thread are queued or uncollected.  A simulate run of
-# 41 points x 2 batches at 2 threads (2-core host, 60 alternating rounds) took
-# a median 0.062 s at 2, 0.064 s at 1, 0.062 s with the whole grid queued at
-# once and 0.074 s with no lookahead
+# a thread starts a batch only while fewer than this many batches per pool
+# thread are started and not yet collected.  A simulate run of 41 points x 2
+# batches at 2 threads (2-core host, 30 alternating rounds) took a median
+# 0.070 s at 1, 0.055 s at 2 and at 4, and 0.055 s with no bound
 _LOOKAHEAD = 2
-
-# the result of a batch queued or running
-_PENDING = object()
 
 
 class BatchPool:
-    """The calling thread and `size - 1` helper threads running batches from
-    one FIFO queue.  A batch is known by (kernel, args): kernels are pure
-    functions of their args, so a batch queued ahead is the batch asked for.
+    """The calling thread and `size - 1` helper threads running the batches of
+    one stream of (kernel, args), in stream order.  Kernels are pure
+    functions of their args, so a batch run ahead is the batch collect will
+    ask for.
 
-    map queues the batches it is given (those not queued already) and
-    collects their results.  While it waits, the calling thread runs queued
-    batches itself, so a helper slow to wake never holds up a point.  A grid
-    run also hands its points to look_ahead, which queues the batches of the
-    later points whenever fewer than _LOOKAHEAD * size batches are queued or
-    uncollected, so the helpers roll from one point into the next instead of
-    idling at the end of each.  The pool then holds at most one point beyond
-    that bound, whatever the grid length.  A failing batch clears the queue,
-    so no batch starts after it, and map raises its exception.  A helper
-    stops when the queue is empty and is submitted again when batches are
-    queued.  Each thread keeps one _Scratch for the pool's lifetime.  A
-    size-1 pool has no helpers and does not look ahead."""
+    collect takes the next results of the stream, in order.  While it waits,
+    the calling thread runs the next batch of the stream itself, so a helper
+    slow to wake never holds up a point.  A thread starts a batch only while
+    fewer than _LOOKAHEAD * size batches are started and not yet collected,
+    so the helpers roll from one point into the next instead of idling at the
+    end of each, and the pool holds at most that many results, whatever the
+    grid length.  A failing batch stops the stream, so no batch starts after
+    it, and collect raises its exception.  Helpers wait for work until the
+    pool stops.  Each thread keeps one _Scratch for the pool's lifetime."""
 
-    def __init__(self, helpers: ThreadPoolExecutor | None, size: int):
-        self._helpers = helpers
+    def __init__(self, stream, size: int):
+        self._stream = stream  # iterator of (kernel, args), in collection order
         self._size = size
-        self._local = threading.local()
         self._cond = threading.Condition()
-        self._queue = collections.deque()  # batches not started, in order
-        self._results = {}  # batch -> result, or _PENDING until it is done
-        self._running = 0  # helpers submitted and not yet stopped
+        self._started = 0  # batches taken from the stream
+        self._collected = 0  # batches handed out by collect
+        self._results = {}  # stream index -> (batch, result), not yet collected
         self._error = None
-        self._plans = None  # the batches of each later point, planned lazily
-        self._next = None  # the first of them not queued
+        self._stopped = False
+        self._scratch = _Scratch()  # the calling thread's
 
-    def _scratch(self) -> _Scratch:
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = self._local.scratch = _Scratch()
-        return scratch
+    def _take(self):
+        """(stream index, batch) of the next batch to start, or None when the
+        window is full, the stream is spent or the pool has stopped; call it
+        holding the condition."""
+        if (self._stopped or self._error is not None
+                or self._started - self._collected >= _LOOKAHEAD * self._size):
+            return None
+        batch = next(self._stream, None)
+        if batch is None:
+            return None
+        self._started += 1
+        return self._started - 1, batch
 
-    def look_ahead(self, configs, model: TransmittanceModel) -> None:
-        """Queue the batches of these grid points, in order and as the queue
-        drains, before map asks for them; configs must be the points the run
-        maps, in the order it maps them."""
-        if self._helpers is None:
-            return
-
-        def plans():
-            for config in configs:
-                decided, kernel, batches = _plan(config, model)
-                if decided is None:
-                    yield [(kernel, args) for args in batches]
-
-        with self._cond:
-            self._plans = plans()
-            self._advance()
-
-    def _advance(self) -> None:
-        try:
-            self._next = next(self._plans, None)
-        except ConfigError:  # monte_carlo_p_err raises it when the run gets there
-            self._next = None
-        if self._next is None:
-            self._plans = None
-
-    def _put(self, batches) -> None:
-        for batch in batches:
-            if batch not in self._results:
-                self._results[batch] = _PENDING
-                self._queue.append(batch)
-        while self._running < min(self._size - 1, len(self._queue)):
-            self._running += 1
-            self._helpers.submit(self._drain)
-
-    def _top_up(self) -> None:
-        while self._next is not None and len(self._results) < _LOOKAHEAD * self._size:
-            self._put(self._next)
-            self._advance()
-
-    def _run(self, batch, scratch: _Scratch) -> None:
+    def _run(self, index: int, batch, scratch: _Scratch) -> None:
         kernel, args = batch
         try:
             result = kernel(args, scratch)
-        except BaseException as exc:  # map re-raises it on the calling thread
+        except BaseException as exc:  # collect re-raises it on the calling thread
             with self._cond:
                 self._error = self._error or exc
-                self._close()
                 self._cond.notify_all()
             return
         with self._cond:
-            if batch in self._results:
-                self._results[batch] = result
-                self._cond.notify_all()
+            self._results[index] = batch, result
+            self._cond.notify_all()
 
-    def _drain(self) -> None:
-        scratch = self._scratch()
+    def _help(self) -> None:
+        scratch = _Scratch()
         while True:
             with self._cond:
-                self._top_up()
-                if not self._queue:
-                    self._running -= 1
-                    return
-                batch = self._queue.popleft()
-            self._run(batch, scratch)
+                while (job := self._take()) is None:
+                    if self._stopped:
+                        return
+                    self._cond.wait()
+            self._run(*job, scratch)
 
-    def _close(self) -> None:
-        """Start no further batch."""
+    def _stop(self) -> None:
+        """Start no further batch, and let the helpers return."""
         with self._cond:
-            self._queue.clear()
-            self._plans = self._next = None
+            self._stopped = True
+            self._cond.notify_all()
 
-    def map(self, kernel, batches) -> list:
-        """[kernel(args, scratch) for args in batches], in batch order."""
-        keys = [(kernel, args) for args in batches]
-        scratch = self._scratch()
-        with self._cond:
-            if self._error is not None:
-                raise self._error
-            self._put(keys)
-            # the lookahead has reached these batches, so it moves past them
-            while self._next is not None and self._next[0] in self._results:
-                self._advance()
-        collected = {}
+    def collect(self, kernel, batches) -> list:
+        """[kernel(args, scratch) for args in batches], in batch order: the
+        next len(batches) results of the stream, which must be these batches
+        (a RuntimeError otherwise)."""
+        results = []
+        for args in batches:
+            while True:
+                with self._cond:
+                    if self._error is not None:
+                        raise self._error
+                    index = self._collected
+                    if index in self._results:
+                        batch, result = self._results.pop(index)
+                        self._collected += 1
+                        self._cond.notify_all()
+                        break
+                    job = self._take()
+                    if job is None:
+                        if index >= self._started:
+                            raise RuntimeError("the pool's stream has no batch left to collect")
+                        self._cond.wait()
+                        continue
+                self._run(*job, self._scratch)
+            if batch != (kernel, args):
+                raise RuntimeError(f"the pool's stream ran {batch!r} where {(kernel, args)!r} "
+                                   "was collected")
+            results.append(result)
+        return results
+
+
+def _stream(configs, model: TransmittanceModel):
+    """(kernel, args) of every batch of these points, in order.  It stops at
+    a point _plan rejects, whose own monte_carlo_p_err call raises."""
+    for config in configs:
         try:
-            for key in keys:
-                while key not in collected:
-                    with self._cond:
-                        if self._results[key] is not _PENDING:
-                            collected[key] = self._results.pop(key)
-                            continue
-                        if self._error is not None:
-                            raise self._error
-                        self._top_up()
-                        if not self._queue:
-                            self._cond.wait()
-                            continue
-                        batch = self._queue.popleft()
-                    self._run(batch, scratch)
-        finally:
-            with self._cond:
-                for key in keys:
-                    self._results.pop(key, None)
-        return [collected[key] for key in keys]
+            decided, kernel, batches = _plan(config, model)
+        except ConfigError:
+            return
+        if decided is None:
+            for args in batches:
+                yield kernel, args
 
 
 @contextlib.contextmanager
-def worker_pool(workers: int, batches: int):
-    """Batch runners for a run: the calling thread and min(workers, batches) - 1
-    helper threads; below two runners no executor is opened.  On exit the
-    queue is cleared, so no further batch starts, and the helpers are shut
-    down, which joins them, so none outlives the caller's run."""
-    size = min(check_workers(workers), int(batches))
-    if size <= 1:
-        yield BatchPool(None, 1)
+def worker_pool(workers: int, configs, model: TransmittanceModel):
+    """A BatchPool over the batches of `configs` (a list of the points the run
+    will estimate, in the order it estimates them): the calling thread and
+    min(workers, batches of the largest point) - 1 helper threads; below two
+    threads no executor is opened.  On exit the stream stops, so no further
+    batch starts, and the helpers are shut down, which joins them, so none
+    outlives the caller's run."""
+    largest = max((batches_per_point(model, c.trials) for c in configs), default=0)
+    size = max(min(check_workers(workers), largest), 1)
+    pool = BatchPool(_stream(configs, model), size)
+    if size == 1:
+        yield pool
         return
     with ThreadPoolExecutor(size - 1) as helpers:
-        pool = BatchPool(helpers, size)
+        running = [helpers.submit(pool._help) for _ in range(size - 1)]
         try:
             yield pool
         finally:
-            pool._close()
+            pool._stop()
+        for helper in running:
+            helper.result()
+
+
+def monte_carlo_points(configs, model: TransmittanceModel, workers: int = 1) -> list:
+    """[monte_carlo_p_err(c, model, workers=workers) for c in configs], with
+    one worker pool serving every point: its threads run the batches of the
+    next points while a point is collected."""
+    with worker_pool(workers, configs, model) as pool:
+        return [monte_carlo_p_err(c, model, workers=workers, pool=pool) for c in configs]
 
 
 def _count_batch(args, scratch: _Scratch | None = None) -> int:
@@ -815,8 +798,8 @@ def _deterministic_gain(model: TransmittanceModel, event: str, l: int) -> float:
 def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
     """(estimate, None, None) for an event decided without drawing, otherwise
     (None, kernel, batch args) of the batches that estimate it.  Both
-    monte_carlo_p_err and a grid run's lookahead plan a point here, so they
-    agree on which points draw and on every batch they draw."""
+    monte_carlo_p_err and a pool's stream plan a point here, so they agree on
+    which points draw and on every batch they draw."""
     l_draw, threshold = _event_geometry(config)
     trials = int(config.trials)
     crude = config.estimator == "crude"
@@ -841,10 +824,12 @@ def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
         if batch_bytes > MAX_BATCH_BYTES:
             raise ConfigError(f"one Monte Carlo batch at l={l_draw} would draw {batch_bytes:.3g} "
                               f"bytes of normals, over the {MAX_BATCH_BYTES} byte cap")
-    elif threshold in (0.0, math.inf) or sigma2_f == 0.0:
-        # G < 0 never holds and G < inf always does; with no gain,
-        # 0 < threshold always does
-        return verdict(threshold > 0.0)
+    elif sigma2_f == 0.0:
+        return verdict(threshold > 0.0)  # with no gain, 0 < threshold always holds
+    elif threshold / sigma2_f in (0.0, math.inf):
+        # G < t = threshold / sigma2_f never holds at t = 0 and always does at
+        # t = inf, where the quotient under- or overflows too
+        return verdict(threshold / sigma2_f > 0.0)
 
     seed = int(config.seed)
     batches = []
@@ -868,20 +853,22 @@ def monte_carlo_p_err(
     Deterministic given (config, model): identical results for any worker
     count, because batch b always consumes substream (seed, spawn_key=(b,)),
     or (b, point) when config.point is set, and the batch results are
-    combined in batch order.  Batches are mapped on `pool` when one is given
-    (a run over many points opens it once with worker_pool, and may have
-    queued this point's batches already); otherwise a pool of up to
-    `workers` threads, the caller's among them, is opened for this call alone.
+    combined in batch order.  The batches are collected from `pool` when one
+    is given: a run over many points opens it once with worker_pool over
+    those points, and estimates them in that order, so this point's batches
+    are the next ones of the pool's stream and may have run already.
+    Otherwise a pool of up to `workers` threads, the caller's among them, is
+    opened for this call alone.
     """
     check_workers(workers)
     decided, kernel, batches = _plan(config, model)
     if decided is not None:
         return decided
     if pool is not None:
-        results = pool.map(kernel, batches)
+        results = pool.collect(kernel, batches)
     else:
-        with worker_pool(workers, len(batches)) as own:
-            results = own.map(kernel, batches)
+        with worker_pool(workers, [config], model) as own:
+            results = own.collect(kernel, batches)
     trials = int(config.trials)
     if config.estimator == "crude":
         return ErrorEstimate.from_counts(sum(results), trials)
@@ -920,17 +907,20 @@ def analytic_event_probability(
 def fit_diversity_slope(points) -> float:
     """Diversity order from (snr, p_err) samples: negated log-log LSQ slope.
 
-    Points with p_err = 0 are dropped; fewer than 3 usable points is an
-    estimation failure.
+    snr must be positive, finite and strictly increasing, and p_err
+    nonnegative and finite (a ConfigError otherwise).  Points with p_err = 0
+    are dropped; fewer than 3 usable points is an estimation failure.
     """
     pts = [(float(s), float(p)) for s, p in points]
     if len(pts) < 3:
         raise ConfigError("need at least 3 points")
+    if not all(0.0 < s < math.inf for s, _ in pts):
+        raise ConfigError("snr values must be positive and finite")
     snrs = [s for s, _ in pts]
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise ConfigError("snr values must be strictly increasing")
-    if any(p < 0.0 for _, p in pts):
-        raise ConfigError("p_err must be nonnegative")
+    if not all(0.0 <= p < math.inf for _, p in pts):
+        raise ConfigError("p_err must be nonnegative and finite")
     usable = [(s, p) for s, p in pts if p > 0.0]
     if len(usable) < 3:
         raise EstimationError("fewer than 3 points with p_err > 0; cannot fit a slope")
@@ -973,8 +963,8 @@ def diversity_slope_scan(
     clamped to [min_trials, MAX_SCAN_TRIALS]; that hit rate is above one half at any
     threshold, so the usual budgets sit on the min_trials floor.
     Batch b of point i draws from the substream (seed, spawn_key=(b, i)).
-    One worker pool serves every point, and queues the batches of the next
-    points while it maps one.  Every argument is checked, with a
+    The points are estimated by monte_carlo_points, on one worker pool.
+    Every argument is checked, with a
     ConfigError, before anything is evaluated.
     """
     l = _check_l(l)
@@ -1006,9 +996,7 @@ def diversity_slope_scan(
     configs = [MonteCarloConfig(l=int(l), trials=int(n_i), seed=int(seed), event="threshold",
                                 threshold=float(t_i), estimator="is", point=i)
                for i, (t_i, n_i) in enumerate(zip(thr, trials))]
-    with worker_pool(workers, batches_per_point(model, int(trials.max()))) as pool:
-        pool.look_ahead(configs, model)
-        estimates = [monte_carlo_p_err(c, model, workers=workers, pool=pool) for c in configs]
+    estimates = monte_carlo_points(configs, model, workers)
     slope = fit_diversity_slope([(float(s), e.p_hat) for s, e in zip(snr, estimates)])
     return SlopeScanResult(tuple(float(s) for s in snr), tuple(float(t) for t in thr),
                            tuple(estimates), slope)

@@ -14,11 +14,9 @@ from .config import ExperimentConfig
 from .error_analysis import (
     MonteCarloConfig,
     analytic_event_probability,
-    batches_per_point,
-    monte_carlo_p_err,
+    monte_carlo_points,
     p_err_amqd_analytic,
     p_err_single_analytic,
-    worker_pool,
 )
 from .exceptions import ConfigError
 
@@ -77,8 +75,8 @@ def run_monte_carlo(config: ExperimentConfig) -> Table:
     analytic p is.  Batch b of grid point i draws from the substream
     (seed, spawn_key=(b, i)).  The threshold event uses
     threshold 1/snr; the rate event targets rate_bits (default
-    zeta * log2(1 + snr)).  One worker pool serves every grid point, and
-    queues the batches of the next points while it maps one.
+    zeta * log2(1 + snr)).  The points are estimated by
+    error_analysis.monte_carlo_points, on one worker pool.
     """
     if len(config.l_values) != 1:
         raise ConfigError("the Monte Carlo sweep takes a single l")
@@ -99,15 +97,11 @@ def run_monte_carlo(config: ExperimentConfig) -> Table:
             point=i,
         ))
     rows = []
-    batches = batches_per_point(config.model, config.trials)
-    with worker_pool(config.workers, batches) as pool:
-        pool.look_ahead(points, config.model)
-        for mc in points:
-            est = monte_carlo_p_err(mc, config.model, workers=config.workers, pool=pool)
-            oracle = analytic_event_probability(
-                config.model, config.event, l, snr=mc.snr, rate_bits=mc.rate_bits
-            )
-            rows.append((mc.snr, est.p_hat, est.ci_low, est.ci_high, oracle))
+    for mc, est in zip(points, monte_carlo_points(points, config.model, config.workers)):
+        oracle = analytic_event_probability(
+            config.model, config.event, l, snr=mc.snr, rate_bits=mc.rate_bits
+        )
+        rows.append((mc.snr, est.p_hat, est.ci_low, est.ci_high, oracle))
     return Table(columns, rows)
 
 

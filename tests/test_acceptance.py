@@ -34,7 +34,7 @@ from amqd import (
     unitary_idft,
 )
 from amqd.cli import main
-from amqd.error_analysis import worker_pool
+from amqd.error_analysis import monte_carlo_points
 from amqd.sampling import ComplexGaussianSpec
 
 
@@ -99,24 +99,25 @@ def test_outage_cdf_agrees_with_independent_quadrature(capsys):
 
 def test_wilson_interval_coverage_across_seeds(capsys):
     model = TransmittanceModel.rayleigh(1.0)
+    events = []
+    configs = []
+    for l in (1, 2, 3):
+        for p_target in (0.002, 0.15):
+            thr = float(gammaincinv(l, p_target))
+            p_true = outage_cdf(thr, l, "exact")
+            assert 1e-3 <= p_true <= 0.2
+            events.append((l, p_target, p_true))
+            configs += [MonteCarloConfig(l=l, trials=10**6, seed=seed, event="threshold",
+                                         threshold=thr) for seed in range(100)]
+    # estimates are bit-identical at any worker count, so one pool over all
+    # 600 estimates only shortens the gate
+    estimates = monte_carlo_points(configs, model, workers=2)
     counts = []
     labels = []
-    # estimates are bit-identical at any worker count, so one shared pool
-    # only shortens the gate; each estimate maps its 16 batches on it
-    with worker_pool(2, 16) as pool:
-        for l in (1, 2, 3):
-            for p_target in (0.002, 0.15):
-                thr = float(gammaincinv(l, p_target))
-                p_true = outage_cdf(thr, l, "exact")
-                assert 1e-3 <= p_true <= 0.2
-                covered = 0
-                for seed in range(100):
-                    config = MonteCarloConfig(l=l, trials=10**6, seed=seed,
-                                              event="threshold", threshold=thr)
-                    if monte_carlo_p_err(config, model, pool=pool).covers(p_true):
-                        covered += 1
-                counts.append(covered)
-                labels.append("l=%d p=%.3g: %d/100" % (l, p_target, covered))
+    for k, (l, p_target, p_true) in enumerate(events):
+        covered = sum(e.covers(p_true) for e in estimates[100 * k:100 * (k + 1)])
+        counts.append(covered)
+        labels.append("l=%d p=%.3g: %d/100" % (l, p_target, covered))
     ok = all(c >= 93 for c in counts)
     pooled = sum(counts)
     _report(capsys, 3, ok, "95%% interval coverage per event [%s] pooled %d/600 (gate: each >= 93)"

@@ -5,6 +5,7 @@ in amqd cannot silently break the benchmark."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,39 @@ def test_perfbench_import_resolves(path, module, name):
 @pytest.mark.parametrize("module, attr", REBOUND, ids=["%s.%s" % t for t in REBOUND])
 def test_rebound_attribute_exists(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+@pytest.fixture
+def mc_calls(monkeypatch):
+    """The configs of every monte_carlo_p_err call, seen the way the benchmark
+    sees them: every name bound to the function in a loaded amqd module is
+    pointed at a logging wrapper (perfbench/spans.py, Tracer.rebind)."""
+    from amqd import error_analysis
+
+    inner = error_analysis.monte_carlo_p_err
+    calls = []
+
+    def logged(config, *args, **kwargs):
+        calls.append(config)
+        return inner(config, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "amqd" or name.startswith("amqd.")):
+            for attr, value in list(vars(mod).items()):
+                if value is inner:
+                    monkeypatch.setattr(mod, attr, logged)
+    return calls
+
+
+def test_each_grid_point_is_one_rebindable_call(mc_calls):
+    # the benchmark counts trials, and so mtrials_per_s and s_to_rel10, from
+    # these calls: a grid path that bypassed the module global would count none
+    from amqd import ExperimentConfig, SnrGrid, diversity_slope_scan, run_monte_carlo
+
+    run_monte_carlo(ExperimentConfig(l_values=(2,), zeta=0.0, snr_grid=SnrGrid(0.0, 4.0, 2.0),
+                                     trials=70000, seed=1, workers=2))
+    assert [c.point for c in mc_calls] == [0, 1, 2]
+    del mc_calls[:]
+    diversity_slope_scan(1, 0.0, seed=1, num_points=3, min_trials=70000, target_errors=1,
+                         workers=2)
+    assert [c.point for c in mc_calls] == [0, 1, 2]

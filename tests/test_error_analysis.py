@@ -347,6 +347,10 @@ class TestErrorEstimate:
         none = ErrorEstimate.from_weights(0, 0.0, 0.0, 100, scale=3.0)
         assert (none.p_hat, none.ci_low, none.ci_high) == (0.0, 0.0, 1.0)
 
+    def test_weights_of_no_trial_rejected(self):
+        with pytest.raises(ConfigError, match="trials"):
+            ErrorEstimate.from_weights(0, 0.0, 0.0, 0)
+
 
 class TestMonteCarloPErr:
     def test_reachable_rate_never_errors(self):
@@ -620,6 +624,20 @@ class TestImportanceSampling:
             assert est.p_hat == est.ci_low == est.ci_high == p
             assert analytic_event_probability(dead, "threshold", 2, threshold=threshold) == p
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("threshold, sigma2_f, p", [(1e-320, 1e300, 0.0), (1e300, 1e-300, 1.0)])
+    def test_event_decided_where_threshold_over_gain_leaves_the_floats(
+            self, no_draw, workers, threshold, sigma2_f, p):
+        # threshold / sigma2_f underflows to 0 or overflows to inf: the event
+        # is G < 0 or G < inf, decided exactly as the oracle decides it
+        model = TransmittanceModel.rayleigh(sigma2_f)
+        config = MonteCarloConfig(l=3, trials=200000, seed=0, threshold=threshold,
+                                  estimator="is")
+        est = monte_carlo_p_err(config, model, workers=workers)
+        assert (est.p_hat, est.ci_low, est.ci_high) == (p, p, p)
+        assert est.errors_observed == 200000 * p
+        assert analytic_event_probability(model, "threshold", 3, threshold=threshold) == p
+
     def test_infinite_threshold_is_always_an_error(self):
         est = monte_carlo_p_err(_is_config(3, math.inf, trials=1000), RAYLEIGH_1)
         assert est.p_hat == est.ci_low == est.ci_high == 1.0
@@ -727,6 +745,19 @@ class TestFitDiversitySlope:
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigError):
             fit_diversity_slope([(10.0, 0.1), (100.0, 0.01)])
+
+    @pytest.mark.parametrize("points", [
+        [(0.0, 0.1), (1.0, 0.05), (2.0, 0.01)],
+        [(-1.0, 0.1), (1.0, 0.05), (2.0, 0.01)],
+        [(1.0, 0.1), (2.0, 0.05), (math.inf, 0.01)],
+        [(math.nan, 0.1), (1.0, 0.05), (2.0, 0.01)],
+        [(1.0, math.inf), (2.0, 0.05), (3.0, 0.01)],
+        [(1.0, math.nan), (2.0, 0.05), (3.0, 0.01)],
+        [(1.0, -0.1), (2.0, 0.05), (3.0, 0.01)],
+    ])
+    def test_nonpositive_or_nonfinite_points_rejected(self, points):
+        with pytest.raises(ConfigError):
+            fit_diversity_slope(points)
 
 
 class TestDiversitySlopeScan:
@@ -941,24 +972,49 @@ class TestWorkerPool:
         assert pool_sizes == [1]
         assert new_threads() == []
 
-    def test_caller_maps_the_batches_a_stalled_helper_never_starts(self):
-        # the one helper thread is held busy (for at most 10 s, so a map that
-        # waits for it fails rather than hangs): every batch must run on the
-        # calling thread, and map must not wait for the helper to come free
+    def test_caller_collects_the_batches_a_stalled_helper_never_starts(self, monkeypatch):
+        # the one helper thread is held (for at most 10 s, so a collect that
+        # waits for it fails rather than hangs) before it can take a batch:
+        # every batch must run on the calling thread, and collect must not
+        # wait for the helper to come free
         release = threading.Event()
         ran_on = []
+        base = error_analysis.ThreadPoolExecutor
+        kernel = error_analysis._weigh_batch
 
-        def kernel(args, scratch):
+        class Stalled(base):
+            def submit(self, fn, *args, **kwargs):
+                return super().submit(lambda: (release.wait(10.0), fn(*args, **kwargs)))
+
+        def recorded(args, scratch=None):
             ran_on.append(threading.current_thread())
-            return args * 2
+            return kernel(args, scratch)
 
-        with error_analysis.worker_pool(2, 4) as pool:
-            pool._helpers.submit(release.wait, 10.0)
+        monkeypatch.setattr(error_analysis, "ThreadPoolExecutor", Stalled)
+        monkeypatch.setattr(error_analysis, "_weigh_batch", recorded)
+        configs = [_is_config(2, 0.5, seed=seed, trials=2 * _BATCH) for seed in (1, 2)]
+        serial = [monte_carlo_p_err(c, RAYLEIGH_1) for c in configs]
+        del ran_on[:]
+        with error_analysis.worker_pool(2, configs, RAYLEIGH_1) as pool:
             try:
-                assert pool.map(kernel, [0, 1, 2, 3]) == [0, 2, 4, 6]
+                assert [monte_carlo_p_err(c, RAYLEIGH_1, pool=pool) for c in configs] == serial
             finally:
                 release.set()
         assert ran_on == [threading.current_thread()] * 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_collects_only_the_points_it_streams(self, workers):
+        # a pool runs the batches of the points it was opened over, in order:
+        # a point it does not stream, or one it has handed out already, is an
+        # error, never another point's results
+        first, second = (_is_config(1, 0.5, seed=seed, trials=2 * _BATCH) for seed in (1, 2))
+        with error_analysis.worker_pool(workers, [first], RAYLEIGH_1) as pool:
+            with pytest.raises(RuntimeError, match="ran"):
+                monte_carlo_p_err(second, RAYLEIGH_1, pool=pool)
+        with error_analysis.worker_pool(workers, [first], RAYLEIGH_1) as pool:
+            monte_carlo_p_err(first, RAYLEIGH_1, pool=pool)
+            with pytest.raises(RuntimeError, match="no batch left"):
+                monte_carlo_p_err(first, RAYLEIGH_1, pool=pool)
 
     def test_scratch_reuse_keeps_kernels_bitwise(self):
         # one scratch lent to batches of different sizes and dimensions
@@ -978,7 +1034,7 @@ class TestWorkerPool:
         serial = monte_carlo_p_err(config, RAYLEIGH_1)
         for workers in (1, 2, 16):
             assert monte_carlo_p_err(config, RAYLEIGH_1, workers=workers) == serial
-            with error_analysis.worker_pool(workers, 5) as pool:
+            with error_analysis.worker_pool(workers, [config], RAYLEIGH_1) as pool:
                 assert monte_carlo_p_err(config, RAYLEIGH_1, pool=pool) == serial
 
 
@@ -993,35 +1049,34 @@ def _point_and_batch(args):
 
 
 class TestLookAhead:
-    """A grid run queues the batches of its later points while it maps one."""
+    """A grid run's pool runs the batches of its later points while one is
+    collected."""
 
     @pytest.fixture
     def returns(self, monkeypatch):
         """("return", point) logged as each monte_carlo_p_err of a grid run returns."""
-        from amqd import experiments
-
         log = []
-        inner = experiments.monte_carlo_p_err
+        inner = error_analysis.monte_carlo_p_err
 
         def logged(config, model, **kwargs):
             est = inner(config, model, **kwargs)
             log.append(("return", config.point))
             return est
 
-        monkeypatch.setattr(experiments, "monte_carlo_p_err", logged)
+        monkeypatch.setattr(error_analysis, "monte_carlo_p_err", logged)
         return log
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Every BatchPool a grid run hands its points to."""
+        """Every BatchPool opened."""
         seen = []
-        inner = error_analysis.BatchPool.look_ahead
+        inner = error_analysis.BatchPool.__init__
 
-        def look_ahead(self, configs, model):
+        def init(self, *args):
             seen.append(self)
-            return inner(self, configs, model)
+            inner(self, *args)
 
-        monkeypatch.setattr(error_analysis.BatchPool, "look_ahead", look_ahead)
+        monkeypatch.setattr(error_analysis.BatchPool, "__init__", init)
         return seen
 
     def test_next_point_starts_before_a_point_returns(self, monkeypatch, returns, new_threads):
@@ -1083,26 +1138,34 @@ class TestLookAhead:
         assert new_threads() == []
 
     @pytest.mark.parametrize("trials", [_BATCH + 1, 5 * _BATCH])
-    def test_lookahead_is_bounded_on_a_long_grid(self, monkeypatch, trials):
-        # the uncollected batches are at most _LOOKAHEAD batches per thread
-        # plus the point queued last, whatever the grid length
+    def test_lookahead_is_bounded_on_a_long_grid(self, monkeypatch, pools, trials):
+        # the batches started and not yet collected are at most _LOOKAHEAD
+        # per thread, whatever the grid length.  The first batch is held (for
+        # at most 10 s) until the other thread has filled that window, so
+        # the window is reached; every batch start records what the pool holds
         held = []
-        inner = error_analysis.BatchPool._put
+        window = error_analysis._LOOKAHEAD * 2
 
-        def put(self, batches):
-            inner(self, batches)
-            held.append(len(self._results))
+        def holding():
+            with pools[0]._cond:
+                return pools[0]._started - pools[0]._collected
 
-        monkeypatch.setattr(error_analysis.BatchPool, "_put", put)
-        monkeypatch.setattr(error_analysis, "_weigh_batch",
-                            lambda args, scratch=None: (1, 0.5, 0.25))
+        def stub(args, scratch=None):
+            held.append(holding())
+            if _point_and_batch(args) == (0, 0):
+                deadline = time.monotonic() + 10.0
+                while holding() < window and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                held.append(holding())
+            return 1, 0.5, 0.25
+
+        monkeypatch.setattr(error_analysis, "_weigh_batch", stub)
         rows = run_monte_carlo(_grid(400, trials, 2)).rows
         assert len(rows) == 400
         per_point = -(-trials // _BATCH)
-        bound = error_analysis._LOOKAHEAD * 2 - 1 + per_point
-        # more than one point was held at a time, never more than the bound,
-        # and the bound is far below the grid's 400 points
-        assert per_point < max(held) <= bound < 400 * per_point
+        # the pool filled its window and never went beyond it, and the window
+        # is far below the grid's 400 points
+        assert max(held) == window < 400 * per_point
 
     def test_many_threads_with_fast_switching_keep_every_estimate(self):
         # more helpers than cores, and the interpreter switching threads every
