@@ -48,7 +48,6 @@ from .sampling import (
     TransmittanceModel,
     sample_modulation_block,
     sample_noise_block,
-    sample_transmittances,
 )
 from .transform import (
     ModulatedVector,

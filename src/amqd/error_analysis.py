@@ -1,18 +1,21 @@
 """The outage event, its closed forms, and its Monte Carlo estimator.
 
-One event definition serves every output.  MonteCarloConfig names the event
-and _event_geometry reduces it to a draw dimension and a threshold on the
-summed squared gains:
-  threshold event  sum_{i<=l} |F_i|^2 < t        (t defaults to 1/snr)
+One event definition serves every output.  MonteCarloConfig names the event,
+which bounds the summed squared gains by a threshold:
+  threshold event  sum_{i<=l} |F_i|^2 < threshold   (1/snr unless given)
   rate event       log2(1 + |F|^2 snr) < rate    on one sub-channel, i.e.
                    |F|^2 < (2^rate - 1) / snr   (an infinite threshold once
                    2^rate leaves the float range, so every draw fails)
-monte_carlo_p_err samples that event and analytic_event_probability gives its
-exact probability, the oracle the Monte Carlo is checked against.  The SNR
-comes from the config alone.
+_event_geometry, the one reduction, turns the event on a gain model into
+G < t with G ~ Gamma(l_draw, 1): t = threshold / sigma2_f on Rayleigh gains,
+and t = inf where a zero or deterministic (fixed, uniform-phase) gain lies
+below the threshold, 0 where it does not.  monte_carlo_p_err samples the
+event, and analytic_event_probability gives its exact probability
+P(l_draw, t), the oracle the Monte Carlo is checked against.  The SNR comes
+from the config alone.  Either estimator decides a t of 0 or inf exactly,
+without drawing.
 
-Both events reduce to G < t with G ~ Gamma(l_draw, 1) and t = threshold /
-sigma2_f, and monte_carlo_p_err has two estimators of that probability
+monte_carlo_p_err has two estimators of that probability
 (MonteCarloConfig.estimator):
   crude  count the draws below the threshold: p_hat = errors / trials with a
          Wilson interval.  Each batch draws 2 * l normals per trial, at most
@@ -34,8 +37,7 @@ sigma2_f, and monte_carlo_p_err has two estimators of that probability
          as p -> 0 (about 0.4% at p = 9e-8, l = 3, from 1e5 draws).  Where
          there is no variance estimate (one trial, or no hit) the interval is
          [0, min(w_max, 1)], since p <= w_max; where theta = 1 every hit
-         weighs 1, and the hits get a Wilson interval.  The degenerate cases
-         (t = 0, t = inf, sigma2_f = 0) are decided exactly, without drawing.
+         weighs 1, and the hits get a Wilson interval.
          diversity_slope_scan and experiments.run_monte_carlo (so
          `amqd simulate`) use this estimator; "crude" stays the default.
 
@@ -106,7 +108,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, EstimationError
-from .sampling import FIXED, RAYLEIGH, UNIFORM_PHASE, RngStream, TransmittanceModel
+from .sampling import FIXED, RAYLEIGH, RngStream, TransmittanceModel
 
 _BATCH = 65536
 
@@ -291,6 +293,8 @@ def gamma_p(l: int, t: float) -> float:
     l, t = _check_l(l), float(t)
     if not (t >= 0.0):
         raise ConfigError("t must be nonnegative")
+    if l == 1:
+        return -math.expm1(-t)  # the exponential CDF, exact to an ulp
     return 1.0 if t == math.inf else _gamma_pq(l, t)[0]
 
 
@@ -388,7 +392,8 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96):
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
-    return center - half, center + half
+    # the exact endpoints at k = 0 and k = n, which rounding can move past p
+    return (0.0 if k == 0 else center - half), (1.0 if k == n else center + half)
 
 
 @dataclass(frozen=True)
@@ -510,12 +515,11 @@ def check_workers(workers: int) -> int:
     return w
 
 
-def batches_per_point(model: TransmittanceModel, trials: int) -> int:
-    """Sampled batches one estimate of `trials` trials takes; 0 for the
-    deterministic-gain models, which draw nothing."""
-    if model.kind != RAYLEIGH:
-        return 0
-    return -(-int(trials) // _BATCH)
+def batches_per_point(config: MonteCarloConfig, model: TransmittanceModel) -> int:
+    """Sampled batches one estimate of config takes on model; 0 where
+    _event_geometry decides the event (t = 0 or inf), which draws nothing."""
+    t = _event_geometry(config, model)[2]
+    return -(-int(config.trials) // _BATCH) if 0.0 < t < math.inf else 0
 
 
 class _Scratch:
@@ -662,7 +666,7 @@ def worker_pool(workers: int, configs, model: TransmittanceModel):
     threads no executor is opened.  On exit the stream stops, so no further
     batch starts, and the helpers are shut down, which joins them, so none
     outlives the caller's run."""
-    largest = max((batches_per_point(model, c.trials) for c in configs), default=0)
+    largest = max((batches_per_point(c, model) for c in configs), default=0)
     size = max(min(check_workers(workers), largest), 1)
     pool = BatchPool(_stream(configs, model), size)
     if size == 1:
@@ -706,29 +710,29 @@ def _count_batch(args, scratch: _Scratch | None = None) -> int:
 
 
 def _tilt(t: float, l: int) -> tuple:
-    """(theta, log w_max) of the proposal theta * Gamma(l, 1) for the event
-    Gamma(l, 1) < t: theta = min(t / l, 1), and w_max <= 1 is the largest
-    likelihood-ratio weight a hit can carry, (theta e^(1 - theta))^l."""
+    """(theta, log w_max, cut) of the proposal theta * Gamma(l, 1) for the
+    event Gamma(l, 1) < t at a finite t: theta = min(t / l, 1), w_max =
+    (theta e^(1 - theta))^l <= 1 is the largest weight a hit can carry, and
+    a draw x = theta * G hits where G < cut = t / theta = max(t, l), with
+    probability P(l, cut) > 1/2.  The hit test is on G because theta rounds
+    to a subnormal or to 0 where t / l underflows."""
     if t >= l:
-        return 1.0, 0.0
-    # log(t) - log(l) stays finite where t / l underflows
+        return 1.0, 0.0, t
     theta = t / l
-    return theta, l * (math.log(t) - math.log(l) + 1.0 - theta)
+    # log(t) - log(l) stays finite where t / l underflows; w_max = 0 at t = 0
+    log_w_max = l * (math.log(t) - math.log(l) + 1.0 - theta) if t > 0.0 else -math.inf
+    return theta, log_w_max, float(l)
 
 
 def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     """(hits, sum v, sum v^2) of one importance-sampled batch, v = w / w_max
     being each draw's likelihood-ratio weight over the largest one (0 off the
     event); pure function of its arguments (scratch only lends it arrays to
-    draw into).  Needs threshold > 0 and sigma2_f > 0."""
+    draw into).  Needs 0 < threshold / sigma2_f < inf, as _plan ensures."""
     seed, batch_index, m, l, sigma2_f, threshold = args
     scratch = scratch or _Scratch()
-    t = threshold / sigma2_f
-    theta, _ = _tilt(t, l)
+    theta, _, cut = _tilt(threshold / sigma2_f, l)
     g = RngStream(seed, batch_index).generator()
-    # the hits x = theta * G < t, i.e. G < cut = t / theta = max(t, l); tested
-    # on G because theta rounds to a subnormal or to 0 where t / l underflows
-    cut = max(t, float(l))
     hit = scratch.array("hit", (m,), bool)
     if l <= _PRODUCT_MAX_L:
         # G = -ln(u_1 ... u_l) for uniforms u_i (Devroye 1986, IX.3), and
@@ -762,78 +766,71 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     return int(np.count_nonzero(hit)), sum_v, float(x.sum())
 
 
-def _event_geometry(config: MonteCarloConfig):
-    """Reduce the configured event to (draw dimension, magnitude-sum threshold)."""
+def _event_geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
+    """The one reduction of an event on a gain model: (l_draw, threshold, t),
+    the event being Gamma(l_draw, 1) < t, t in [0, inf].  threshold bounds
+    the summed squared gains of l_draw sub-channels.  On Rayleigh gains
+    t = threshold / sigma2_f, 0 or inf where that under- or overflows, and
+    inf at zero gain (0 at a zero threshold).  The fixed and uniform-phase
+    gains are deterministic: t is inf where their sum lies below the
+    threshold and 0 where it does not, and nothing of size l is built."""
     if config.event == "threshold":
+        l_draw = int(config.l)
         if config.threshold is not None:
-            return int(config.l), float(config.threshold)
-        if config.snr is None:
+            threshold = float(config.threshold)
+        elif config.snr is None:
             raise ConfigError("threshold event needs an explicit threshold or an snr")
-        return int(config.l), 1.0 / float(config.snr)
-    # rate event: log2(1 + m*s) < rate  <=>  m < (2^rate - 1) / s
-    if config.rate_bits is None:
-        raise ConfigError("rate event needs rate_bits")
-    if config.snr is None:
-        raise ConfigError("rate event needs an snr")
-    try:
-        gain = 2.0 ** float(config.rate_bits) - 1.0
-    except OverflowError:  # 2^rate beyond the float range: no draw reaches the rate
-        gain = math.inf
-    return 1, gain / float(config.snr)
-
-
-def _deterministic_gain(model: TransmittanceModel, event: str, l: int) -> float:
-    """Aggregate |F|^2 the event compares with its threshold, for the models
-    whose magnitudes are fixed (FIXED and UNIFORM_PHASE).  Nothing of size l
-    is built, so any l is cheap."""
+        else:
+            threshold = 1.0 / float(config.snr)
+    else:
+        # rate event: log2(1 + m*s) < rate  <=>  m < (2^rate - 1) / s
+        if config.rate_bits is None:
+            raise ConfigError("rate event needs rate_bits")
+        if config.snr is None:
+            raise ConfigError("rate event needs an snr")
+        l_draw = 1
+        try:
+            gain = 2.0 ** float(config.rate_bits) - 1.0
+        except OverflowError:  # 2^rate beyond the float range: no draw reaches the rate
+            gain = math.inf
+        threshold = gain / float(config.snr)
+    if model.kind == RAYLEIGH:
+        s2 = float(model.sigma2_f)
+        t = threshold / s2 if s2 > 0.0 else (math.inf if threshold > 0.0 else 0.0)
+        return l_draw, threshold, t
     if model.kind == FIXED:
-        if len(model.values) != int(l):
+        if len(model.values) != int(config.l):
             raise ConfigError("fixed model value count must equal l")
-        mags2 = [abs(v) ** 2 for v in model.values]
-        return mags2[0] if event == "rate" else sum(mags2)
-    mag2 = float(model.magnitude) ** 2
-    return mag2 if event == "rate" else int(l) * mag2
+        gain2 = sum(abs(v) ** 2 for v in model.values[:l_draw])
+    else:
+        gain2 = l_draw * float(model.magnitude) ** 2
+    return l_draw, threshold, math.inf if gain2 < threshold else 0.0
 
 
 def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
-    """(estimate, None, None) for an event decided without drawing, otherwise
-    (None, kernel, batch args) of the batches that estimate it.  Both
-    monte_carlo_p_err and a pool's stream plan a point here, so they agree on
-    which points draw and on every batch they draw."""
-    l_draw, threshold = _event_geometry(config)
+    """(estimate, None, None) where _event_geometry decides the event (t = 0:
+    no trial is an error; t = inf: every trial is), for either estimator and
+    without drawing; otherwise (None, kernel, batch args) of the batches that
+    estimate it.  Both monte_carlo_p_err and a pool's stream plan a point
+    here, so they agree on which points draw and on every batch they draw."""
+    l_draw, threshold, t = _event_geometry(config, model)
     trials = int(config.trials)
     crude = config.estimator == "crude"
-
-    def verdict(error: bool) -> tuple:
-        # an event decided without drawing: every trial an error, or none
-        k = trials if error else 0
+    if not 0.0 < t < math.inf:
+        k = trials if t else 0
         if crude:
             return ErrorEstimate.from_counts(k, trials), None, None
-        p = float(error)
+        p = k / trials
         return ErrorEstimate(p, trials, p, p, k, "is"), None, None
-
-    if model.kind in (FIXED, UNIFORM_PHASE):
-        # magnitudes are deterministic for these models, so the event is too
-        return verdict(_deterministic_gain(model, config.event, config.l) < threshold)
-
-    if model.kind != RAYLEIGH:
-        raise ConfigError(f"unsupported model kind: {model.kind!r}")
-    sigma2_f = float(model.sigma2_f)
     if crude:
         batch_bytes = 16 * min(_BATCH, trials) * l_draw
         if batch_bytes > MAX_BATCH_BYTES:
             raise ConfigError(f"one Monte Carlo batch at l={l_draw} would draw {batch_bytes:.3g} "
                               f"bytes of normals, over the {MAX_BATCH_BYTES} byte cap")
-    elif sigma2_f == 0.0:
-        return verdict(threshold > 0.0)  # with no gain, 0 < threshold always holds
-    elif threshold / sigma2_f in (0.0, math.inf):
-        # G < t = threshold / sigma2_f never holds at t = 0 and always does at
-        # t = inf, where the quotient under- or overflows too
-        return verdict(threshold / sigma2_f > 0.0)
 
-    seed = int(config.seed)
+    seed, sigma2_f = int(config.seed), float(model.sigma2_f)
     batches = []
-    for b in range(batches_per_point(model, trials)):
+    for b in range(-(-trials // _BATCH)):
         key = b if config.point is None else (b, int(config.point))
         m = min(_BATCH, trials - b * _BATCH)
         batches.append((seed, key, m, l_draw, sigma2_f, threshold))
@@ -874,7 +871,7 @@ def monte_carlo_p_err(
         return ErrorEstimate.from_counts(sum(results), trials)
     _, _, _, l_draw, sigma2_f, threshold = batches[0]
     hits, sum_v, sum_v2 = (sum(column) for column in zip(*results))
-    theta, log_w_max = _tilt(threshold / sigma2_f, l_draw)
+    theta, log_w_max, _ = _tilt(threshold / sigma2_f, l_draw)
     if theta == 1.0:
         # an untilted proposal weighs every hit 1: the hits are a binomial count
         return ErrorEstimate.from_counts(hits, trials, "is")
@@ -889,19 +886,14 @@ def analytic_event_probability(
     rate_bits: float | None = None,
     threshold: float | None = None,
 ) -> float:
-    """Closed-form probability of the exact event monte_carlo_p_err samples."""
+    """Exact probability P(l_draw, t) of the event monte_carlo_p_err samples,
+    read from the same reduction, _event_geometry: 0 or 1 where it decides
+    the event, and the exponential CDF -expm1(-t) on one sub-channel."""
     config = MonteCarloConfig(
         l=l, trials=1, seed=0, event=event, snr=snr, rate_bits=rate_bits, threshold=threshold
     )
-    l_draw, t = _event_geometry(config)
-    if model.kind == RAYLEIGH:
-        s2 = float(model.sigma2_f)
-        if s2 == 0.0:
-            return 1.0 if t > 0.0 else 0.0
-        if config.event == "threshold":
-            return gamma_p(l, t / s2)
-        return float(-math.expm1(-t / s2))  # exponential CDF at the rate threshold
-    return 1.0 if _deterministic_gain(model, config.event, l) < t else 0.0
+    l_draw, _, t = _event_geometry(config, model)
+    return gamma_p(l_draw, t)
 
 
 def fit_diversity_slope(points) -> float:
@@ -959,9 +951,10 @@ def diversity_slope_scan(
     fitted slope estimates the multicarrier diversity order.  t0 is placed
     where the outage CDF equals anchor_probability.  Every point is estimated
     by importance sampling (estimator "is"), and its trial count aims at
-    target_errors expected hits of the sampling law, P(Gamma(l) < max(t, l)),
-    clamped to [min_trials, MAX_SCAN_TRIALS]; that hit rate is above one half at any
-    threshold, so the usual budgets sit on the min_trials floor.
+    target_errors expected hits of the sampling law, P(l, cut) with the cut
+    _tilt gives, clamped to [min_trials, MAX_SCAN_TRIALS]; that hit rate is
+    above one half at any threshold, so the usual budgets sit on the
+    min_trials floor.
     Batch b of point i draws from the substream (seed, spawn_key=(b, i)).
     The points are estimated by monte_carlo_points, on one worker pool.
     Every argument is checked, with a
@@ -989,7 +982,7 @@ def diversity_slope_scan(
     t0 = gamma_p_inv(l, float(anchor_probability))
     thr = t0 * (snr / snr[0]) ** (-(1.0 - z))
     # hit probability of the proposal theta * Gamma(l), theta = min(t/l, 1): budgeting only
-    q_hit = np.array([gamma_p(l, max(t, l)) for t in thr])
+    q_hit = np.array([gamma_p(l, _tilt(t, l)[2]) for t in thr])
 
     trials = np.clip(np.ceil(int(target_errors) / q_hit), int(min_trials), MAX_SCAN_TRIALS)
     model = TransmittanceModel.rayleigh(1.0)

@@ -170,20 +170,3 @@ def sample_noise_block(spec: NoiseSpec, rng: RngStream, count: int) -> np.ndarra
     doubled = tuple(2.0 * v for v in spec.sigma2_per_subchannel)
     return _complex_normal_block(rng.generator(), int(count), doubled)
 
-
-def sample_transmittances(
-    model: TransmittanceModel, l: int, rng: RngStream, count: int
-) -> np.ndarray:
-    """count draws of the Rayleigh gains of l sub-channels, shape (count, l).
-
-    The fixed and uniform-phase models have deterministic magnitudes, and
-    error_analysis decides their events without drawing.
-    """
-    if model.kind != RAYLEIGH:
-        raise ConfigError(f"only the {RAYLEIGH} model is sampled, not {model.kind!r}")
-    l = int(l)
-    if l < 1:
-        raise ConfigError("l must be >= 1")
-    if int(count) < 1:
-        raise ConfigError("count must be >= 1")
-    return _complex_normal_block(rng.generator(), int(count), (model.sigma2_f,) * l)

@@ -43,7 +43,6 @@ from .sampling import (
     TransmittanceModel,
     sample_modulation_block,
     sample_noise_block,
-    sample_transmittances,
 )
 from .transform import ModulatedVector, unitary_dft, unitary_idft
 
@@ -124,7 +123,7 @@ def _check_source_moments(report):
     cross = float(np.mean(block.real * block.imag))
     ok_cross = abs(cross) <= 4.5 * 1.0 / 1000.0
 
-    f = sample_transmittances(TransmittanceModel.rayleigh(1.0), 1, RngStream(11, 2), count=10**6)
+    f = sample_modulation_block(ComplexGaussianSpec.iid(1, 1.0), RngStream(11, 2), 10**6)
     p_emp = float(np.mean(np.abs(f) ** 2 < 0.1))
     p_true = 1.0 - math.exp(-0.1)
     ok_cdf = abs(p_emp - p_true) <= 4.5 * math.sqrt(p_true * (1 - p_true) / 10**6)
@@ -156,8 +155,9 @@ def _check_noise_moments(report):
 
 
 def _check_determinism(report, config):
-    a = sample_transmittances(TransmittanceModel.rayleigh(1.0), 4, RngStream(42, 7), count=256)
-    b = sample_transmittances(TransmittanceModel.rayleigh(1.0), 4, RngStream(42, 7), count=256)
+    gains = ComplexGaussianSpec.iid(4, 1.0)
+    a = sample_modulation_block(gains, RngStream(42, 7), 256)
+    b = sample_modulation_block(gains, RngStream(42, 7), 256)
     ok_stream = bool(np.array_equal(a, b))
     mc = MonteCarloConfig(l=2, trials=200000, seed=config.seed, event="threshold", threshold=0.3)
     model = TransmittanceModel.rayleigh(1.0)
@@ -195,7 +195,7 @@ def _check_channel_second_moment(report):
     sigma2_z, sigma2_f = 1.5, 2.0
     count, l = 400, 250
     d = sample_modulation_block(ComplexGaussianSpec.iid(l, sigma2_z), RngStream(17, 0), count)
-    f = sample_transmittances(TransmittanceModel.rayleigh(sigma2_f), l, RngStream(17, 1), count=count)
+    f = sample_modulation_block(ComplexGaussianSpec.iid(l, sigma2_f), RngStream(17, 1), count)
     out = f * d
     mean = float(np.mean(np.abs(out) ** 2))
     expect = sigma2_z * sigma2_f

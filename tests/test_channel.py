@@ -11,11 +11,9 @@ from amqd import (
     RngStream,
     SnrSpec,
     SubchannelSet,
-    TransmittanceModel,
     apply_channel,
     end_to_end_roundtrip,
     sample_modulation_block,
-    sample_transmittances,
     secret_key_rate,
     worst_case_set,
 )
@@ -91,9 +89,7 @@ class TestEndToEndRoundtrip:
         total = 0.0
         spec = ComplexGaussianSpec.iid(l, sigma2_z)
         zs = sample_modulation_block(spec, RngStream(23, 0), trials)
-        fs = sample_transmittances(
-            TransmittanceModel.rayleigh(sigma2_f), l, RngStream(23, 1), count=trials
-        )
+        fs = sample_modulation_block(ComplexGaussianSpec.iid(l, sigma2_f), RngStream(23, 1), trials)
         for i in range(trials):
             z = ModulatedVector(zs[i])
             ch = SubchannelSet(l, tuple(fs[i]), NoiseSpec.iid(l, 0.0))

@@ -257,6 +257,11 @@ class TestGammaP:
             assert gamma_p_inv(l, 0.0) == 0.0
             assert gamma_p_inv(l, 1.0) == math.inf
 
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-10, 0.01, 0.5, 1.0, 3.0, 40.0, math.inf])
+    def test_one_gain_is_the_exponential_cdf(self, t):
+        # the rate event's oracle is P(1, t), so it is this formula to the bit
+        assert gamma_p(1, t) == -math.expm1(-t)
+
     @pytest.mark.parametrize("l, t", [(0, 1.0), (-1, 1.0), (MAX_L + 1, 1.0), (2, -1.0),
                                       (2, math.nan)])
     def test_invalid_arguments_rejected(self, l, t):
@@ -287,10 +292,22 @@ class TestWilsonInterval:
         assert lo - 1e-12 <= p_hat <= hi + 1e-12
 
     def test_extreme_counts(self):
-        lo, hi = wilson_interval(0, 100)
-        assert lo == 0.0 and hi > 0.0
-        lo, hi = wilson_interval(100, 100)
-        assert hi == pytest.approx(1.0) and lo < 1.0
+        # the endpoints at k = 0 and k = n are exact: rounding put lo above
+        # p_hat = 0 (2.8e-17 at n = 11) or hi past 1, or short of p_hat = 1,
+        # at many n
+        for n in range(1, 2001):
+            lo, hi = wilson_interval(0, n)
+            assert lo == 0.0 < hi <= 1.0
+            lo, hi = wilson_interval(n, n)
+            assert 0.0 <= lo < hi == 1.0
+
+    def test_certain_event_is_covered(self):
+        # t = 60 >= l leaves the proposal untilted, so every draw hits and
+        # the hits get a Wilson interval, which must reach p = 1
+        config = MonteCarloConfig(l=1, trials=131072, seed=0, threshold=60.0, estimator="is")
+        est = monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0))
+        assert est.errors_observed == 131072
+        assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", 1, threshold=60.0))
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -607,35 +624,46 @@ class TestImportanceSampling:
 
     @pytest.fixture
     def no_draw(self, monkeypatch):
-        def fail(args):
+        def fail(args, scratch=None):
             raise AssertionError("a batch was drawn")
 
         monkeypatch.setattr(error_analysis, "_weigh_batch", fail)
+        monkeypatch.setattr(error_analysis, "_count_batch", fail)
 
     def test_zero_threshold_is_never_an_error(self, no_draw):
         est = monte_carlo_p_err(_is_config(2, 0.0), RAYLEIGH_1)
         assert (est.p_hat, est.ci_low, est.ci_high, est.errors_observed) == (0.0, 0.0, 0.0, 0)
         assert analytic_event_probability(RAYLEIGH_1, "threshold", 2, threshold=0.0) == 0.0
 
-    def test_zero_gain_decides_the_event(self, no_draw):
+    @staticmethod
+    def _verdict(estimator, p, trials):
+        # an event decided without drawing: every trial an error, or none;
+        # crude reports the count it would have drawn, with its Wilson interval
+        if estimator == "crude":
+            return ErrorEstimate.from_counts(int(p) * trials, trials)
+        return ErrorEstimate(p, trials, p, p, int(p) * trials, "is")
+
+    @pytest.mark.parametrize("estimator", ["crude", "is"])
+    def test_zero_gain_decides_the_event(self, no_draw, estimator):
         dead = TransmittanceModel.rayleigh(0.0)
         for threshold, p in ((0.5, 1.0), (0.0, 0.0)):
-            est = monte_carlo_p_err(_is_config(2, threshold), dead)
-            assert est.p_hat == est.ci_low == est.ci_high == p
+            config = MonteCarloConfig(l=2, trials=10**5, seed=1, threshold=threshold,
+                                      estimator=estimator)
+            assert monte_carlo_p_err(config, dead) == self._verdict(estimator, p, 10**5)
             assert analytic_event_probability(dead, "threshold", 2, threshold=threshold) == p
 
+    @pytest.mark.parametrize("estimator", ["crude", "is"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("threshold, sigma2_f, p", [(1e-320, 1e300, 0.0), (1e300, 1e-300, 1.0)])
     def test_event_decided_where_threshold_over_gain_leaves_the_floats(
-            self, no_draw, workers, threshold, sigma2_f, p):
+            self, no_draw, estimator, workers, threshold, sigma2_f, p):
         # threshold / sigma2_f underflows to 0 or overflows to inf: the event
         # is G < 0 or G < inf, decided exactly as the oracle decides it
         model = TransmittanceModel.rayleigh(sigma2_f)
         config = MonteCarloConfig(l=3, trials=200000, seed=0, threshold=threshold,
-                                  estimator="is")
+                                  estimator=estimator)
         est = monte_carlo_p_err(config, model, workers=workers)
-        assert (est.p_hat, est.ci_low, est.ci_high) == (p, p, p)
-        assert est.errors_observed == 200000 * p
+        assert est == self._verdict(estimator, p, 200000)
         assert analytic_event_probability(model, "threshold", 3, threshold=threshold) == p
 
     def test_infinite_threshold_is_always_an_error(self):
@@ -795,6 +823,15 @@ class TestDiversitySlopeScan:
         res = diversity_slope_scan(3, 0.0, seed=5, target_errors=10**6, num_points=3)
         assert all(10**6 < e.trials < 2 * 10**6 for e in res.estimates)
 
+    def test_threshold_below_the_float_range_is_no_error(self):
+        # the last threshold, 1e-330, underflows to 0: its trial budget is
+        # still the floor, and its event never holds
+        res = diversity_slope_scan(1, 0.0, seed=0, anchor_probability=1e-300, snr_min=1.0,
+                                   snr_max=1e30, min_trials=1000)
+        assert res.thresholds[-1] == 0.0
+        assert [e.trials for e in res.estimates] == [1000] * 5
+        assert res.estimates[-1] == ErrorEstimate(0.0, 1000, 0.0, 0.0, 0, "is")
+
     def test_invalid_scan_parameters_rejected(self):
         with pytest.raises(ConfigError):
             diversity_slope_scan(1, 0.0, seed=0, num_points=2)
@@ -938,6 +975,11 @@ class TestWorkerPool:
         config = _sweep(300000, 2)
         config.model = TransmittanceModel.uniform_phase(0.5)
         run_monte_carlo(config)
+        # on Rayleigh gains too, where the event is decided: 2^5000 leaves
+        # the float range, so each point of 5 batches holds without drawing
+        config = _sweep(300000, 2)
+        config.event, config.rate_bits = "rate", 5000.0
+        assert [row[1] for row in run_monte_carlo(config).rows] == [1.0, 1.0, 1.0]
         assert pool_sizes == []
 
     def test_slope_scan_opens_one_pool(self, pool_sizes, new_threads):

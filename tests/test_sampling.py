@@ -13,7 +13,6 @@ from amqd import (
     TransmittanceModel,
     sample_modulation_block,
     sample_noise_block,
-    sample_transmittances,
 )
 
 
@@ -116,25 +115,20 @@ class TestNoiseSampling:
 
 
 class TestTransmittanceSampling:
-    @pytest.mark.parametrize("model", [TransmittanceModel.fixed((0.5, 0.7)),
-                                       TransmittanceModel.uniform_phase(0.9)])
-    def test_deterministic_models_are_not_sampled(self, model):
-        # their magnitudes are fixed, so error_analysis decides their events exactly
-        with pytest.raises(ConfigError):
-            sample_transmittances(model, 2, RngStream(0, 0), count=10)
-
+    # Rayleigh gains of variance sigma2_f are the complex Gaussian block of
+    # ComplexGaussianSpec.iid(l, sigma2_f)
     def test_rayleigh_exponential_tail(self):
-        f = sample_transmittances(TransmittanceModel.rayleigh(1.0), 1, RngStream(11, 2), count=10**6)
+        f = sample_modulation_block(ComplexGaussianSpec.iid(1, 1.0), RngStream(11, 2), 10**6)
         p_emp = float(np.mean(np.abs(f) ** 2 < 0.1))
         p_true = 1.0 - math.exp(-0.1)
         assert abs(p_emp - p_true) <= 3.0 * math.sqrt(p_true * (1 - p_true) / 10**6)
 
     def test_rayleigh_per_quadrature_variance(self):
-        f = sample_transmittances(TransmittanceModel.rayleigh(1.0), 1, RngStream(11, 3), count=10**6)
+        f = sample_modulation_block(ComplexGaussianSpec.iid(1, 1.0), RngStream(11, 3), 10**6)
         assert abs(float(np.var(f.real)) - 0.5) <= 3.0 * math.sqrt(0.5 / 10**6)
 
     def test_rayleigh_mean_power_scales(self):
-        f = sample_transmittances(TransmittanceModel.rayleigh(3.0), 2, RngStream(11, 4), count=10**5)
+        f = sample_modulation_block(ComplexGaussianSpec.iid(2, 3.0), RngStream(11, 4), 10**5)
         mean = float(np.mean(np.abs(f) ** 2))
         assert abs(mean - 3.0) <= 3.0 * 3.0 / math.sqrt(f.size)
 
