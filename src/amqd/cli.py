@@ -6,6 +6,9 @@ Subcommands:
   simulate  Monte Carlo estimate vs closed form over an SNR grid; every point
             is importance sampled (a Gamma(l) draw per trial) and reported
             with its weighted-CLT 95% interval, so any p is reachable
+  slope     importance-sampled diversity slope scan of one l over an SNR grid:
+            the fitted log-log slope against l(1-zeta), and each point's
+            threshold, estimate, interval and hits
   validate  run every invariant suite and report pass/fail
 
 Each command has a flag for each setting it reads, and nothing else; a JSON
@@ -13,6 +16,8 @@ Each command has a flag for each setting it reads, and nothing else; a JSON
   figure2, analytic  --l --zeta --snr-db-min --snr-db-max --snr-db-step --out
                      --format (analytic also --factorial)
   simulate           those, and --trials --seed --model --event --rate-bits
+                     --workers
+  slope              --l --zeta --snr-db-min --snr-db-max --snr-db-step --seed
                      --workers
   validate           --trials --seed --workers
 
@@ -27,7 +32,8 @@ import argparse
 import sys
 
 from .config import SETTINGS, build_experiment_config, merge_settings
-from .exceptions import ConfigError
+from .error_analysis import diversity_slope_scan
+from .exceptions import ConfigError, EstimationError
 from .experiments import run_analytic_table, run_monte_carlo, write_gnuplot_script
 from .validation import run_validation
 
@@ -36,13 +42,14 @@ _FLAGS = {
     "l": dict(type=int, action="append", help="information-carrying sub-channels; repeatable"),
     "zeta": dict(type=float, help="degree-of-freedom ratio in [0, 1); simulate reads it only "
                                   "for the rate event's default target, and its threshold "
-                                  "event ignores it"),
+                                  "event ignores it; slope's thresholds fall as "
+                                  "snr^-(1-zeta)"),
     "snr_db_min": dict(type=float, help="grid start in dB"),
     "snr_db_max": dict(type=float, help="grid end in dB (inclusive)"),
     "snr_db_step": dict(type=float, help="grid step in dB"),
     "trials": dict(type=int, help="Monte Carlo trials per estimate"),
-    "seed": dict(type=int, help="seed; batch b of simulate's grid point i draws from the "
-                                "stream keyed (seed, b, i)"),
+    "seed": dict(type=int, help="seed; batch b of grid point i of simulate or slope draws "
+                                "from the stream keyed (seed, b, i)"),
     "model": dict(help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>"),
     "event": dict(choices=("rate", "threshold"), help="error event to sample"),
     "rate_bits": dict(type=float, help="explicit rate target for the rate event "
@@ -56,6 +63,7 @@ _FLAGS = {
 # The settings each command reads: its flags, and the keys its config file may set.
 _CURVE_SETTINGS = ("l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "out", "format")
 _SIMULATE_SETTINGS = tuple(SETTINGS)
+_SLOPE_SETTINGS = ("l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "seed", "workers")
 _VALIDATE_SETTINGS = ("trials", "seed", "workers")
 
 # Every setting's default; the settings a command does not read still reach
@@ -102,6 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "grid point, with its weighted-CLT 95%% interval and the analytic "
                     "value. The relative error stays bounded however small p is.",
     )
+    _add_command(
+        sub, "slope", _SLOPE_SETTINGS, _cmd_slope,
+        dict(snr_db_min=20.0, snr_db_max=40.0, snr_db_step=5.0),
+        help="importance-sampled diversity slope scan",
+        description="Fit the log-log slope of the aggregate Rayleigh outage probability "
+                    "over the grid, with a threshold that falls as snr^-(1-zeta), and "
+                    "compare it to the diversity order l(1-zeta).",
+    )
     _add_command(sub, "validate", _VALIDATE_SETTINGS, _cmd_validate, {},
                  help="run all invariant suites")
     return parser
@@ -137,6 +153,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_slope(args: argparse.Namespace) -> int:
+    config = build_experiment_config(_merged_settings(args))
+    if len(config.l_values) != 1:
+        raise ConfigError("the slope scan takes a single l")
+    l, snr = config.l_values[0], config.snr_grid.linear_values()
+    res = diversity_slope_scan(l, config.zeta, seed=config.seed, snr_min=snr[0],
+                               snr_max=snr[-1], num_points=len(snr), workers=config.workers)
+    print("l=%d: slope %.4f (diversity order %.2f)" % (l, res.slope, l * (1.0 - config.zeta)))
+    for snr_i, thr, est in zip(res.snr, res.thresholds, res.estimates):
+        print("  snr %.4g thr %.4g p_hat %.4g ci [%.4g, %.4g] estimator %s hits %d of %d"
+              % (snr_i, thr, est.p_hat, est.ci_low, est.ci_high, est.estimator,
+                 est.errors_observed, est.trials))
+    return 0
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = build_experiment_config(_merged_settings(args))
     report = run_validation(config)
@@ -154,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EstimationError) as exc:  # a grid whose p underflows fits no slope
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -181,10 +181,12 @@ def chi2_density(x: float, l: int) -> float:
     if int(l) < 1:
         raise ConfigError("l must be >= 1")
     xf = float(x)
-    if xf < 0.0:
+    if not (xf >= 0.0):  # NaN fails this too
         raise ConfigError("density domain is x >= 0")
     if xf == 0.0:
         return 1.0 if int(l) == 1 else 0.0
+    if xf == math.inf:
+        return 0.0
     return math.exp((int(l) - 1) * math.log(xf) - xf - math.lgamma(int(l)))
 
 
@@ -977,10 +979,15 @@ def diversity_slope_scan(
     if not (0 <= int(seed) < 2**64):
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
     check_workers(workers)
-
     snr = np.logspace(math.log10(float(snr_min)), math.log10(float(snr_max)), int(num_points))
+    with np.errstate(over="ignore"):
+        ratio = snr / snr[0]
+    # logspace rounds its ends, so a ratio just under the float max can overflow here
+    if not np.isfinite(ratio).all():
+        raise ConfigError("snr_max / snr_min must be a finite float")
+
     t0 = gamma_p_inv(l, float(anchor_probability))
-    thr = t0 * (snr / snr[0]) ** (-(1.0 - z))
+    thr = t0 * ratio ** (-(1.0 - z))
     # hit probability of the proposal theta * Gamma(l), theta = min(t/l, 1): budgeting only
     q_hit = np.array([gamma_p(l, _tilt(t, l)[2]) for t in thr])
 

@@ -1,8 +1,9 @@
 import contextlib
-import importlib.util
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import amqd
 from amqd import ConfigError, ExperimentConfig, SnrGrid, error_analysis, run_validation
-from amqd.cli import main
+from amqd.cli import build_parser, main
 from amqd.config import MAX_GRID_POINTS, SETTINGS
 
 
@@ -25,6 +26,7 @@ COMMAND_SETTINGS = {
     "figure2": CURVE_SETTINGS,
     "analytic": CURVE_SETTINGS,
     "simulate": tuple(SETTINGS),
+    "slope": ("l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "seed", "workers"),
     "validate": ("trials", "seed", "workers"),
 }
 
@@ -50,26 +52,52 @@ def test_cli_import_leaves_integration_out():
         "import amqd.cli",
         "from amqd.cli import main; main(['simulate', '--l', '3', '--trials', '1000'])",
         "from amqd import diversity_slope_scan; diversity_slope_scan(2, 0.0, seed=0)",
+        "from amqd.cli import main; main(['slope', '--l', '2'])",
     ):
         out = subprocess.run([sys.executable, "-c", "import sys; " + code + report], env=env,
                              capture_output=True, text=True, check=True, timeout=120).stdout
         assert out.strip().splitlines()[-1] == "[]", code
 
 
-def _slope_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "diversity_slope_experiment.py"
-    spec = importlib.util.spec_from_file_location("diversity_slope_experiment", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_readme_commands_parse():
+    # every `amqd ...` line of README's sh blocks, continuations joined and
+    # comments dropped
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").split("\n"):
+            tokens = shlex.split(line, comments=True)
+            if tokens[:1] == ["amqd"]:
+                commands.append(tokens[1:])
+    assert {argv[0] for argv in commands} == set(COMMAND_SETTINGS)
+    for argv in commands:
+        build_parser().parse_args(argv)  # argparse exits 2 on a flag it does not know
 
 
-@pytest.mark.parametrize("flags", [["--l", "0"], ["--snr-max", "inf"], ["--points", "2"]])
-def test_slope_script_reports_config_errors(flags, capsys):
-    assert _slope_script().main(flags) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error: ")
-    assert "Traceback" not in captured.err
+class TestSlope:
+    def test_prints_gate_4_scan(self, capsys):
+        # gate 4's l = 2 scan: seed 7000 + l, 20..40 dB in 5 dB steps
+        assert main(["slope", "--l", "2", "--seed", "7002"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "l=2: slope 1.9543 (diversity order 2.00)"
+        assert [line.split()[1] for line in lines[1:]] == ["100", "316.2", "1000", "3162",
+                                                          "1e+04"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--l", "0"],
+        ["--snr-db-max", "inf"],
+        ["--snr-db-max", "25"],  # two points
+        ["--l", "1", "--l", "2"],
+        # a ratio snr_max / snr_min beyond the float range
+        ["--snr-db-min", "-3000", "--snr-db-max", "3000", "--snr-db-step", "1000"],
+        # every threshold underflows to 0, so no point has p > 0 to fit
+        ["--l", "10", "--snr-db-max", "1000", "--snr-db-step", "250"],
+    ])
+    def test_bad_input_is_a_config_error(self, flags, capsys):
+        assert main(["slope"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "Traceback" not in captured.err
 
 
 class TestFigure2:

@@ -129,6 +129,12 @@ class TestChiSquareDensity:
         with pytest.raises(ConfigError):
             chi2_density(-0.1, 2)
 
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_non_finite_argument(self, l):
+        with pytest.raises(ConfigError):
+            chi2_density(math.nan, l)
+        assert chi2_density(math.inf, l) == 0.0
+
     def test_small_x_leading_term(self):
         for l in (1, 2, 3, 5):
             x = 1e-4
@@ -846,6 +852,9 @@ class TestDiversitySlopeScan:
         (MAX_L + 1, {}),
         (2, {"snr_max": math.inf}),
         (2, {"snr_min": math.nan}),
+        (2, {"snr_min": 1e-300, "snr_max": 1e15}),  # the ratio overflows
+        # a finite ratio, but that of logspace's rounded ends overflows
+        (2, {"snr_min": 1e-10, "snr_max": 1.7976931348623155e298}),
         (2, {"min_trials": MAX_SCAN_TRIALS + 1}),
         (2, {"min_trials": 0}),
         (2, {"num_points": MAX_GRID_POINTS + 1}),
