@@ -20,12 +20,19 @@ monte_carlo_p_err has two estimators of that probability
   crude  count the draws below the threshold: p_hat = errors / trials with a
          Wilson interval.  Each batch draws 2 * l normals per trial, at most
          MAX_BATCH_BYTES per batch (a ConfigError beyond, before any draw).
-  is     importance sampling by exponential twisting: draw
-         x = theta * G with G ~ Gamma(l_draw, 1) and theta = min(t / l_draw, 1),
-         so more than half of the draws hit whatever p is, and weigh each hit
-         x < t by the likelihood ratio w = theta^l exp(x (1/theta - 1)) <= 1.
-         G is -ln(u_1 ... u_l) for l_draw <= 4, l_draw uniform blocks
-         multiplied in place (Devroye 1986, IX.3); for l_draw >= 5 it is
+  is     importance sampling by exponential twisting, conditioned on the
+         last gain at l_draw >= 2 (Asmussen & Glynn 2007, ch. V).  It draws
+         the sum G of k gains, k = 1 at l_draw = 1 and k = l_draw - 1
+         beyond, shrunk to x = theta * G with theta = min(t / l_draw, 1), so
+         more than half of the draws hit (x < t) whatever p is.  At
+         l_draw = 1 a hit weighs the likelihood ratio
+         w = theta exp(x (1/theta - 1)) <= 1.  At l_draw >= 2 the last gain
+         is Exp(1) given the others, so a hit weighs the Gamma(k) ratio
+         theta^k exp(x (1/theta - 1)) times h = 1 - e^-(t - x), the chance
+         that the last gain closes the gap: at equal draws that is 5x less
+         variance at l_draw = 2, 4x at 3 and 2.5x at 10.
+         G is -ln(u_1 ... u_k) for k <= 4, k uniform blocks multiplied in
+         place (Devroye 1986, IX.3), so for l_draw <= 5; beyond, it is
          numpy's standard_gamma, the one draw that serves l up to MAX_L.
          Every draw is weighed, with no gathering of the hits: a miss is
          first clamped to the edge of the hit region (u to e^-cut, G to the
@@ -34,10 +41,13 @@ monte_carlo_p_err has two estimators of that probability
          does not grow with l.  Then
          p_hat = sum(w) / trials with the weighted-CLT interval
          p_hat +- 1.96 sd(w) / sqrt(trials); its relative error stays bounded
-         as p -> 0 (about 0.4% at p = 9e-8, l = 3, from 1e5 draws).  Where
+         as p -> 0 (about 0.36% at p = 9e-8, l = 3, from 1e5 draws).  Where
          there is no variance estimate (one trial, or no hit) the interval is
-         [0, min(w_max, 1)], since p <= w_max; where theta = 1 every hit
-         weighs 1, and the hits get a Wilson interval.
+         [0, min(scale, 1)], since p <= scale, the bound the kernel's
+         weights are taken over.  At l_draw = 1 where theta = 1 every hit weighs 1, and
+         the hits get a Wilson interval; at l_draw >= 2 an untilted hit still
+         weighs h, so the interval is the weighted one.  errors_observed
+         counts the hits: draws whose k summed gains fall below the cut.
          diversity_slope_scan and experiments.run_monte_carlo (so
          `amqd simulate`) use this estimator; "crude" stays the default.
 
@@ -119,8 +129,9 @@ MAX_BATCH_BYTES = 1 << 30
 
 ESTIMATORS = ("crude", "is")
 
-# largest l whose importance-sampled Gamma(l) draw is a product of l uniforms;
-# standard_gamma is faster beyond it
+# most uniforms whose product makes an importance-sampled Gamma draw (k gains:
+# l at l = 1, l - 1 beyond, so l <= 5 draws uniforms); standard_gamma is
+# faster beyond it
 _PRODUCT_MAX_L = 4
 
 # least positive float, the floor of a missed uniform product
@@ -404,8 +415,11 @@ class ErrorEstimate:
 
     estimator "crude": errors_observed counts the errors and
     p_hat == errors_observed / trials.  estimator "is": errors_observed counts
-    the hits of the importance-sampling proposal and p_hat is their mean
-    likelihood-ratio weight, in [0, 1].
+    the hits of the importance-sampling proposal (at l_draw >= 2 the draws
+    whose shrunk sum of the first l_draw - 1 gains lies below t, the last
+    gain being integrated out) and p_hat is the mean weight over all trials,
+    in [0, 1].  It is the hit fraction, with a Wilson interval, only where
+    one gain is drawn (l_draw = 1) and the proposal is untilted.
     """
 
     p_hat: float
@@ -716,7 +730,8 @@ def _tilt(t: float, l: int) -> tuple:
     event Gamma(l, 1) < t at a finite t: theta = min(t / l, 1), w_max =
     (theta e^(1 - theta))^l <= 1 is the largest weight a hit can carry, and
     a draw x = theta * G hits where G < cut = t / theta = max(t, l), with
-    probability P(l, cut) > 1/2.  The hit test is on G because theta rounds
+    probability P(l, cut) > 1/2 (P(l - 1, cut) > 1/2 for the l - 1 gains
+    _weigh_batch draws at l >= 2).  The hit test is on G because theta rounds
     to a subnormal or to 0 where t / l underflows."""
     if t >= l:
         return 1.0, 0.0, t
@@ -727,20 +742,29 @@ def _tilt(t: float, l: int) -> tuple:
 
 
 def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
-    """(hits, sum v, sum v^2) of one importance-sampled batch, v = w / w_max
-    being each draw's likelihood-ratio weight over the largest one (0 off the
-    event); pure function of its arguments (scratch only lends it arrays to
-    draw into).  Needs 0 < threshold / sigma2_f < inf, as _plan ensures."""
+    """(hits, sum v, sum v^2) of one importance-sampled batch, each draw's
+    weight being scale * v, with v in [0, 1] (0 off the event) and the scale
+    that monte_carlo_p_err applies; pure function of its arguments (scratch
+    only lends it arrays to draw into).  Needs 0 < threshold / sigma2_f <
+    inf, as _plan ensures.
+
+    At l = 1 the draw is G ~ Gamma(1, 1), a hit is G < cut and it weighs
+    the density ratio.  At l >= 2 the last gain is integrated out: G ~
+    Gamma(l - 1, 1) sums the other gains, a hit is G < cut, and it weighs
+    the Gamma(l - 1) density ratio times h = 1 - e^-(t - theta G), the
+    chance that the last Exp(1) gain closes the gap."""
     seed, batch_index, m, l, sigma2_f, threshold = args
     scratch = scratch or _Scratch()
-    theta, _, cut = _tilt(threshold / sigma2_f, l)
+    t = threshold / sigma2_f
+    theta, _, cut = _tilt(t, l)
+    k = max(l - 1, 1)  # gains drawn per trial
     g = RngStream(seed, batch_index).generator()
     hit = scratch.array("hit", (m,), bool)
-    if l <= _PRODUCT_MAX_L:
-        # G = -ln(u_1 ... u_l) for uniforms u_i (Devroye 1986, IX.3), and
+    if k <= _PRODUCT_MAX_L:
+        # G = -ln(u_1 ... u_k) for uniforms u_i (Devroye 1986, IX.3), and
         # G < cut is u > e^-cut
         x = g.random(out=scratch.array("gamma", (m,)))
-        for _ in range(l - 1):
+        for _ in range(k - 1):
             x *= g.random(out=scratch.array("uniform", (m,)))
         edge = math.exp(-cut)
         np.greater(x, edge, out=hit)
@@ -749,19 +773,32 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
         np.maximum(x, max(edge, _TINY), out=x)
         np.log(x, out=x)
     else:
-        x = g.standard_gamma(l, out=scratch.array("gamma", (m,)))
+        x = g.standard_gamma(k, out=scratch.array("gamma", (m,)))
         np.less(x, cut, out=hit)
         np.minimum(x, cut, out=x)
         np.negative(x, out=x)
-    # x is ln u = -G for every draw.  The Gamma(l, 1) over Gamma(l, theta)
-    # density ratio at theta G is w = theta^l exp(theta G (1/theta - 1))
-    # = w_max exp((G - l)(1 - theta)) = w_max exp((ln u + l)(theta - 1));
-    # taking w_max out keeps v in (0, 1], so neither v nor v^2 underflows at
-    # tiny p.  Every draw is weighed rather than the hits gathered first; a
-    # clamped miss weighs about 1 here, and the hit mask zeroes it
-    x += l
+    # x is ln u = -G for every draw.  The Gamma(k, 1) over Gamma(k, theta)
+    # density ratio at theta G is theta^k exp(theta G (1/theta - 1)), which
+    # is the scale's theta^k e^(cut (1 - theta)) times
+    # exp((G - cut)(1 - theta)) = exp((cut - G)(theta - 1)) <= 1, so neither
+    # v nor v^2 underflows at tiny p.  Every draw is weighed rather than the
+    # hits gathered first; a clamped miss weighs about 1 here, and the hit
+    # mask zeroes it
+    x += cut
+    if l >= 2:
+        # a hit within rounding of the cut closes no gap
+        np.maximum(x, 0.0, out=x)
+        # the gap t - theta G = t (cut - G) / cut, with no subnormal theta;
+        # h = -expm1(-gap), over the scale's h0 = -expm1(-t) >= h
+        h = scratch.array("uniform", (m,))
+        np.multiply(x, -1.0 / cut, out=h)
+        h *= t
+        np.expm1(h, out=h)
+        h /= math.expm1(-t)
     x *= theta - 1.0
     np.exp(x, out=x)
+    if l >= 2:
+        x *= h
     np.multiply(x, hit, out=x)
     sum_v = float(x.sum())
     np.multiply(x, x, out=x)
@@ -873,11 +910,20 @@ def monte_carlo_p_err(
         return ErrorEstimate.from_counts(sum(results), trials)
     _, _, _, l_draw, sigma2_f, threshold = batches[0]
     hits, sum_v, sum_v2 = (sum(column) for column in zip(*results))
-    theta, log_w_max, _ = _tilt(threshold / sigma2_f, l_draw)
-    if theta == 1.0:
-        # an untilted proposal weighs every hit 1: the hits are a binomial count
+    t = threshold / sigma2_f
+    theta, log_scale, cut = _tilt(t, l_draw)
+    if l_draw == 1 and theta == 1.0:
+        # an untilted proposal of one gain weighs every hit 1: the hits are a
+        # binomial count
         return ErrorEstimate.from_counts(hits, trials, "is")
-    return ErrorEstimate.from_weights(hits, sum_v, sum_v2, trials, scale=math.exp(log_w_max))
+    if l_draw >= 2:
+        # _weigh_batch's scale: the Gamma(l - 1) ratio's theta^(l - 1)
+        # e^(cut (1 - theta)) times h0 = 1 - e^-t, with ln theta as
+        # ln t - ln l, finite where t / l underflows
+        log_theta = math.log(t) - math.log(l_draw) if theta < 1.0 else 0.0
+        log_scale = ((l_draw - 1) * log_theta + cut * (1.0 - theta)
+                     + math.log(-math.expm1(-t)))
+    return ErrorEstimate.from_weights(hits, sum_v, sum_v2, trials, scale=math.exp(log_scale))
 
 
 def analytic_event_probability(
@@ -953,9 +999,10 @@ def diversity_slope_scan(
     fitted slope estimates the multicarrier diversity order.  t0 is placed
     where the outage CDF equals anchor_probability.  Every point is estimated
     by importance sampling (estimator "is"), and its trial count aims at
-    target_errors expected hits of the sampling law, P(l, cut) with the cut
-    _tilt gives, clamped to [min_trials, MAX_SCAN_TRIALS]; that hit rate is
-    above one half at any threshold, so the usual budgets sit on the
+    target_errors expected hits of the sampling law, P(l - 1, cut) (P(1, cut)
+    at l = 1) with the cut _tilt gives, clamped to [min_trials,
+    MAX_SCAN_TRIALS]; since the median of Gamma(k) lies below k + 1, that hit
+    rate is above one half at any threshold, so the usual budgets sit on the
     min_trials floor.
     Batch b of point i draws from the substream (seed, spawn_key=(b, i)).
     The points are estimated by monte_carlo_points, on one worker pool.
@@ -988,8 +1035,9 @@ def diversity_slope_scan(
 
     t0 = gamma_p_inv(l, float(anchor_probability))
     thr = t0 * ratio ** (-(1.0 - z))
-    # hit probability of the proposal theta * Gamma(l), theta = min(t/l, 1): budgeting only
-    q_hit = np.array([gamma_p(l, _tilt(t, l)[2]) for t in thr])
+    # hit probability of the proposal: its Gamma(l - 1) draw (Gamma(1) at
+    # l = 1) below the cut; budgeting only
+    q_hit = np.array([gamma_p(max(l - 1, 1), _tilt(t, l)[2]) for t in thr])
 
     trials = np.clip(np.ceil(int(target_errors) / q_hit), int(min_trials), MAX_SCAN_TRIALS)
     model = TransmittanceModel.rayleigh(1.0)

@@ -286,3 +286,23 @@ def test_importance_sampling_interval_coverage(capsys):
     _report(capsys, 9, ok, "importance-sampling 95%% interval coverage %d/%d [%s] "
             "(gate: pooled >= 2232)" % (covered, 12 * runs, "; ".join(labels)))
     assert ok, labels
+
+
+def test_importance_sampled_sweep_holds_its_own_interval(tmp_path, capsys):
+    # the mc_sweep benchmark's grid: l = 3, 0..10 dB, 2e6 trials per point,
+    # seed 0.  Every point within 2 half-widths of the oracle, and the
+    # widest interval at most +-0.1% of its estimate
+    out = tmp_path / "sweep.csv"
+    code = main(["simulate", "--l", "3", "--snr-db-min", "0", "--snr-db-max", "10",
+                 "--snr-db-step", "1", "--trials", "2000000", "--seed", "0", "--workers", "2",
+                 "--out", str(out)])
+    rows = np.asarray([[float(tok) for tok in line.split(",")]
+                       for line in out.read_text().strip().split("\n")[1:]])
+    p_hat, ci_low, ci_high, analytic = rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4]
+    half = (ci_high - ci_low) / 2.0
+    gap = float(np.max(np.abs(p_hat - analytic) / half))
+    width = float(np.max(half / p_hat))
+    ok = code == 0 and len(rows) == 11 and gap <= 2.0 and width <= 1e-3
+    _report(capsys, 10, ok, "worst oracle gap %.2f half-widths (gate <= 2), widest relative "
+            "half-width %.3e (gate <= 1e-3) over %d points" % (gap, width, len(rows)))
+    assert ok, (gap, width)

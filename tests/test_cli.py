@@ -79,7 +79,7 @@ class TestSlope:
         # gate 4's l = 2 scan: seed 7000 + l, 20..40 dB in 5 dB steps
         assert main(["slope", "--l", "2", "--seed", "7002"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "l=2: slope 1.9543 (diversity order 2.00)"
+        assert lines[0] == "l=2: slope 1.9540 (diversity order 2.00)"
         assert [line.split()[1] for line in lines[1:]] == ["100", "316.2", "1000", "3162",
                                                           "1e+04"]
 

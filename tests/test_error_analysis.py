@@ -496,8 +496,10 @@ class TestImportanceSampling:
         assert est.covers(p)
         assert _rel_half_width(est) <= 0.02
 
-    # squared weights below 1e-308 would underflow without the w_max scale
-    @pytest.mark.parametrize("l,threshold", [(1, 1e-300), (2, 1e-100), (3, 1e-100)])
+    # squared weights below 1e-308 would underflow without the scale; l = 6
+    # draws its five other gains with standard_gamma
+    @pytest.mark.parametrize("l,threshold", [(1, 1e-300), (2, 1e-100), (3, 1e-100),
+                                             (2, 1e-150), (6, 1e-49)])
     def test_probability_near_the_float_floor(self, l, threshold):
         p = analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=threshold)
         assert 1e-302 < p < 1e-199
@@ -505,26 +507,45 @@ class TestImportanceSampling:
         assert est.covers(p)
         assert _rel_half_width(est) <= 0.02
 
-    @pytest.mark.parametrize("l", [1, 2, 4, 5, 7])
+    # t >= l: the proposal is untilted, and only the last gain's chance 1 -
+    # e^-(t - G) weighs a hit
+    @pytest.mark.parametrize("l,threshold", [(2, 3.0), (6, 9.0)])
+    def test_untilted_point_covered_with_tight_interval(self, l, threshold):
+        p = analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=threshold)
+        est = monte_carlo_p_err(_is_config(l, threshold), RAYLEIGH_1)
+        assert est.covers(p)
+        assert _rel_half_width(est) <= 0.02
+
+    @pytest.mark.parametrize("l", [1, 2, 4, 5, 6, 7])
     def test_weigh_kernel_matches_the_likelihood_ratio(self, l):
-        # the reference takes the same stream's Gamma(l) draws (l uniform
-        # blocks for l <= 4, standard_gamma beyond) and weighs every hit
-        # x = theta G < t by the density ratio theta^l exp(x (1/theta - 1))
         seed, batch, m, sigma2_f, threshold = 9, 2, 4096, 0.7, 0.3 * l
         g = RngStream(seed, batch).generator()
-        if l <= 4:
-            gam = -np.log(np.prod([g.random(m) for _ in range(l)], axis=0))
-        else:
-            gam = g.standard_gamma(l, m)
         t = threshold / sigma2_f
         theta = t / l
-        x = theta * gam[theta * gam < t]
-        w = theta**l * np.exp(x * (1.0 / theta - 1.0))
-        w_max = (theta * math.exp(1.0 - theta)) ** l
         hits, sum_v, sum_v2 = error_analysis._weigh_batch((seed, batch, m, l, sigma2_f, threshold))
+        if l == 1:
+            # the reference takes the same stream's Gamma(l) draws (l uniform
+            # blocks for l <= 4, standard_gamma beyond) and weighs every hit
+            # x = theta G < t by the density ratio theta^l exp(x (1/theta - 1))
+            gam = -np.log(np.prod([g.random(m) for _ in range(l)], axis=0))
+            x = theta * gam[theta * gam < t]
+            w = theta**l * np.exp(x * (1.0 / theta - 1.0))
+            scale = (theta * math.exp(1.0 - theta)) ** l
+        else:
+            # the same stream's Gamma(l - 1) draws (l - 1 uniform blocks for
+            # l <= 5, standard_gamma beyond); every hit x = theta G < t weighs
+            # the Gamma(l - 1) density ratio times the chance 1 - e^-(t - x)
+            # that the last Exp(1) gain falls below t - x
+            if l <= 5:
+                gam = -np.log(np.prod([g.random(m) for _ in range(l - 1)], axis=0))
+            else:
+                gam = g.standard_gamma(l - 1, m)
+            x = theta * gam[theta * gam < t]
+            w = theta ** (l - 1) * np.exp(x * (1.0 / theta - 1.0)) * -np.expm1(-(t - x))
+            scale = theta ** (l - 1) * math.exp(l * (1.0 - theta)) * -math.expm1(-t)
         assert hits == x.size
-        assert sum_v * w_max == pytest.approx(w.sum(), rel=1e-12)
-        assert sum_v2 * w_max**2 == pytest.approx((w * w).sum(), rel=1e-12)
+        assert sum_v * scale == pytest.approx(w.sum(), rel=1e-12)
+        assert sum_v2 * scale**2 == pytest.approx((w * w).sum(), rel=1e-12)
 
     @pytest.mark.parametrize("l, threshold", [(1, 0.3), (3, 0.9), (2, 900.0), (5, 1.5),
                                               (7, 2.0), (6, 800.0)])
@@ -564,7 +585,8 @@ class TestImportanceSampling:
         hits, sum_v, sum_v2 = error_analysis._weigh_batch((0, 0, m, l, sigma2_f, threshold))
         t = threshold / sigma2_f
         cut = max(t, l)
-        if l <= 4:
+        # l gains drawn at l = 1; the first l - 1 beyond, the last integrated out
+        if max(l - 1, 1) <= 4:
             u = np.prod(blocks, axis=0)
             hit = u > math.exp(-cut)
             gam = -np.log(u[hit])
@@ -572,19 +594,30 @@ class TestImportanceSampling:
             hit = blocks[0] < cut
             gam = blocks[0][hit]
         theta = min(t / l, 1.0)
-        v = np.exp((gam - l) * (1.0 - theta))  # w / w_max over the hits
+        v = np.exp((gam - cut) * (1.0 - theta))  # w / scale over the hits
+        if l >= 2:
+            v *= np.expm1(-(t - theta * gam)) / math.expm1(-t)
         assert 0 < hits == hit.sum() < m
         assert math.isfinite(sum_v) and math.isfinite(sum_v2)
         assert sum_v == pytest.approx(v.sum(), rel=1e-12)
         assert sum_v2 == pytest.approx((v * v).sum(), rel=1e-12)
 
     def test_untilted_proposal_counts_hits_with_a_wilson_interval(self):
-        # t >= l leaves the proposal untilted (theta = 1), so every hit weighs 1
+        # t >= l leaves the proposal untilted (theta = 1).  At l = 1 every hit
+        # weighs 1, so the hits get a Wilson interval; at l >= 2 a hit weighs
+        # the chance 1 - e^-(t - G) that the last gain closes the gap, and the
+        # estimate is the weighted one, scaled by 1 - e^-t
+        est = monte_carlo_p_err(_is_config(1, 1.5, seed=4, trials=1000), RAYLEIGH_1)
+        assert est.estimator == "is"
+        assert est.p_hat == est.errors_observed / 1000
+        assert (est.ci_low, est.ci_high) == wilson_interval(est.errors_observed, 1000)
         for l in (2, 6):
-            est = monte_carlo_p_err(_is_config(l, 1.5 * l, seed=4, trials=1000), RAYLEIGH_1)
-            assert est.estimator == "is"
-            assert est.p_hat == est.errors_observed / 1000
-            assert (est.ci_low, est.ci_high) == wilson_interval(est.errors_observed, 1000)
+            t = 1.5 * l
+            est = monte_carlo_p_err(_is_config(l, t, seed=4, trials=1000), RAYLEIGH_1)
+            weights = error_analysis._weigh_batch((4, 0, 1000, l, 1.0, t))
+            assert est == ErrorEstimate.from_weights(*weights, 1000, scale=-math.expm1(-t))
+            assert est.p_hat < est.errors_observed / 1000
+            assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t))
 
     def test_one_trial_interval_holds_the_true_probability(self):
         for l, threshold in ((2, 1.0), (2, 0.5), (5, 0.1)):
@@ -595,12 +628,12 @@ class TestImportanceSampling:
                 assert est.covers(p)
 
     def test_interval_coverage_on_both_sides_of_the_draw_switch(self):
-        # l = 4 draws Gamma(l) as a product of uniforms, l = 5 with
+        # l = 5 draws its Gamma(l - 1) as a product of uniforms, l = 6 with
         # standard_gamma.  One pooled verdict over 2 l x 3 events x 200 runs,
         # in the form of ACCEPTANCE 9: the bound, 1106/1200, sits 4.5 binomial
         # sd (2.8%) below the nominal 95%
         runs, seed, covered = 200, 95000, 0
-        for l in (4, 5):
+        for l in (5, 6):
             for p_target in (1e-3, 1e-8, 1e-20):
                 thr = float(gammaincinv(l, p_target))
                 p_true = outage_cdf(thr, l, "exact")
@@ -1077,16 +1110,20 @@ class TestWorkerPool:
                 assert kernel(args, scratch) == kernel(args)
 
     @pytest.mark.parametrize("estimator", ["crude", "is"])
-    @pytest.mark.parametrize("l", [1, 3, 10])
+    # the importance sampler draws the l - 1 other gains as 1 and 4 uniform
+    # blocks at l = 2 and 5, and with standard_gamma from l = 6; a threshold
+    # of 3 l leaves its proposal untilted
+    @pytest.mark.parametrize("l", [1, 2, 3, 5, 6, 10])
     def test_estimates_identical_at_any_worker_count(self, estimator, l):
-        # 4 full batches and a partial one
-        config = MonteCarloConfig(l=l, trials=4 * _BATCH + 1234, seed=11, event="threshold",
-                                  threshold=float(gammaincinv(l, 0.01)), estimator=estimator)
-        serial = monte_carlo_p_err(config, RAYLEIGH_1)
-        for workers in (1, 2, 16):
-            assert monte_carlo_p_err(config, RAYLEIGH_1, workers=workers) == serial
-            with error_analysis.worker_pool(workers, [config], RAYLEIGH_1) as pool:
-                assert monte_carlo_p_err(config, RAYLEIGH_1, pool=pool) == serial
+        for threshold in (float(gammaincinv(l, 0.01)), 3.0 * l):
+            # 4 full batches and a partial one
+            config = MonteCarloConfig(l=l, trials=4 * _BATCH + 1234, seed=11, event="threshold",
+                                      threshold=threshold, estimator=estimator)
+            serial = monte_carlo_p_err(config, RAYLEIGH_1)
+            for workers in (1, 2, 16):
+                assert monte_carlo_p_err(config, RAYLEIGH_1, workers=workers) == serial
+                with error_analysis.worker_pool(workers, [config], RAYLEIGH_1) as pool:
+                    assert monte_carlo_p_err(config, RAYLEIGH_1, pool=pool) == serial
 
 
 def _grid(points, trials, workers):
