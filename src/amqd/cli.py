@@ -4,8 +4,10 @@ Subcommands:
   figure2   closed-form error-probability curves with the reference defaults
   analytic  closed-form curves with caller-chosen parameters
   simulate  Monte Carlo estimate vs closed form over an SNR grid; every point
-            is importance sampled (a Gamma(l) draw per trial) and reported
-            with its weighted-CLT 95% interval, so any p is reachable
+            is importance sampled (a Gamma(l) draw per trial at l = 1; at
+            l >= 2 the sum of the first l - 1 gains, the last gain integrated
+            out) and reported with its weighted-CLT 95% interval, so any p is
+            reachable
   slope     importance-sampled diversity slope scan of one l over an SNR grid:
             the fitted log-log slope against l(1-zeta), and each point's
             threshold, estimate, interval and hits

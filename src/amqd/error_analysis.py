@@ -31,8 +31,8 @@ monte_carlo_p_err has two estimators of that probability
          theta^k exp(x (1/theta - 1)) times h = 1 - e^-(t - x), the chance
          that the last gain closes the gap: at equal draws that is 5x less
          variance at l_draw = 2, 4x at 3 and 2.5x at 10.
-         G is -ln(u_1 ... u_k) for k <= 4, k uniform blocks multiplied in
-         place (Devroye 1986, IX.3), so for l_draw <= 5; beyond, it is
+         G is -ln(u_1 ... u_k) for k <= 7, k uniform blocks multiplied in
+         place (Devroye 1986, IX.3), so for l_draw <= 8; beyond, it is
          numpy's standard_gamma, the one draw that serves l up to MAX_L.
          Every draw is weighed, with no gathering of the hits: a miss is
          first clamped to the edge of the hit region (u to e^-cut, G to the
@@ -81,10 +81,11 @@ float.  scipy.special is not used, so no command but `validate`, whose
 quadrature check imports scipy.integrate, loads scipy.
 
 Monte Carlo estimates are exactly reproducible: trials are split into fixed
-batches of 65536, batch b drawing from the Philox substream keyed by
-(seed, spawn_key=(b,)), or (seed, spawn_key=(b, i)) at point i of a grid run,
-and the per-batch counts (or weight sums) are combined in batch order, so the
-result is byte-identical for any worker count.  Because a grid run keys its
+batches of 65536, batch b drawing from the stream keyed by
+(seed, spawn_key=(b,)), or (seed, spawn_key=(b, i)) at point i of a grid run
+(Philox for crude batches, PCG64DXSM for importance-sampled ones, see
+_weigh_generator), and the per-batch counts (or weight sums) are combined in
+batch order, so the result is byte-identical for any worker count.  Because a grid run keys its
 points by index rather than by seed + i, no point of one seed reuses a stream
 of another seed.
 
@@ -130,9 +131,12 @@ MAX_BATCH_BYTES = 1 << 30
 ESTIMATORS = ("crude", "is")
 
 # most uniforms whose product makes an importance-sampled Gamma draw (k gains:
-# l at l = 1, l - 1 beyond, so l <= 5 draws uniforms); standard_gamma is
-# faster beyond it
-_PRODUCT_MAX_L = 4
+# l at l = 1, l - 1 beyond, so l <= 8 draws uniforms).  One 65536-draw batch
+# on PCG64DXSM (2 cores, medians of 300 interleaved reps) took 0.83-0.89 ms
+# at k = 2, about 0.17 ms more per further uniform block, and 1.65-1.78 ms at
+# k = 7; with standard_gamma it took 1.8-2.0 ms at every k.  The product won
+# 251-279 of 300 reps at k = 6, 7, and lost 194 of 300 at k = 8
+_PRODUCT_MAX_L = 7
 
 # least positive float, the floor of a missed uniform product
 _TINY = math.ulp(0.0)
@@ -741,6 +745,15 @@ def _tilt(t: float, l: int) -> tuple:
     return theta, log_w_max, float(l)
 
 
+def _weigh_generator(seed: int, batch_index) -> np.random.Generator:
+    """The importance-sampled kernel's stream: PCG64DXSM over the key that
+    RngStream(seed, batch_index) makes, so streams stay independent across
+    batches, points and seeds.  It makes a uniform block in less than half
+    of Philox's time, and uniforms are most of the kernel's work; crude
+    batches keep Philox, the independent check (_count_batch)."""
+    return np.random.Generator(np.random.PCG64DXSM(RngStream(seed, batch_index).seed_sequence()))
+
+
 def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     """(hits, sum v, sum v^2) of one importance-sampled batch, each draw's
     weight being scale * v, with v in [0, 1] (0 off the event) and the scale
@@ -758,7 +771,7 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     t = threshold / sigma2_f
     theta, _, cut = _tilt(t, l)
     k = max(l - 1, 1)  # gains drawn per trial
-    g = RngStream(seed, batch_index).generator()
+    g = _weigh_generator(seed, batch_index)
     hit = scratch.array("hit", (m,), bool)
     if k <= _PRODUCT_MAX_L:
         # G = -ln(u_1 ... u_k) for uniforms u_i (Devroye 1986, IX.3), and

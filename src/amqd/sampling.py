@@ -1,8 +1,10 @@
 """Seeded sampling of every random object in the transmission chain.
 
-All randomness is drawn from counter-based Philox substreams keyed by
-(seed, stream_index), so a sample depends only on those two keys and not
-on execution order or worker count.
+Every stream is keyed by (seed, stream_index) through one SeedSequence, so a
+sample depends only on those two keys and not on execution order or worker
+count.  The draws made here, and the crude Monte Carlo kernel's, come from a
+counter-based Philox generator over that key; the importance-sampled kernel
+(error_analysis._weigh_batch) draws from PCG64DXSM over the same key.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ class RngStream:
 
     stream_index is the SeedSequence spawn key: one integer i, keying (i,), or
     a tuple of integers; a Monte Carlo grid point p keys its batch b as (b, p).
+    seed_sequence() is the one place the key is made; generator() is Philox
+    over it.
     """
 
     seed: int
@@ -41,9 +45,11 @@ class RngStream:
             return tuple(int(k) for k in self.stream_index)
         return (int(self.stream_index),)
 
+    def seed_sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(int(self.seed), spawn_key=self.spawn_key())
+
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(int(self.seed), spawn_key=self.spawn_key())
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(self.seed_sequence()))
 
 
 @dataclass(frozen=True)

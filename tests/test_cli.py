@@ -79,7 +79,7 @@ class TestSlope:
         # gate 4's l = 2 scan: seed 7000 + l, 20..40 dB in 5 dB steps
         assert main(["slope", "--l", "2", "--seed", "7002"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "l=2: slope 1.9540 (diversity order 2.00)"
+        assert lines[0] == "l=2: slope 1.9538 (diversity order 2.00)"
         assert [line.split()[1] for line in lines[1:]] == ["100", "316.2", "1000", "3162",
                                                           "1e+04"]
 
@@ -408,7 +408,7 @@ class TestInputContract:
 
     def test_huge_l_gives_the_exact_answer(self, capsys):
         # an importance-sampled batch holds at most two draws per trial
-        # (l <= 4 multiplies l uniform blocks into two arrays, larger l draws
+        # (l <= 8 multiplies l - 1 uniform blocks into two arrays, larger l draws
         # one gamma), so l is no memory bound
         assert main(["simulate", "--l", "1000000000000", "--snr-db-max", "0"]) == 0
         header, *rows = capsys.readouterr().out.strip().split("\n")
