@@ -49,7 +49,7 @@ _FLAGS = {
     "snr_db_min": dict(type=float, help="grid start in dB"),
     "snr_db_max": dict(type=float, help="grid end in dB (inclusive)"),
     "snr_db_step": dict(type=float, help="grid step in dB"),
-    "trials": dict(type=int, help="Monte Carlo trials per estimate"),
+    "trials": dict(type=int, help="Monte Carlo trials per estimate (1 to 2e9)"),
     "seed": dict(type=int, help="seed; batch b of grid point i of simulate or slope draws "
                                 "from the stream keyed (seed, b, i)"),
     "model": dict(help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>"),

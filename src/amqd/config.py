@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_analysis import MAX_GRID_POINTS, check_workers
+from .error_analysis import MAX_GRID_POINTS, MAX_TRIALS, check_workers
 from .exceptions import ConfigError
 from .sampling import TransmittanceModel
 
@@ -99,8 +99,8 @@ class ExperimentConfig:
         self.l_values = ls
         if not (0.0 <= float(self.zeta) < 1.0):
             raise ConfigError("zeta must lie in [0, 1)")
-        if int(self.trials) < 1:
-            raise ConfigError("trials must be >= 1")
+        if not (1 <= int(self.trials) <= MAX_TRIALS):
+            raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}]")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if isinstance(self.model, str):

@@ -30,7 +30,9 @@ monte_carlo_p_err has two estimators of that probability
          is Exp(1) given the others, so a hit weighs the Gamma(k) ratio
          theta^k exp(x (1/theta - 1)) times h = 1 - e^-(t - x), the chance
          that the last gain closes the gap: at equal draws that is 5x less
-         variance at l_draw = 2, 4x at 3 and 2.5x at 10.
+         variance at l_draw = 2, 4x at 3 and 2.5x at 10.  _proposal works out
+         k, theta, the cut and the weights' scale once, for the kernel, the
+         estimate and the slope scan's budget alike.
          G is -ln(u_1 ... u_k) for k <= 7, k uniform blocks multiplied in
          place (Devroye 1986, IX.3), so for l_draw <= 8; beyond, it is
          numpy's standard_gamma, the one draw that serves l up to MAX_L.
@@ -44,10 +46,11 @@ monte_carlo_p_err has two estimators of that probability
          as p -> 0 (about 0.36% at p = 9e-8, l = 3, from 1e5 draws).  Where
          there is no variance estimate (one trial, or no hit) the interval is
          [0, min(scale, 1)], since p <= scale, the bound the kernel's
-         weights are taken over.  At l_draw = 1 where theta = 1 every hit weighs 1, and
-         the hits get a Wilson interval; at l_draw >= 2 an untilted hit still
-         weighs h, so the interval is the weighted one.  errors_observed
-         counts the hits: draws whose k summed gains fall below the cut.
+         weights are taken over.  At l_draw = 1 where theta = 1 every hit
+         weighs 1, and the hits get a Wilson interval; at l_draw >= 2 an
+         untilted hit still weighs h, so the interval is the weighted one.
+         errors_observed counts the hits: draws whose k summed gains fall
+         below the cut.
          diversity_slope_scan and experiments.run_monte_carlo (so
          `amqd simulate`) use this estimator; "crude" stays the default.
 
@@ -80,14 +83,14 @@ the Gamma density as the derivative; a handful of steps reach the nearest
 float.  scipy.special is not used, so no command but `validate`, whose
 quadrature check imports scipy.integrate, loads scipy.
 
-Monte Carlo estimates are exactly reproducible: trials are split into fixed
-batches of 65536, batch b drawing from the stream keyed by
-(seed, spawn_key=(b,)), or (seed, spawn_key=(b, i)) at point i of a grid run
-(Philox for crude batches, PCG64DXSM for importance-sampled ones, see
-_weigh_generator), and the per-batch counts (or weight sums) are combined in
-batch order, so the result is byte-identical for any worker count.  Because a grid run keys its
-points by index rather than by seed + i, no point of one seed reuses a stream
-of another seed.
+Monte Carlo estimates are exactly reproducible: trials, at most MAX_TRIALS
+(2e9) per estimate, are split into fixed batches of 65536, batch b drawing
+from the stream keyed by (seed, spawn_key=(b,)), or (seed, spawn_key=(b, i))
+at point i of a grid run (Philox for crude batches, PCG64DXSM for
+importance-sampled ones, see _weigh_generator), and the per-batch counts (or
+weight sums) are combined in batch order, so the result is byte-identical for
+any worker count.  Because a grid run keys its points by index rather than by
+seed + i, no point of one seed reuses a stream of another seed.
 
 Batches run on threads when more than one worker is asked for: the draws,
 ufuncs and reductions of a batch release the GIL, so threads share the cores
@@ -147,8 +150,8 @@ MAX_L = 2**53
 # most points an SNR grid (config.SnrGrid) or a slope scan may have
 MAX_GRID_POINTS = 10_000
 
-# most trials a slope scan gives one point
-MAX_SCAN_TRIALS = 2_000_000_000
+# most trials of one estimate, so a point's batch list (_plan) stays small
+MAX_TRIALS = 2_000_000_000
 
 
 def p_err_single_analytic(snr: float, zeta: float = 0.0) -> float:
@@ -509,8 +512,8 @@ class MonteCarloConfig:
             raise ConfigError("l must be >= 1")
         if int(self.l) > MAX_L:
             raise ConfigError("l must be at most 2**53")
-        if int(self.trials) < 1:
-            raise ConfigError("trials must be >= 1")
+        if not (1 <= int(self.trials) <= MAX_TRIALS):
+            raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}]")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.event not in ("threshold", "rate"):
@@ -533,13 +536,6 @@ def check_workers(workers: int) -> int:
     if not (1 <= w <= MAX_WORKERS):
         raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}]")
     return w
-
-
-def batches_per_point(config: MonteCarloConfig, model: TransmittanceModel) -> int:
-    """Sampled batches one estimate of config takes on model; 0 where
-    _event_geometry decides the event (t = 0 or inf), which draws nothing."""
-    t = _event_geometry(config, model)[2]
-    return -(-int(config.trials) // _BATCH) if 0.0 < t < math.inf else 0
 
 
 class _Scratch:
@@ -665,17 +661,10 @@ class BatchPool:
         return results
 
 
-def _stream(configs, model: TransmittanceModel):
-    """(kernel, args) of every batch of these points, in order.  It stops at
-    a point _plan rejects, whose own monte_carlo_p_err call raises."""
-    for config in configs:
-        try:
-            decided, kernel, batches = _plan(config, model)
-        except ConfigError:
-            return
-        if decided is None:
-            for args in batches:
-                yield kernel, args
+def _plans(configs, model: TransmittanceModel):
+    """_plan of each of these points, in order, made only as it is asked for,
+    so at most one point's batch list is held at a time."""
+    return (_plan(config, model) for config in configs)
 
 
 @contextlib.contextmanager
@@ -683,12 +672,14 @@ def worker_pool(workers: int, configs, model: TransmittanceModel):
     """A BatchPool over the batches of `configs` (a list of the points the run
     will estimate, in the order it estimates them): the calling thread and
     min(workers, batches of the largest point) - 1 helper threads; below two
-    threads no executor is opened.  On exit the stream stops, so no further
-    batch starts, and the helpers are shut down, which joins them, so none
-    outlives the caller's run."""
-    largest = max((batches_per_point(c, model) for c in configs), default=0)
+    threads no executor is opened.  A point _plan rejects raises its
+    ConfigError here, before any batch runs.  On exit the stream stops, so no
+    further batch starts, and the helpers are shut down, which joins them, so
+    none outlives the caller's run."""
+    largest = max((len(batches) for _, _, batches in _plans(configs, model)), default=0)
     size = max(min(check_workers(workers), largest), 1)
-    pool = BatchPool(_stream(configs, model), size)
+    pool = BatchPool(((kernel, args) for _, kernel, batches in _plans(configs, model)
+                      for args in batches), size)
     if size == 1:
         yield pool
         return
@@ -729,20 +720,26 @@ def _count_batch(args, scratch: _Scratch | None = None) -> int:
     return int(np.count_nonzero(np.less(s, threshold, out=scratch.array("hit", (m,), bool))))
 
 
-def _tilt(t: float, l: int) -> tuple:
-    """(theta, log w_max, cut) of the proposal theta * Gamma(l, 1) for the
-    event Gamma(l, 1) < t at a finite t: theta = min(t / l, 1), w_max =
-    (theta e^(1 - theta))^l <= 1 is the largest weight a hit can carry, and
-    a draw x = theta * G hits where G < cut = t / theta = max(t, l), with
-    probability P(l, cut) > 1/2 (P(l - 1, cut) > 1/2 for the l - 1 gains
-    _weigh_batch draws at l >= 2).  The hit test is on G because theta rounds
-    to a subnormal or to 0 where t / l underflows."""
+def _proposal(t: float, l: int) -> tuple:
+    """(k, theta, cut, log_scale) of the importance sampler's proposal for
+    the event Gamma(l, 1) < t at 0 <= t < inf.  It draws G ~ Gamma(k, 1) for
+    the k = max(l - 1, 1) gains drawn per trial, shrunk to theta G with
+    theta = min(t / l, 1), and a draw hits where G < cut = max(t, l), with
+    probability P(k, cut) > 1/2.  The hit test is on G because theta rounds
+    to a subnormal or to 0 where t / l underflows.  A hit weighs scale * v
+    with v in [0, 1] (_weigh_batch) and scale = theta^k e^(cut (1 - theta))
+    h0, the largest weight a hit can carry: h0 = 1 - e^-t, the last gain's
+    chance to close the whole gap, at l >= 2, and 1 at l = 1.  ln theta is
+    ln t - ln l, finite where t / l underflows; scale = 0 at t = 0."""
+    k = max(l - 1, 1)
+    if t == 0.0:
+        return k, 0.0, float(l), -math.inf
     if t >= l:
-        return 1.0, 0.0, t
-    theta = t / l
-    # log(t) - log(l) stays finite where t / l underflows; w_max = 0 at t = 0
-    log_w_max = l * (math.log(t) - math.log(l) + 1.0 - theta) if t > 0.0 else -math.inf
-    return theta, log_w_max, float(l)
+        theta, log_theta, cut = 1.0, 0.0, t
+    else:
+        theta, log_theta, cut = t / l, math.log(t) - math.log(l), float(l)
+    log_h0 = math.log(-math.expm1(-t)) if l >= 2 else 0.0
+    return k, theta, cut, k * log_theta + cut * (1.0 - theta) + log_h0
 
 
 def _weigh_generator(seed: int, batch_index) -> np.random.Generator:
@@ -756,10 +753,11 @@ def _weigh_generator(seed: int, batch_index) -> np.random.Generator:
 
 def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     """(hits, sum v, sum v^2) of one importance-sampled batch, each draw's
-    weight being scale * v, with v in [0, 1] (0 off the event) and the scale
-    that monte_carlo_p_err applies; pure function of its arguments (scratch
-    only lends it arrays to draw into).  Needs 0 < threshold / sigma2_f <
-    inf, as _plan ensures.
+    weight being scale * v, with v in [0, 1] (0 off the event); the proposal
+    (k, theta, cut) and the scale, which monte_carlo_p_err applies, are both
+    _proposal's.  Pure function of its arguments (scratch only lends it
+    arrays to draw into).  Needs 0 < threshold / sigma2_f < inf, as _plan
+    ensures.
 
     At l = 1 the draw is G ~ Gamma(1, 1), a hit is G < cut and it weighs
     the density ratio.  At l >= 2 the last gain is integrated out: G ~
@@ -769,8 +767,7 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     seed, batch_index, m, l, sigma2_f, threshold = args
     scratch = scratch or _Scratch()
     t = threshold / sigma2_f
-    theta, _, cut = _tilt(t, l)
-    k = max(l - 1, 1)  # gains drawn per trial
+    k, theta, cut, _ = _proposal(t, l)
     g = _weigh_generator(seed, batch_index)
     hit = scratch.array("hit", (m,), bool)
     if k <= _PRODUCT_MAX_L:
@@ -853,27 +850,29 @@ def _event_geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tupl
     if model.kind == FIXED:
         if len(model.values) != int(config.l):
             raise ConfigError("fixed model value count must equal l")
-        gain2 = sum(abs(v) ** 2 for v in model.values[:l_draw])
+        # |v|^2 as a sum of squares, which rounds to inf rather than raising
+        gain2 = sum(v.real * v.real + v.imag * v.imag for v in model.values[:l_draw])
     else:
         gain2 = l_draw * float(model.magnitude) ** 2
     return l_draw, threshold, math.inf if gain2 < threshold else 0.0
 
 
 def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
-    """(estimate, None, None) where _event_geometry decides the event (t = 0:
+    """(estimate, None, ()) where _event_geometry decides the event (t = 0:
     no trial is an error; t = inf: every trial is), for either estimator and
     without drawing; otherwise (None, kernel, batch args) of the batches that
-    estimate it.  Both monte_carlo_p_err and a pool's stream plan a point
-    here, so they agree on which points draw and on every batch they draw."""
+    estimate it.  monte_carlo_p_err, a pool's size and a pool's stream all
+    plan a point here, so they agree on which points draw and on every batch
+    they draw."""
     l_draw, threshold, t = _event_geometry(config, model)
     trials = int(config.trials)
     crude = config.estimator == "crude"
     if not 0.0 < t < math.inf:
         k = trials if t else 0
         if crude:
-            return ErrorEstimate.from_counts(k, trials), None, None
+            return ErrorEstimate.from_counts(k, trials), None, ()
         p = k / trials
-        return ErrorEstimate(p, trials, p, p, k, "is"), None, None
+        return ErrorEstimate(p, trials, p, p, k, "is"), None, ()
     if crude:
         batch_bytes = 16 * min(_BATCH, trials) * l_draw
         if batch_bytes > MAX_BATCH_BYTES:
@@ -923,19 +922,11 @@ def monte_carlo_p_err(
         return ErrorEstimate.from_counts(sum(results), trials)
     _, _, _, l_draw, sigma2_f, threshold = batches[0]
     hits, sum_v, sum_v2 = (sum(column) for column in zip(*results))
-    t = threshold / sigma2_f
-    theta, log_scale, cut = _tilt(t, l_draw)
+    _, theta, _, log_scale = _proposal(threshold / sigma2_f, l_draw)
     if l_draw == 1 and theta == 1.0:
         # an untilted proposal of one gain weighs every hit 1: the hits are a
         # binomial count
         return ErrorEstimate.from_counts(hits, trials, "is")
-    if l_draw >= 2:
-        # _weigh_batch's scale: the Gamma(l - 1) ratio's theta^(l - 1)
-        # e^(cut (1 - theta)) times h0 = 1 - e^-t, with ln theta as
-        # ln t - ln l, finite where t / l underflows
-        log_theta = math.log(t) - math.log(l_draw) if theta < 1.0 else 0.0
-        log_scale = ((l_draw - 1) * log_theta + cut * (1.0 - theta)
-                     + math.log(-math.expm1(-t)))
     return ErrorEstimate.from_weights(hits, sum_v, sum_v2, trials, scale=math.exp(log_scale))
 
 
@@ -1012,10 +1003,11 @@ def diversity_slope_scan(
     fitted slope estimates the multicarrier diversity order.  t0 is placed
     where the outage CDF equals anchor_probability.  Every point is estimated
     by importance sampling (estimator "is"), and its trial count aims at
-    target_errors expected hits of the sampling law, P(l - 1, cut) (P(1, cut)
-    at l = 1) with the cut _tilt gives, clamped to [min_trials,
-    MAX_SCAN_TRIALS]; since the median of Gamma(k) lies below k + 1, that hit
-    rate is above one half at any threshold, so the usual budgets sit on the
+    target_errors expected hits of the sampling law, P(k, cut) with the k and
+    cut of _proposal, clamped to [min_trials, MAX_TRIALS]; since the median
+    of Gamma(k) lies below k + 1, that hit rate is above one half at any
+    threshold, so ceil(target_errors / P) <= 2 target_errors and budgets of
+    target_errors <= min_trials / 2 (the defaults among them) sit on the
     min_trials floor.
     Batch b of point i draws from the substream (seed, spawn_key=(b, i)).
     The points are estimated by monte_carlo_points, on one worker pool.
@@ -1031,8 +1023,8 @@ def diversity_slope_scan(
         raise ConfigError("need 0 < snr_min < snr_max < inf")
     if int(target_errors) < 1:
         raise ConfigError("target_errors must be >= 1")
-    if not (1 <= int(min_trials) <= MAX_SCAN_TRIALS):
-        raise ConfigError(f"need 1 <= min_trials <= {MAX_SCAN_TRIALS}")
+    if not (1 <= int(min_trials) <= MAX_TRIALS):
+        raise ConfigError(f"need 1 <= min_trials <= {MAX_TRIALS}")
     z = float(zeta)
     if not (0.0 <= z < 1.0):
         raise ConfigError("zeta must lie in [0, 1)")
@@ -1048,11 +1040,10 @@ def diversity_slope_scan(
 
     t0 = gamma_p_inv(l, float(anchor_probability))
     thr = t0 * ratio ** (-(1.0 - z))
-    # hit probability of the proposal: its Gamma(l - 1) draw (Gamma(1) at
-    # l = 1) below the cut; budgeting only
-    q_hit = np.array([gamma_p(max(l - 1, 1), _tilt(t, l)[2]) for t in thr])
+    # hit probability P(k, cut) of each point's proposal; budgeting only
+    q_hit = np.array([gamma_p(k, cut) for k, _, cut, _ in (_proposal(t, l) for t in thr)])
 
-    trials = np.clip(np.ceil(int(target_errors) / q_hit), int(min_trials), MAX_SCAN_TRIALS)
+    trials = np.clip(np.ceil(int(target_errors) / q_hit), int(min_trials), MAX_TRIALS)
     model = TransmittanceModel.rayleigh(1.0)
     configs = [MonteCarloConfig(l=int(l), trials=int(n_i), seed=int(seed), event="threshold",
                                 threshold=float(t_i), estimator="is", point=i)

@@ -1,10 +1,13 @@
-"""The benchmark under perfbench/ imports names from amqd and rebinds some of
-amqd's module attributes.  These tests read the perfbench sources (and change
-nothing there) and check that each of those names still exists, so a deletion
-in amqd cannot silently break the benchmark."""
+"""The benchmark under perfbench/ imports names from amqd, rebinds some of
+amqd's module attributes and runs amqd command lines and scan keywords.
+These tests read the perfbench sources (and change nothing there) and check
+that each of those names still exists and each workload's command line or
+keywords are still taken, so a deletion or rename in amqd cannot silently
+break the benchmark."""
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -44,6 +47,38 @@ def _imported_names():
 
 
 IMPORTED = _imported_names()
+
+
+def _workloads():
+    """perfbench/workloads.py, imported as perfbench/run.py imports it (its
+    directory on sys.path, for its sibling modules); nothing there changes."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads").WORKLOADS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+WORKLOADS = _workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_parses_or_binds(name):
+    # a renamed flag or scan keyword would fail the workload's every pass
+    # (run_failed) while amqd's own tests stayed green
+    from amqd import diversity_slope_scan
+    from amqd.cli import build_parser
+    from amqd.config import build_experiment_config, merge_settings
+
+    workload = WORKLOADS[name]
+    seed = workload.pass_seed(0, 0)
+    argv = workload.cli_argv(seed)
+    if argv is None:
+        inspect.signature(diversity_slope_scan).bind(**workload.job.kwargs(seed))
+        return
+    args = build_parser().parse_args(argv)
+    cli = {key: getattr(args, key) for key in args.settings}
+    build_experiment_config(merge_settings(args.defaults, args.config, cli))
 
 
 def test_the_walk_finds_the_benchmark_imports():

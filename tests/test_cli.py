@@ -225,8 +225,20 @@ class TestSimulate:
                      "--trials", "10"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, l", [("fixed=1e200", "1"), ("fixed=1e200,1e200", "2")])
+    def test_gain_whose_square_overflows_is_never_an_error(self, tmp_path, model, l):
+        # |F|^2 = 1e400 lies above every threshold: p = 0, not an overflow
+        out = tmp_path / "sim.csv"
+        for event in ("threshold", "rate"):
+            assert main(["simulate", "--model", model, "--l", l, "--event", event,
+                         "--snr-db-max", "4", "--trials", "10", "--out", str(out)]) == 0
+            header, rows = _read_csv(out)
+            assert rows[:, header.index("p_hat")].tolist() == [0.0] * 3
+            assert rows[:, header.index("analytic")].tolist() == [0.0] * 3
+
     def test_one_trial_interval_holds_the_analytic_value(self, tmp_path):
-        # one weight gives no variance estimate: the interval is [0, w_max],
+        # one weight gives no variance estimate: the interval is
+        # [0, min(scale, 1)], scale being the largest weight a hit can carry,
         # which holds p because p is a mean weight
         out = tmp_path / "mc.csv"
         for l in ("1", "2", "5"):
@@ -417,6 +429,13 @@ class TestInputContract:
         # the closed forms draw nothing
         assert main(["analytic", "--l", "1000000000000", "--snr-db-max", "0"]) == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_trials_beyond_the_cap_exit_2(self, capsys, command):
+        # 1e15 trials would plan 1.5e10 batches before the first one ran
+        argv = [command, "--trials", str(10**15)]
+        assert main(argv + (["--snr-db-max", "0"] if command == "simulate" else [])) == 2
+        assert "config error: trials must lie in" in capsys.readouterr().err
+
     def test_grid_size_cap(self):
         step = 0.25
         assert len(SnrGrid(0.0, (MAX_GRID_POINTS - 1) * step, step)) == MAX_GRID_POINTS
@@ -498,7 +517,8 @@ _CLI_FLAGS = {
     "--snr-db-step": _tokens(st.floats(0.1, 20.0)),
     "--rate-bits": _tokens(st.floats(0.0, 40.0)),
     "--model": st.sampled_from(["rayleigh", "fixed=0.5", "fixed=0.5,0.5", "fixed=nan",
-                                "fixed=1e400", "uniform-phase=0.5", "uniform-phase=nan"])
+                                "fixed=1e400", "fixed=1e200", "fixed=1e200,1e200",
+                                "uniform-phase=0.5", "uniform-phase=nan"])
                | st.text(max_size=12),
     "--event": st.sampled_from(["rate", "threshold", "rate", "threshold", "outage"]),
     "--seed": st.integers(0, 2**32) | st.integers() | st.integers(2**64 - 3, 2**64 + 3),

@@ -1,7 +1,9 @@
+import decimal
 import math
 import sys
 import threading
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from amqd.error_analysis import (
     MAX_BATCH_BYTES,
     MAX_GRID_POINTS,
     MAX_L,
-    MAX_SCAN_TRIALS,
+    MAX_TRIALS,
     _count_batch,
     gamma_p,
     gamma_p_inv,
@@ -717,15 +719,40 @@ class TestImportanceSampling:
         est = monte_carlo_p_err(_is_config(l, t), RAYLEIGH_1)
         assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t))
 
+    @pytest.mark.parametrize("t, l", [(0.3, 1), (1.5, 1), (0.4, 2), (5.0, 2), (2.5, 9),
+                                      (1e-300, 10**15), (0.0, 3)])
+    def test_proposal_matches_its_closed_form(self, t, l):
+        # scale = theta^k e^(cut (1 - theta)) h0 with h0 = 1 - e^-t at l >= 2
+        # and 1 at l = 1, multiplied out in 350-digit decimals from the
+        # unrounded theta = t / l (a subnormal float at l = 1e15), so neither
+        # a float ln theta nor the log-space sum enters the reference
+        k, theta, cut, log_scale = error_analysis._proposal(t, l)
+        assert (k, theta, cut) == (max(l - 1, 1), min(t / l, 1.0), max(t, float(l)))
+        if t == 0.0:
+            assert log_scale == -math.inf
+            return
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emin, ctx.Emax = 350, decimal.MIN_EMIN, decimal.MAX_EMAX
+            th = min(Decimal(t) / l, Decimal(1))
+            h0 = 1 - (-Decimal(t)).exp() if l >= 2 else Decimal(1)
+            ref = float((th**k * (Decimal(cut) * (1 - th)).exp() * h0).ln())
+        assert math.isclose(log_scale, ref, rel_tol=1e-14)
+
     @pytest.mark.parametrize("l", [10**15, 2**53])
     def test_tilt_below_the_float_range(self, l):
         # theta = t / l is a subnormal here, so t / theta misses l by far more
         # than one gamma sd: hits must still be the draws below l, each
-        # weighing at most w_max = 0, never a NaN
+        # weighing at most _proposal's scale, which underflows to 0, never a
+        # NaN
         est = monte_carlo_p_err(_is_config(l, 1e-300, trials=1000), RAYLEIGH_1)
         assert (est.p_hat, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
         assert 0 < est.errors_observed < 1000
         assert analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=1e-300) == 0.0
+
+    def test_trials_beyond_the_cap_rejected(self):
+        assert MonteCarloConfig(l=1, trials=MAX_TRIALS, seed=0, threshold=1.0).trials == MAX_TRIALS
+        with pytest.raises(ConfigError, match="trials"):
+            MonteCarloConfig(l=1, trials=MAX_TRIALS + 1, seed=0, threshold=1.0)
 
     def test_l_beyond_exact_floats_rejected(self):
         assert MonteCarloConfig(l=2**53, trials=10, seed=0, threshold=1.0).l == 2**53
@@ -763,6 +790,16 @@ class TestAnalyticEventProbability:
         model = TransmittanceModel.fixed((0.5, 0.5))
         assert analytic_event_probability(model, "threshold", 2, threshold=0.6) == 1.0
         assert analytic_event_probability(model, "threshold", 2, threshold=0.4) == 0.0
+
+    @pytest.mark.parametrize("estimator", ["crude", "is"])
+    @pytest.mark.parametrize("values", [(1e200,), (1e200, 1e200)])
+    def test_gain_whose_square_overflows_is_never_an_error(self, estimator, values):
+        # |v|^2 rounds to inf rather than raising, so the event is decided
+        model = TransmittanceModel.fixed(values)
+        config = MonteCarloConfig(l=len(values), trials=1000, seed=0, snr=10.0,
+                                  estimator=estimator)
+        assert monte_carlo_p_err(config, model).p_hat == 0.0
+        assert analytic_event_probability(model, "threshold", len(values), snr=10.0) == 0.0
 
     def test_fixed_length_mismatch_rejected(self):
         # the one deterministic-gain handler serves both the oracle and the estimate
@@ -881,7 +918,7 @@ class TestDiversitySlopeScan:
         (2, {"snr_min": 1e-300, "snr_max": 1e15}),  # the ratio overflows
         # a finite ratio, but that of logspace's rounded ends overflows
         (2, {"snr_min": 1e-10, "snr_max": 1.7976931348623155e298}),
-        (2, {"min_trials": MAX_SCAN_TRIALS + 1}),
+        (2, {"min_trials": MAX_TRIALS + 1}),
         (2, {"min_trials": 0}),
         (2, {"num_points": MAX_GRID_POINTS + 1}),
         (2, {"seed": -1}),
