@@ -3,7 +3,6 @@ constellations, and error-probability analysis with Monte Carlo checks."""
 
 from .channel import (
     RateAllocation,
-    SnrSpec,
     SubchannelSet,
     WorstCaseSet,
     apply_channel,
@@ -43,19 +42,11 @@ from .experiments import (
 )
 from .sampling import (
     ComplexGaussianSpec,
-    NoiseSpec,
     RngStream,
     TransmittanceModel,
     sample_modulation_block,
-    sample_noise_block,
 )
-from .transform import (
-    ModulatedVector,
-    forward_transform,
-    inverse_transform,
-    unitary_dft,
-    unitary_idft,
-)
+from .transform import ModulatedVector, unitary_dft, unitary_idft
 from .validation import ValidationReport, run_validation
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Gaussian sub-channel model: per-subcarrier gain plus additive noise.
 
-Also carries the SNR bookkeeping, the worst-case sub-channel selection, and
-the multiuser secret-key-rate allocation.
+Also carries the worst-case sub-channel selection and the multiuser
+secret-key-rate allocation.
 """
 
 from __future__ import annotations
@@ -11,17 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .sampling import NoiseSpec, RngStream, sample_noise_block
-from .transform import ModulatedVector, forward_transform, inverse_transform
+from .sampling import ComplexGaussianSpec, RngStream, sample_modulation_block
+from .transform import ModulatedVector, unitary_dft, unitary_idft
 
 
 @dataclass(frozen=True)
 class SubchannelSet:
-    """l information-carrying sub-channels: Fourier-domain gains plus noise."""
+    """l information-carrying sub-channels: Fourier-domain gains plus noise,
+    whose variance_per_entry[i] is E|n_i|^2."""
 
     l: int
     f_transmittance: tuple
-    noise: NoiseSpec
+    noise: ComplexGaussianSpec
 
     def __post_init__(self):
         if int(self.l) < 1:
@@ -34,28 +35,12 @@ class SubchannelSet:
     @classmethod
     def all_pass(cls, l: int) -> "SubchannelSet":
         """Unit gain, zero noise; the identity channel."""
-        return cls(l, (1.0 + 0.0j,) * int(l), NoiseSpec.iid(l, 0.0))
+        return cls(l, (1.0 + 0.0j,) * int(l), ComplexGaussianSpec.iid(l, 0.0))
 
     @classmethod
-    def scalar(cls, l: int, gain: complex, sigma2_noise: float = 0.0) -> "SubchannelSet":
-        return cls(l, (complex(gain),) * int(l), NoiseSpec.iid(l, sigma2_noise))
-
-
-@dataclass(frozen=True)
-class SnrSpec:
-    """Per-sub-channel SNR values; snr_star is the worst (minimum) of them."""
-
-    snr_per_subchannel: tuple
-
-    def __post_init__(self):
-        snrs = tuple(float(v) for v in self.snr_per_subchannel)
-        if len(snrs) == 0 or any(v <= 0.0 for v in snrs):
-            raise ConfigError("per-sub-channel SNRs must be positive")
-        object.__setattr__(self, "snr_per_subchannel", snrs)
-
-    @property
-    def snr_star(self) -> float:
-        return min(self.snr_per_subchannel)
+    def scalar(cls, l: int, gain: complex, noise_energy: float = 0.0) -> "SubchannelSet":
+        """The same gain on every sub-channel, and noise of E|n_i|^2 = noise_energy."""
+        return cls(l, (complex(gain),) * int(l), ComplexGaussianSpec.iid(l, noise_energy))
 
 
 @dataclass(frozen=True)
@@ -99,23 +84,27 @@ def apply_channel(d: ModulatedVector, ch: SubchannelSet, rng: RngStream) -> Modu
     """output_i = F_i * d_i + noise_i with noise freshly drawn from ch.noise."""
     if len(d) != ch.l:
         raise ConfigError("input length must equal the number of sub-channels")
-    delta = sample_noise_block(ch.noise, rng, 1)[0]
+    delta = sample_modulation_block(ch.noise, rng, 1)[0]
     gains = np.asarray(ch.f_transmittance, dtype=np.complex128)
     return ModulatedVector(gains * d.entries + delta)
 
 
 def end_to_end_roundtrip(z: ModulatedVector, ch: SubchannelSet, rng: RngStream) -> ModulatedVector:
     """Full chain: inverse transform, sub-channels, forward transform."""
-    return forward_transform(apply_channel(inverse_transform(z), ch, rng))
+    received = apply_channel(ModulatedVector(unitary_idft(z.entries)), ch, rng)
+    return ModulatedVector(unitary_dft(received.entries))
 
 
-def worst_case_set(ch: SubchannelSet, snr: SnrSpec) -> WorstCaseSet:
+def worst_case_set(ch: SubchannelSet, snr_star: float) -> WorstCaseSet:
     """Indices with |F_i|^2 >= snr_star^-l, and the weakest survivor.
 
-    Ties on the minimum magnitude resolve to the lowest index.  An empty
-    survivor tuple is a valid result: it is the outage event itself.
+    snr_star is the worst (minimum) sub-channel SNR.  Ties on the minimum
+    magnitude resolve to the lowest index.  An empty survivor tuple is a valid
+    result: it is the outage event itself.
     """
-    threshold = float(snr.snr_star) ** (-ch.l)
+    if not float(snr_star) > 0.0:
+        raise ConfigError("snr_star must be positive")
+    threshold = float(snr_star) ** (-ch.l)
     mags = np.abs(np.asarray(ch.f_transmittance, dtype=np.complex128))
     survivors = tuple(i for i, m in enumerate(mags) if m ** 2 >= threshold)
     if not survivors:

@@ -104,8 +104,10 @@ def product_distance(p_a, p_b, sigma2_omega_prime: float, sigma2_n_per_subchanne
     """Product over sub-channels of the squared normalized differences
     |(a_i - b_i) / sqrt(sigma2_omega_prime / sigma2_n_i)|^2.
 
-    A zero factor (identical components) is allowed and simply zeroes the
-    product; the caller decides what to do with it.
+    A square past the float range counts as inf.  A zero factor (identical
+    components, or a square that underflows), or a partial product that
+    underflows, zeroes the product even next to an infinite factor; the
+    caller decides what to do with a zero.
     """
     a = np.asarray(p_a, dtype=np.complex128)
     b = np.asarray(p_b, dtype=np.complex128)
@@ -121,7 +123,13 @@ def product_distance(p_a, p_b, sigma2_omega_prime: float, sigma2_n_per_subchanne
         raise ConfigError("variances must be positive")
     prod = 1.0
     for pa_i, pb_i, s2_i in zip(a, b, s2n):
-        prod *= abs((complex(pa_i) - complex(pb_i)) / math.sqrt(s2w / float(s2_i))) ** 2
+        try:
+            factor = abs((complex(pa_i) - complex(pb_i)) / math.sqrt(s2w / float(s2_i))) ** 2
+        except OverflowError:  # float ** 2 raises past the float range
+            factor = math.inf
+        if factor == 0.0 or prod == 0.0:  # zero, even if a later factor is inf
+            return 0.0
+        prod *= factor
     return prod
 
 

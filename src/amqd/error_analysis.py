@@ -89,8 +89,7 @@ from the stream keyed by (seed, spawn_key=(b,)), or (seed, spawn_key=(b, i))
 at point i of a grid run (Philox for crude batches, PCG64DXSM for
 importance-sampled ones, see _weigh_generator), and the per-batch counts (or
 weight sums) are combined in batch order, so the result is byte-identical for
-any worker count.  Because a grid run keys its points by index rather than by
-seed + i, no point of one seed reuses a stream of another seed.
+any worker count.
 
 Batches run on threads when more than one worker is asked for: the draws,
 ufuncs and reductions of a batch release the GIL, so threads share the cores
@@ -152,6 +151,9 @@ MAX_GRID_POINTS = 10_000
 
 # most trials of one estimate, so a point's batch list (_plan) stays small
 MAX_TRIALS = 2_000_000_000
+
+# fewest trials of a slope-scan point, whatever its hit budget
+SCAN_MIN_TRIALS = 100_000
 
 
 def p_err_single_analytic(snr: float, zeta: float = 0.0) -> float:
@@ -992,7 +994,6 @@ def diversity_slope_scan(
     num_points: int = 5,
     anchor_probability: float = 0.05,
     target_errors: int = 400,
-    min_trials: int = 100000,
     workers: int = 1,
 ) -> SlopeScanResult:
     """Measure the error-probability slope of the aggregate outage event of
@@ -1004,11 +1005,11 @@ def diversity_slope_scan(
     where the outage CDF equals anchor_probability.  Every point is estimated
     by importance sampling (estimator "is"), and its trial count aims at
     target_errors expected hits of the sampling law, P(k, cut) with the k and
-    cut of _proposal, clamped to [min_trials, MAX_TRIALS]; since the median
-    of Gamma(k) lies below k + 1, that hit rate is above one half at any
-    threshold, so ceil(target_errors / P) <= 2 target_errors and budgets of
-    target_errors <= min_trials / 2 (the defaults among them) sit on the
-    min_trials floor.
+    cut of _proposal, clamped to [SCAN_MIN_TRIALS, MAX_TRIALS]; since the
+    median of Gamma(k) lies below k + 1, that hit rate is above one half at
+    any threshold, so ceil(target_errors / P) <= 2 target_errors and budgets
+    of target_errors <= SCAN_MIN_TRIALS / 2 (the default among them) sit on
+    the SCAN_MIN_TRIALS floor.
     Batch b of point i draws from the substream (seed, spawn_key=(b, i)).
     The points are estimated by monte_carlo_points, on one worker pool.
     Every argument is checked, with a
@@ -1023,8 +1024,6 @@ def diversity_slope_scan(
         raise ConfigError("need 0 < snr_min < snr_max < inf")
     if int(target_errors) < 1:
         raise ConfigError("target_errors must be >= 1")
-    if not (1 <= int(min_trials) <= MAX_TRIALS):
-        raise ConfigError(f"need 1 <= min_trials <= {MAX_TRIALS}")
     z = float(zeta)
     if not (0.0 <= z < 1.0):
         raise ConfigError("zeta must lie in [0, 1)")
@@ -1043,7 +1042,7 @@ def diversity_slope_scan(
     # hit probability P(k, cut) of each point's proposal; budgeting only
     q_hit = np.array([gamma_p(k, cut) for k, _, cut, _ in (_proposal(t, l) for t in thr)])
 
-    trials = np.clip(np.ceil(int(target_errors) / q_hit), int(min_trials), MAX_TRIALS)
+    trials = np.clip(np.ceil(int(target_errors) / q_hit), SCAN_MIN_TRIALS, MAX_TRIALS)
     model = TransmittanceModel.rayleigh(1.0)
     configs = [MonteCarloConfig(l=int(l), trials=int(n_i), seed=int(seed), event="threshold",
                                 threshold=float(t_i), estimator="is", point=i)

@@ -54,54 +54,29 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ComplexGaussianSpec:
-    """Zero-mean circular-symmetric complex Gaussian vector spec.
+    """Zero-mean circular-symmetric complex Gaussian vector spec: a modulated
+    vector, Rayleigh gains or a sub-channel set's additive noise.
 
     variance_per_entry[i] is E[|z_i|^2]; real and imaginary parts each carry
-    half of it.
+    half of it.  The vector's dimension is the tuple's length.
     """
 
-    dimension: int
     variance_per_entry: tuple
 
     def __post_init__(self):
-        if int(self.dimension) < 1:
-            raise ConfigError("dimension must be >= 1")
         var = tuple(float(v) for v in self.variance_per_entry)
-        if len(var) != int(self.dimension):
-            raise ConfigError("variance_per_entry length must equal dimension")
+        if len(var) == 0:
+            raise ConfigError("a complex Gaussian vector needs at least one entry")
         if any(v < 0.0 for v in var):
             raise ConfigError("variances must be nonnegative")
         object.__setattr__(self, "variance_per_entry", var)
 
     @classmethod
     def iid(cls, dimension: int, variance: float) -> "ComplexGaussianSpec":
-        return cls(dimension, (float(variance),) * int(dimension))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-sub-channel additive noise variances.
-
-    sigma2_per_subchannel[i] is the variance of each quadrature of the i-th
-    noise entry, so E[|noise_i|^2] = 2 * sigma2_per_subchannel[i].
-    """
-
-    sigma2_per_subchannel: tuple
-
-    def __post_init__(self):
-        var = tuple(float(v) for v in self.sigma2_per_subchannel)
-        if len(var) == 0:
-            raise ConfigError("noise spec must cover at least one sub-channel")
-        if any(v < 0.0 for v in var):
-            raise ConfigError("noise variances must be nonnegative")
-        object.__setattr__(self, "sigma2_per_subchannel", var)
-
-    @classmethod
-    def iid(cls, l: int, sigma2: float) -> "NoiseSpec":
-        return cls((float(sigma2),) * int(l))
+        return cls((float(variance),) * int(dimension))
 
     def __len__(self) -> int:
-        return len(self.sigma2_per_subchannel)
+        return len(self.variance_per_entry)
 
 
 RAYLEIGH = "rayleigh"
@@ -153,26 +128,13 @@ class TransmittanceModel:
         return cls(UNIFORM_PHASE, magnitude=float(magnitude))
 
 
-def _complex_normal_block(g: np.random.Generator, count: int, variances) -> np.ndarray:
-    # each row consumes its own contiguous run of the normal stream (real
-    # parts, then imaginary parts), so row 0 of any block equals a one-row
-    # block from the same stream; the layout is part of the determinism contract
-    n = len(variances)
-    draws = g.standard_normal((count, 2, n))
-    scale = np.sqrt(np.asarray(variances, dtype=np.float64) / 2.0)
-    return (draws[:, 0, :] + 1j * draws[:, 1, :]) * scale
-
-
 def sample_modulation_block(spec: ComplexGaussianSpec, rng: RngStream, count: int) -> np.ndarray:
     """count independent draws, shape (count, n); row 0 equals a one-row block."""
     if int(count) < 1:
         raise ConfigError("count must be >= 1")
-    return _complex_normal_block(rng.generator(), int(count), spec.variance_per_entry)
-
-
-def sample_noise_block(spec: NoiseSpec, rng: RngStream, count: int) -> np.ndarray:
-    if int(count) < 1:
-        raise ConfigError("count must be >= 1")
-    doubled = tuple(2.0 * v for v in spec.sigma2_per_subchannel)
-    return _complex_normal_block(rng.generator(), int(count), doubled)
-
+    # each row consumes its own contiguous run of the normal stream (real
+    # parts, then imaginary parts), so row 0 of any block equals a one-row
+    # block from the same stream; the layout is part of the determinism contract
+    draws = rng.generator().standard_normal((int(count), 2, len(spec)))
+    scale = np.sqrt(np.asarray(spec.variance_per_entry, dtype=np.float64) / 2.0)
+    return (draws[:, 0, :] + 1j * draws[:, 1, :]) * scale

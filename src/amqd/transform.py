@@ -38,13 +38,3 @@ def unitary_dft(x: np.ndarray) -> np.ndarray:
 def unitary_idft(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`unitary_dft`, same normalization."""
     return np.fft.ifft(np.asarray(x, dtype=np.complex128), norm="ortho")
-
-
-def forward_transform(v: ModulatedVector) -> ModulatedVector:
-    """Unitary DFT of the vector."""
-    return ModulatedVector(unitary_dft(v.entries))
-
-
-def inverse_transform(v: ModulatedVector) -> ModulatedVector:
-    """Unitary inverse DFT of the vector."""
-    return ModulatedVector(unitary_idft(v.entries))

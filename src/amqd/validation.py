@@ -13,7 +13,6 @@ import numpy as np
 
 from .channel import (
     RateAllocation,
-    SnrSpec,
     SubchannelSet,
     apply_channel,
     end_to_end_roundtrip,
@@ -36,14 +35,7 @@ from .error_analysis import (
     p_err_amqd_analytic,
     p_err_single_analytic,
 )
-from .sampling import (
-    ComplexGaussianSpec,
-    NoiseSpec,
-    RngStream,
-    TransmittanceModel,
-    sample_modulation_block,
-    sample_noise_block,
-)
+from .sampling import ComplexGaussianSpec, RngStream, TransmittanceModel, sample_modulation_block
 from .transform import ModulatedVector, unitary_dft, unitary_idft
 
 
@@ -67,14 +59,14 @@ class ValidationReport:
         self.checks.append(CheckResult(name, bool(passed), detail))
 
 
-def _check_transform_unitarity(report, forward, inverse):
+def _check_transform_unitarity(report):
     worst_round = 0.0
     worst_parseval = 0.0
     for n in (1, 2, 3, 8, 64, 257, 1024, 4096):
         g = RngStream(1299709, n).generator()
         v = g.standard_normal(n) + 1j * g.standard_normal(n)
-        fv = forward(v)
-        worst_round = max(worst_round, float(np.max(np.abs(inverse(fv) - v))))
+        fv = unitary_dft(v)
+        worst_round = max(worst_round, float(np.max(np.abs(unitary_idft(fv) - v))))
         e_in = float(np.sum(np.abs(v) ** 2))
         worst_parseval = max(worst_parseval, abs(float(np.sum(np.abs(fv) ** 2)) - e_in) / e_in)
     ok = worst_round <= 1e-12 and worst_parseval <= 1e-12
@@ -85,11 +77,11 @@ def _check_transform_unitarity(report, forward, inverse):
     )
 
 
-def _check_transform_distribution(report, forward):
+def _check_transform_distribution(report):
     sigma2 = 2.0
     count, n = 100, 1000
     block = sample_modulation_block(ComplexGaussianSpec.iid(n, sigma2), RngStream(524287, 0), count)
-    out = np.apply_along_axis(forward, 1, block) if forward is not unitary_dft else unitary_dft(block)
+    out = unitary_dft(block)
     n_samples = out.size
     mean_energy = float(np.mean(np.abs(out) ** 2))
     band = 4.5 * sigma2 / math.sqrt(n_samples)
@@ -103,18 +95,19 @@ def _check_transform_distribution(report, forward):
     )
 
 
-def _check_transform_linearity(report, forward):
+def _check_transform_linearity(report):
     g = RngStream(8191, 0).generator()
     n = 128
     u = g.standard_normal(n) + 1j * g.standard_normal(n)
     v = g.standard_normal(n) + 1j * g.standard_normal(n)
     a, b = 0.7 - 1.3j, -2.1 + 0.4j
-    err = float(np.max(np.abs(forward(a * u + b * v) - (a * forward(u) + b * forward(v)))))
+    err = float(np.max(np.abs(unitary_dft(a * u + b * v)
+                              - (a * unitary_dft(u) + b * unitary_dft(v)))))
     report.add("transform_linearity", err <= 1e-12, "max abs deviation %.3g (gate 1e-12)" % err)
 
 
 def _check_source_moments(report):
-    zeros = sample_modulation_block(ComplexGaussianSpec(3, (0.0, 0.0, 0.0)), RngStream(3, 0), 10)
+    zeros = sample_modulation_block(ComplexGaussianSpec.iid(3, 0.0), RngStream(3, 0), 10)
     ok_zero = bool(np.all(zeros == 0.0))
 
     block = sample_modulation_block(ComplexGaussianSpec.iid(1, 2.0), RngStream(11, 1), 10**6)
@@ -139,10 +132,10 @@ def _check_source_moments(report):
 
 
 def _check_noise_moments(report):
-    zeros = sample_noise_block(NoiseSpec.iid(2, 0.0), RngStream(5, 0), 10)
+    zeros = sample_modulation_block(ComplexGaussianSpec.iid(2, 0.0), RngStream(5, 0), 10)
     ok_zero = bool(np.all(zeros == 0.0))
-    block = sample_noise_block(NoiseSpec((1.0, 4.0)), RngStream(5, 1), 10**6)
-    # each quadrature carries sigma2, so Var(Re) tracks (1, 4) directly
+    block = sample_modulation_block(ComplexGaussianSpec((2.0, 8.0)), RngStream(5, 1), 10**6)
+    # E|n|^2 = (2, 8) puts half on each quadrature, so Var(Re) tracks (1, 4)
     v0 = float(np.var(block[:, 0].real))
     v1 = float(np.var(block[:, 1].real))
     band0 = 4.5 * math.sqrt(2.0 / 10**6) * 1.0
@@ -226,17 +219,15 @@ def _check_rate_allocation(report):
 
 
 def _check_worst_case_set(report):
-    noise = NoiseSpec.iid(3, 1.0)
-    ch = SubchannelSet(3, (0.9, 0.5, 0.7), noise)
-    snr2 = SnrSpec((2.0, 2.0, 2.0))
-    res = worst_case_set(ch, snr2)  # threshold 1/8 on |F|^2
+    ch = SubchannelSet(3, (0.9, 0.5, 0.7), ComplexGaussianSpec.iid(3, 2.0))
+    res = worst_case_set(ch, 2.0)  # threshold 1/8 on |F|^2
     ok_basic = res.survivors == (0, 1, 2) and res.min_index == 1 and res.min_magnitude == 0.5
-    res_empty = worst_case_set(ch, SnrSpec((1.01, 1.01, 1.01)))  # threshold ~0.97
+    res_empty = worst_case_set(ch, 1.01)  # threshold ~0.97
     ok_empty = res_empty.survivors == () and res_empty.min_index is None
-    ch_tie = SubchannelSet(2, (0.5, 0.5), NoiseSpec.iid(2, 1.0))
-    ok_tie = worst_case_set(ch_tie, SnrSpec((2.0, 2.0))).min_index == 0
-    lo = len(worst_case_set(ch, SnrSpec((1.2,) * 3)).survivors)
-    hi = len(worst_case_set(ch, SnrSpec((3.0,) * 3)).survivors)
+    ch_tie = SubchannelSet(2, (0.5, 0.5), ComplexGaussianSpec.iid(2, 2.0))
+    ok_tie = worst_case_set(ch_tie, 2.0).min_index == 0
+    lo = len(worst_case_set(ch, 1.2).survivors)
+    hi = len(worst_case_set(ch, 3.0).survivors)
     ok_mono = lo <= hi
     ok = ok_basic and ok_empty and ok_tie and ok_mono
     report.add(
@@ -347,6 +338,11 @@ def _check_mc_calibration(report, config):
                               threshold=thr)
         est = monte_carlo_p_err(mc, model, workers=config.workers)
         p = analytic_event_probability(model, "threshold", l, threshold=thr)
+        if p * config.trials < 100.0:  # the only estimates validate compares with the truth
+            report.warnings.append(
+                "insufficient trials: ~%.3g expected errors at threshold=%g (l=%d); "
+                "the mc_calibration estimate will be loose" % (p * config.trials, thr, l)
+            )
         band = 4.5 * math.sqrt(p * (1.0 - p) / config.trials)
         ok = ok and abs(est.p_hat - p) <= band
         details.append("l=%d: p_hat %.5f vs %.5f (+- %.5f)" % (l, est.p_hat, p, band))
@@ -359,26 +355,12 @@ def _check_mc_calibration(report, config):
     report.add("mc_calibration", ok, "; ".join(details))
 
 
-def _collect_warnings(report, config):
-    # mc_calibration's estimates are the only ones validate compares with the truth
-    model = TransmittanceModel.rayleigh(1.0)
-    for l, thr in _MC_CALIBRATION_EVENTS:
-        expected = analytic_event_probability(model, "threshold", l, threshold=thr) * config.trials
-        if expected < 100.0:
-            report.warnings.append(
-                "insufficient trials: ~%.3g expected errors at threshold=%g (l=%d); "
-                "the mc_calibration estimate will be loose" % (expected, thr, l)
-            )
-
-
-def run_validation(config: ExperimentConfig, forward=None, inverse=None) -> ValidationReport:
-    """Run every invariant suite; injectable transform ops are a test hook."""
-    fwd = unitary_dft if forward is None else forward
-    inv = unitary_idft if inverse is None else inverse
+def run_validation(config: ExperimentConfig) -> ValidationReport:
+    """Run every invariant suite."""
     report = ValidationReport()
-    _check_transform_unitarity(report, fwd, inv)
-    _check_transform_distribution(report, fwd)
-    _check_transform_linearity(report, fwd)
+    _check_transform_unitarity(report)
+    _check_transform_distribution(report)
+    _check_transform_linearity(report)
     _check_source_moments(report)
     _check_noise_moments(report)
     _check_determinism(report, config)
@@ -391,5 +373,4 @@ def run_validation(config: ExperimentConfig, forward=None, inverse=None) -> Vali
     _check_outage_oracle(report)
     _check_outage_approx(report)
     _check_mc_calibration(report, config)
-    _collect_warnings(report, config)
     return report

@@ -49,17 +49,17 @@ def _imported_names():
 IMPORTED = _imported_names()
 
 
-def _workloads():
-    """perfbench/workloads.py, imported as perfbench/run.py imports it (its
+def _perfbench_module(name):
+    """perfbench/<name>.py, imported as perfbench/run.py imports it (its
     directory on sys.path, for its sibling modules); nothing there changes."""
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("workloads").WORKLOADS
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
 
 
-WORKLOADS = _workloads()
+WORKLOADS = _perfbench_module("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -79,6 +79,17 @@ def test_workload_parses_or_binds(name):
     args = build_parser().parse_args(argv)
     cli = {key: getattr(args, key) for key in args.settings}
     build_experiment_config(merge_settings(args.defaults, args.config, cli))
+
+
+def test_validate_reports_the_checks_the_benchmark_times():
+    # perfbench/layers.py validation_check_times takes a median per name in
+    # catalog.VALIDATION_CHECKS and fails on a name no check reports
+    from amqd import ExperimentConfig, SnrGrid, run_validation
+
+    config = ExperimentConfig(l_values=(1,), zeta=0.0, snr_grid=SnrGrid(0, 10, 5),
+                              trials=20000, seed=0)
+    names = tuple(c.name for c in run_validation(config).checks)
+    assert names == _perfbench_module("catalog").VALIDATION_CHECKS
 
 
 def test_the_walk_finds_the_benchmark_imports():
@@ -131,6 +142,5 @@ def test_each_grid_point_is_one_rebindable_call(mc_calls):
                                      trials=70000, seed=1, workers=2))
     assert [c.point for c in mc_calls] == [0, 1, 2]
     del mc_calls[:]
-    diversity_slope_scan(1, 0.0, seed=1, num_points=3, min_trials=70000, target_errors=1,
-                         workers=2)
+    diversity_slope_scan(1, 0.0, seed=1, num_points=3, target_errors=1, workers=2)
     assert [c.point for c in mc_calls] == [0, 1, 2]

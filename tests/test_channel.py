@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amqd import (
+    ComplexGaussianSpec,
     ConfigError,
     ModulatedVector,
-    NoiseSpec,
     RateAllocation,
     RngStream,
-    SnrSpec,
     SubchannelSet,
     apply_channel,
     end_to_end_roundtrip,
@@ -17,7 +16,6 @@ from amqd import (
     secret_key_rate,
     worst_case_set,
 )
-from amqd.sampling import ComplexGaussianSpec
 
 
 def subcarrier(entries):
@@ -38,7 +36,7 @@ class TestApplyChannel:
     def test_scalar_gain_arithmetic(self):
         out = apply_channel(
             subcarrier([2.0]),
-            SubchannelSet(1, (0.5,), NoiseSpec.iid(1, 0.0)),
+            SubchannelSet(1, (0.5,), ComplexGaussianSpec.iid(1, 0.0)),
             RngStream(0, 0),
         )
         assert out.entries[0] == 1.0 + 0.0j
@@ -48,7 +46,7 @@ class TestApplyChannel:
             apply_channel(subcarrier([1.0, 2.0]), SubchannelSet.all_pass(3), RngStream(0, 0))
 
     def test_noiseless_channel_is_linear(self):
-        ch = SubchannelSet(3, (0.2 + 0.1j, 0.9, 0.4 - 0.3j), NoiseSpec.iid(3, 0.0))
+        ch = SubchannelSet(3, (0.2 + 0.1j, 0.9, 0.4 - 0.3j), ComplexGaussianSpec.iid(3, 0.0))
         u = subcarrier([1.0, 2.0, 3.0])
         v = subcarrier([1j, -1j, 0.5])
         a, b = 1.5 - 0.5j, -2.0
@@ -59,13 +57,25 @@ class TestApplyChannel:
         assert np.max(np.abs(lhs.entries - rhs)) <= 1e-12
 
     def test_noise_is_reproducible_per_stream(self):
-        ch = SubchannelSet(2, (1.0, 1.0), NoiseSpec.iid(2, 0.5))
+        ch = SubchannelSet(2, (1.0, 1.0), ComplexGaussianSpec.iid(2, 1.0))
         d = subcarrier([0.0, 0.0])
         a = apply_channel(d, ch, RngStream(3, 17))
         b = apply_channel(d, ch, RngStream(3, 17))
         c = apply_channel(d, ch, RngStream(3, 18))
         assert np.array_equal(a.entries, b.entries)
         assert not np.array_equal(a.entries, c.entries)
+
+    def test_noise_is_a_draw_of_its_spec(self):
+        # scalar's noise argument is E|n_i|^2, the spec's per-entry variance
+        ch = SubchannelSet.scalar(3, 1.0, noise_energy=2.0)
+        assert ch.noise.variance_per_entry == (2.0, 2.0, 2.0)
+        out = apply_channel(subcarrier([0.0, 0.0, 0.0]), ch, RngStream(6, 1))
+        assert np.array_equal(out.entries,
+                              sample_modulation_block(ch.noise, RngStream(6, 1), 1)[0])
+
+    def test_noise_length_must_equal_l(self):
+        with pytest.raises(ConfigError):
+            SubchannelSet(2, (1.0, 1.0), ComplexGaussianSpec.iid(3, 1.0))
 
 
 class TestEndToEndRoundtrip:
@@ -92,7 +102,7 @@ class TestEndToEndRoundtrip:
         fs = sample_modulation_block(ComplexGaussianSpec.iid(l, sigma2_f), RngStream(23, 1), trials)
         for i in range(trials):
             z = ModulatedVector(zs[i])
-            ch = SubchannelSet(l, tuple(fs[i]), NoiseSpec.iid(l, 0.0))
+            ch = SubchannelSet(l, tuple(fs[i]), ComplexGaussianSpec.iid(l, 0.0))
             out = end_to_end_roundtrip(z, ch, RngStream(23, 2))
             total += float(np.sum(np.abs(out.entries) ** 2))
         mean = total / (trials * l)
@@ -103,41 +113,37 @@ class TestEndToEndRoundtrip:
         assert abs(mean - expect) <= band
 
 
-class TestSnrSpec:
-    def test_star_is_the_minimum(self):
-        spec = SnrSpec((4.0, 2.0, 8.0))
-        assert spec.snr_star == 2.0
-
-    def test_nonpositive_snr_rejected(self):
-        with pytest.raises(ConfigError):
-            SnrSpec((1.0, 0.0))
-
-
 class TestWorstCaseSet:
+    @pytest.mark.parametrize("snr_star", [0.0, -1.0, float("nan")])
+    def test_nonpositive_snr_rejected(self, snr_star):
+        ch = SubchannelSet(1, (0.6,), ComplexGaussianSpec.iid(1, 2.0))
+        with pytest.raises(ConfigError):
+            worst_case_set(ch, snr_star)
+
     def test_selects_weakest_survivor(self):
-        ch = SubchannelSet(3, (0.9, 0.5, 0.7), NoiseSpec.iid(3, 1.0))
-        res = worst_case_set(ch, SnrSpec((2.0, 2.0, 2.0)))  # threshold 1/8
+        ch = SubchannelSet(3, (0.9, 0.5, 0.7), ComplexGaussianSpec.iid(3, 2.0))
+        res = worst_case_set(ch, 2.0)  # threshold 1/8
         assert res.survivors == (0, 1, 2)
         assert res.min_index == 1
         assert res.min_magnitude == 0.5
 
     def test_empty_survivor_set_is_valid(self):
-        ch = SubchannelSet(3, (0.9, 0.5, 0.7), NoiseSpec.iid(3, 1.0))
-        res = worst_case_set(ch, SnrSpec((1.01, 1.01, 1.01)))  # threshold ~0.97
+        ch = SubchannelSet(3, (0.9, 0.5, 0.7), ComplexGaussianSpec.iid(3, 2.0))
+        res = worst_case_set(ch, 1.01)  # threshold ~0.97
         assert res.survivors == ()
         assert res.min_index is None
         assert res.min_magnitude is None
 
     def test_tie_breaks_to_lowest_index(self):
-        ch = SubchannelSet(2, (0.5, 0.5), NoiseSpec.iid(2, 1.0))
-        res = worst_case_set(ch, SnrSpec((2.0, 2.0)))
+        ch = SubchannelSet(2, (0.5, 0.5), ComplexGaussianSpec.iid(2, 2.0))
+        res = worst_case_set(ch, 2.0)
         assert res.min_index == 0
 
     def test_threshold_is_on_squared_magnitude(self):
         # |F| = 0.6, l = 1, snr_star = 2: |F|^2 = 0.36 < 0.5 although |F| = 0.6 >= 0.5
-        ch = SubchannelSet(1, (0.6,), NoiseSpec.iid(1, 1.0))
-        assert worst_case_set(ch, SnrSpec((2.0,))).survivors == ()
-        assert worst_case_set(ch, SnrSpec((2.8,))).survivors == (0,)  # 0.36 >= 1/2.8
+        ch = SubchannelSet(1, (0.6,), ComplexGaussianSpec.iid(1, 2.0))
+        assert worst_case_set(ch, 2.0).survivors == ()
+        assert worst_case_set(ch, 2.8).survivors == (0,)  # 0.36 >= 1/2.8
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=8),
@@ -148,9 +154,9 @@ class TestWorstCaseSet:
     def test_survivor_count_monotone_in_snr(self, mags, snr_a, snr_b):
         lo, hi = sorted((snr_a, snr_b))
         l = len(mags)
-        ch = SubchannelSet(l, tuple(m + 0j for m in mags), NoiseSpec.iid(l, 1.0))
-        n_lo = len(worst_case_set(ch, SnrSpec((lo,) * l)).survivors)
-        n_hi = len(worst_case_set(ch, SnrSpec((hi,) * l)).survivors)
+        ch = SubchannelSet(l, tuple(m + 0j for m in mags), ComplexGaussianSpec.iid(l, 2.0))
+        n_lo = len(worst_case_set(ch, lo).survivors)
+        n_hi = len(worst_case_set(ch, hi).survivors)
         assert n_lo <= n_hi
 
 

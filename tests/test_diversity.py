@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,20 @@ class TestProductDistance:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             product_distance([1.0], [1.0, 2.0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("pa, pb, expected", [
+        # |1e200|^2 leaves the float range: inf, not an OverflowError
+        ([1e200], [0.0], math.inf),
+        ([1e200, 3.0], [0.0, 1.0], math.inf),
+        # a zero factor zeroes the product next to an infinite one: an equal
+        # component after it or before it, a square or a product that underflows
+        ([1e200, 1.0], [0.0, 1.0], 0.0),
+        ([1.0, 1e200], [1.0, 0.0], 0.0),
+        ([1e-200, 1e200], [0.0, 0.0], 0.0),
+        ([1e-100, 1e-100, 1e-100, 1e200], [0.0, 0.0, 0.0, 0.0], 0.0),
+    ])
+    def test_square_past_the_float_range(self, pa, pb, expected):
+        assert product_distance(pa, pb, 1.0, 1.0) == expected
 
     @given(
         st.integers(min_value=1, max_value=6),

@@ -39,6 +39,7 @@ from amqd.error_analysis import (
     MAX_GRID_POINTS,
     MAX_L,
     MAX_TRIALS,
+    SCAN_MIN_TRIALS,
     _count_batch,
     gamma_p,
     gamma_p_inv,
@@ -869,7 +870,7 @@ class TestDiversitySlopeScan:
         assert 0.9 * expected <= res.slope <= 1.1 * expected
 
     def test_thresholds_follow_the_schedule(self):
-        res = diversity_slope_scan(2, 0.25, seed=1, target_errors=1, min_trials=1000)
+        res = diversity_slope_scan(2, 0.25, seed=1, target_errors=1)
         ratios = np.asarray(res.thresholds) / res.thresholds[0]
         expected = (np.asarray(res.snr) / res.snr[0]) ** (-0.75)
         assert np.allclose(ratios, expected, rtol=1e-12)
@@ -896,10 +897,10 @@ class TestDiversitySlopeScan:
         # the last threshold, 1e-330, underflows to 0: its trial budget is
         # still the floor, and its event never holds
         res = diversity_slope_scan(1, 0.0, seed=0, anchor_probability=1e-300, snr_min=1.0,
-                                   snr_max=1e30, min_trials=1000)
+                                   snr_max=1e30)
         assert res.thresholds[-1] == 0.0
-        assert [e.trials for e in res.estimates] == [1000] * 5
-        assert res.estimates[-1] == ErrorEstimate(0.0, 1000, 0.0, 0.0, 0, "is")
+        assert [e.trials for e in res.estimates] == [SCAN_MIN_TRIALS] * 5
+        assert res.estimates[-1] == ErrorEstimate(0.0, SCAN_MIN_TRIALS, 0.0, 0.0, 0, "is")
 
     def test_invalid_scan_parameters_rejected(self):
         with pytest.raises(ConfigError):
@@ -918,8 +919,8 @@ class TestDiversitySlopeScan:
         (2, {"snr_min": 1e-300, "snr_max": 1e15}),  # the ratio overflows
         # a finite ratio, but that of logspace's rounded ends overflows
         (2, {"snr_min": 1e-10, "snr_max": 1.7976931348623155e298}),
-        (2, {"min_trials": MAX_TRIALS + 1}),
-        (2, {"min_trials": 0}),
+        (2, {"target_errors": 0}),
+        (2, {"anchor_probability": math.nan}),
         (2, {"num_points": MAX_GRID_POINTS + 1}),
         (2, {"seed": -1}),
         (2, {"seed": 2**64}),
@@ -965,8 +966,8 @@ class TestStreamKeys:
                                              trials=_BATCH + 1, seed=seed))
 
         def scan(seed):
-            diversity_slope_scan(1, 0.0, seed=seed, num_points=3, min_trials=_BATCH + 1,
-                                 target_errors=1)
+            # the SCAN_MIN_TRIALS floor takes 2 batches
+            diversity_slope_scan(1, 0.0, seed=seed, num_points=3, target_errors=1)
 
         for run in (sweep, scan):
             streams = [self._streams(stream_keys, lambda: run(seed)) for seed in (40, 41)]
@@ -1076,12 +1077,10 @@ class TestWorkerPool:
         assert pool_sizes == []
 
     def test_slope_scan_opens_one_pool(self, pool_sizes, new_threads):
-        res = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, min_trials=100000,
-                                   num_points=3, workers=2)
+        res = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, num_points=3, workers=2)
         assert pool_sizes == [1]
         assert new_threads() == []
-        serial = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, min_trials=100000,
-                                      num_points=3, workers=1)
+        serial = diversity_slope_scan(1, 0.0, seed=3, target_errors=10, num_points=3, workers=1)
         assert res == serial
 
     @pytest.mark.parametrize("workers", [0, 65])
