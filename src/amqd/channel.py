@@ -38,9 +38,9 @@ class SubchannelSet:
         return cls(l, (1.0 + 0.0j,) * int(l), ComplexGaussianSpec.iid(l, 0.0))
 
     @classmethod
-    def scalar(cls, l: int, gain: complex, noise_energy: float = 0.0) -> "SubchannelSet":
-        """The same gain on every sub-channel, and noise of E|n_i|^2 = noise_energy."""
-        return cls(l, (complex(gain),) * int(l), ComplexGaussianSpec.iid(l, noise_energy))
+    def scalar(cls, l: int, gain: complex) -> "SubchannelSet":
+        """The same gain on every sub-channel, zero noise."""
+        return cls(l, (complex(gain),) * int(l), ComplexGaussianSpec.iid(l, 0.0))
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,7 @@ class TestApplyChannel:
         assert not np.array_equal(a.entries, c.entries)
 
     def test_noise_is_a_draw_of_its_spec(self):
-        # scalar's noise argument is E|n_i|^2, the spec's per-entry variance
-        ch = SubchannelSet.scalar(3, 1.0, noise_energy=2.0)
-        assert ch.noise.variance_per_entry == (2.0, 2.0, 2.0)
+        ch = SubchannelSet(3, (1.0,) * 3, ComplexGaussianSpec.iid(3, 2.0))
         out = apply_channel(subcarrier([0.0, 0.0, 0.0]), ch, RngStream(6, 1))
         assert np.array_equal(out.entries,
                               sample_modulation_block(ch.noise, RngStream(6, 1), 1)[0])
