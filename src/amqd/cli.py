@@ -7,7 +7,8 @@ Subcommands:
             is importance sampled (a Gamma(l) draw per trial at l = 1; at
             l >= 2 the sum of the first l - 1 gains, the last gain integrated
             out) and reported with its weighted-CLT 95% interval, so any p is
-            reachable
+            reachable.  The threshold event takes any l, the rate event
+            l = 1 only (any other l exits 2)
   slope     importance-sampled diversity slope scan of one l over an SNR grid:
             the fitted log-log slope against l(1-zeta), and each point's
             threshold, estimate, interval and hits
@@ -43,8 +44,8 @@ from .validation import run_validation
 _FLAGS = {
     "l": dict(type=int, action="append", help="information-carrying sub-channels; repeatable"),
     "zeta": dict(type=float, help="degree-of-freedom ratio in [0, 1); simulate reads it only "
-                                  "for the rate event's default target, and its threshold "
-                                  "event ignores it; slope's thresholds fall as "
+                                  "for the rate event's default target (at --l 1), and its "
+                                  "threshold event ignores it; slope's thresholds fall as "
                                   "snr^-(1-zeta)"),
     "snr_db_min": dict(type=float, help="grid start in dB"),
     "snr_db_max": dict(type=float, help="grid end in dB (inclusive)"),
@@ -53,10 +54,10 @@ _FLAGS = {
     "seed": dict(type=int, help="seed; batch b of grid point i of simulate or slope draws "
                                 "from the stream keyed (seed, b, i)"),
     "model": dict(help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>"),
-    "event": dict(choices=("rate", "threshold"), help="error event to sample"),
-    "rate_bits": dict(type=float, help="explicit rate target for the rate event "
-                                       "(default: zeta * log2(1 + snr)); the threshold "
-                                       "event ignores it"),
+    "event": dict(choices=("rate", "threshold"), help="error event to sample; the rate "
+                                                      "event takes --l 1 only (exit 2 otherwise)"),
+    "rate_bits": dict(type=float, help="rate target of the rate event, at --l 1 (default: "
+                                       "zeta * log2(1 + snr)); the threshold event ignores it"),
     "workers": dict(type=int, help="parallel Monte Carlo workers (1-64; one pool per run)"),
     "out": dict(help="output path; stdout when omitted"),
     "format": dict(choices=("csv", "json"), help="output format"),

@@ -119,14 +119,16 @@ def product_distance(p_a, p_b, sigma2_omega_prime: float, sigma2_n_per_subchanne
     if s2n.shape != a.shape:
         raise ConfigError("noise variances must broadcast to the codeword length")
     s2w = float(sigma2_omega_prime)
-    if s2w <= 0.0 or np.any(s2n <= 0.0):
-        raise ConfigError("variances must be positive")
+    if not (0.0 < s2w < math.inf and np.all((0.0 < s2n) & (s2n < math.inf))):
+        raise ConfigError("variances must be positive and finite")
     prod = 1.0
     for pa_i, pb_i, s2_i in zip(a, b, s2n):
         try:
             factor = abs((complex(pa_i) - complex(pb_i)) / math.sqrt(s2w / float(s2_i))) ** 2
         except OverflowError:  # float ** 2 raises past the float range
             factor = math.inf
+        except ZeroDivisionError:  # s2w / s2_i underflows to 0
+            factor = 0.0 if pa_i == pb_i else math.inf
         if factor == 0.0 or prod == 0.0:  # zero, even if a later factor is inf
             return 0.0
         prod *= factor

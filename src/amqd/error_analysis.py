@@ -1,19 +1,20 @@
 """The outage event, its closed forms, and its Monte Carlo estimator.
 
 One event definition serves every output.  MonteCarloConfig names the event,
-which bounds the summed squared gains by a threshold:
+which bounds the summed squared gains of the l sub-channels by a threshold,
+and checks its inputs when it is made:
   threshold event  sum_{i<=l} |F_i|^2 < threshold   (1/snr unless given)
-  rate event       log2(1 + |F|^2 snr) < rate    on one sub-channel, i.e.
+  rate event       log2(1 + |F|^2 snr) < rate, at l = 1 only, i.e.
                    |F|^2 < (2^rate - 1) / snr   (an infinite threshold once
                    2^rate leaves the float range, so every draw fails)
 _event_geometry, the one reduction, turns the event on a gain model into
-G < t with G ~ Gamma(l_draw, 1): t = threshold / sigma2_f on Rayleigh gains,
-and t = inf where a zero or deterministic (fixed, uniform-phase) gain lies
-below the threshold, 0 where it does not.  monte_carlo_p_err samples the
-event, and analytic_event_probability gives its exact probability
-P(l_draw, t), the oracle the Monte Carlo is checked against.  The SNR comes
-from the config alone.  Either estimator decides a t of 0 or inf exactly,
-without drawing.
+G < t with G ~ Gamma(l, 1): t = threshold / sigma2_f on Rayleigh gains, and
+t = inf where a zero or deterministic (fixed, uniform-phase) gain lies below
+the threshold, 0 where it does not.  monte_carlo_p_err samples the event,
+and analytic_event_probability gives its exact probability P(l, t), the
+oracle the Monte Carlo is checked against.  The SNR comes from the config
+alone.  Either estimator decides a t of 0 or inf exactly, without drawing,
+with the point interval [k/n, k/n].
 
 monte_carlo_p_err has two estimators of that probability
 (MonteCarloConfig.estimator):
@@ -21,21 +22,21 @@ monte_carlo_p_err has two estimators of that probability
          Wilson interval.  Each batch draws 2 * l normals per trial, at most
          MAX_BATCH_BYTES per batch (a ConfigError beyond, before any draw).
   is     importance sampling by exponential twisting, conditioned on the
-         last gain at l_draw >= 2 (Asmussen & Glynn 2007, ch. V).  It draws
-         the sum G of k gains, k = 1 at l_draw = 1 and k = l_draw - 1
-         beyond, shrunk to x = theta * G with theta = min(t / l_draw, 1), so
-         more than half of the draws hit (x < t) whatever p is.  At
-         l_draw = 1 a hit weighs the likelihood ratio
-         w = theta exp(x (1/theta - 1)) <= 1.  At l_draw >= 2 the last gain
-         is Exp(1) given the others, so a hit weighs the Gamma(k) ratio
-         theta^k exp(x (1/theta - 1)) times h = 1 - e^-(t - x), the chance
-         that the last gain closes the gap: at equal draws that is 5x less
-         variance at l_draw = 2, 4x at 3 and 2.5x at 10.  _proposal works out
-         k, theta, the cut and the weights' scale once, for the kernel, the
-         estimate and the slope scan's budget alike.
+         last gain at l >= 2 (Asmussen & Glynn 2007, ch. V).  It draws the
+         sum G of k gains, k = 1 at l = 1 and k = l - 1 beyond, shrunk to
+         x = theta * G with theta = min(t / l, 1), so more than half of the
+         draws hit (x < t) whatever p is.  At l = 1 a hit weighs the
+         likelihood ratio w = theta exp(x (1/theta - 1)) <= 1.  At l >= 2
+         the last gain is Exp(1) given the others, so a hit weighs the
+         Gamma(k) ratio theta^k exp(x (1/theta - 1)) times
+         h = 1 - e^-(t - x), the chance that the last gain closes the gap:
+         at equal draws that is 5x less variance at l = 2, 4x at 3 and 2.5x
+         at 10.  _proposal works out k, theta, the cut and the weights'
+         scale once, for the kernel, the estimate and the slope scan's
+         budget alike.
          G is -ln(u_1 ... u_k) for k <= 7, k uniform blocks multiplied in
-         place (Devroye 1986, IX.3), so for l_draw <= 8; beyond, it is
-         numpy's standard_gamma, the one draw that serves l up to MAX_L.
+         place (Devroye 1986, IX.3), so for l <= 8; beyond, it is numpy's
+         standard_gamma, the one draw that serves l up to MAX_L.
          Every draw is weighed, with no gathering of the hits: a miss is
          first clamped to the edge of the hit region (u to e^-cut, G to the
          cut), so its weight is finite, and the hit mask then zeroes it.
@@ -46,9 +47,9 @@ monte_carlo_p_err has two estimators of that probability
          as p -> 0 (about 0.36% at p = 9e-8, l = 3, from 1e5 draws).  Where
          there is no variance estimate (one trial, or no hit) the interval is
          [0, min(scale, 1)], since p <= scale, the bound the kernel's
-         weights are taken over.  At l_draw = 1 where theta = 1 every hit
-         weighs 1, and the hits get a Wilson interval; at l_draw >= 2 an
-         untilted hit still weighs h, so the interval is the weighted one.
+         weights are taken over.  At l = 1 where theta = 1 every hit weighs
+         1, and the hits get a Wilson interval; at l >= 2 an untilted hit
+         still weighs h, so the interval is the weighted one.
          errors_observed counts the hits: draws whose k summed gains fall
          below the cut.
          diversity_slope_scan and experiments.run_monte_carlo (so
@@ -424,11 +425,12 @@ class ErrorEstimate:
 
     estimator "crude": errors_observed counts the errors and
     p_hat == errors_observed / trials.  estimator "is": errors_observed counts
-    the hits of the importance-sampling proposal (at l_draw >= 2 the draws
-    whose shrunk sum of the first l_draw - 1 gains lies below t, the last
-    gain being integrated out) and p_hat is the mean weight over all trials,
-    in [0, 1].  It is the hit fraction, with a Wilson interval, only where
-    one gain is drawn (l_draw = 1) and the proposal is untilted.
+    the hits of the importance-sampling proposal (at l >= 2 the draws whose
+    shrunk sum of the first l - 1 gains lies below t, the last gain being
+    integrated out) and p_hat is the mean weight over all trials, in [0, 1].
+    It is the hit fraction, with a Wilson interval, only at l = 1 with an
+    untilted proposal.  An event decided without drawing gives either
+    estimator the point interval [p_hat, p_hat].
     """
 
     p_hat: float
@@ -491,8 +493,9 @@ class MonteCarloConfig:
 
     event "threshold": aggregate event sum_l |F_i|^2 < threshold
                        (threshold defaults to 1/snr when unset).
-    event "rate":      per-sub-channel event log2(1 + |F|^2 * snr) < rate_bits,
-                       drawn on one sub-channel per trial.
+    event "rate":      log2(1 + |F|^2 * snr) < rate_bits, at l = 1 only.
+    Each event's inputs are checked here: a threshold or an snr, rate_bits
+    and an snr, and an snr must be positive and finite.
 
     point: the grid point this estimate is, or None.  Batch b draws from the
     substream keyed (seed, spawn_key=(b,)), or (b, point) at a grid point, so
@@ -510,10 +513,7 @@ class MonteCarloConfig:
     point: int | None = None
 
     def __post_init__(self):
-        if int(self.l) < 1:
-            raise ConfigError("l must be >= 1")
-        if int(self.l) > MAX_L:
-            raise ConfigError("l must be at most 2**53")
+        _check_l(self.l)
         if not (1 <= int(self.trials) <= MAX_TRIALS):
             raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}]")
         if not (0 <= int(self.seed) < 2**64):
@@ -522,12 +522,19 @@ class MonteCarloConfig:
             raise ConfigError("event must be 'threshold' or 'rate'")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}")
-        if self.snr is not None and not (float(self.snr) > 0.0):
-            raise ConfigError("snr must be positive")
+        if self.snr is not None and not (0.0 < float(self.snr) < math.inf):
+            raise ConfigError("snr must be positive and finite")
         if self.rate_bits is not None and not (float(self.rate_bits) >= 0.0):
             raise ConfigError("rate_bits must be nonnegative")
         if self.threshold is not None and not (float(self.threshold) >= 0.0):
             raise ConfigError("threshold must be nonnegative")
+        if self.event == "threshold":
+            if self.threshold is None and self.snr is None:
+                raise ConfigError("threshold event needs an explicit threshold or an snr")
+        elif self.rate_bits is None or self.snr is None:
+            raise ConfigError("rate event needs rate_bits and an snr")
+        elif int(self.l) != 1:
+            raise ConfigError(f"the rate event takes l = 1 only, not l = {int(self.l)}")
         if self.point is not None and not (0 <= int(self.point) < 2**64):
             raise ConfigError("point must fit in an unsigned 64-bit integer")
 
@@ -818,28 +825,17 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
 
 
 def _event_geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
-    """The one reduction of an event on a gain model: (l_draw, threshold, t),
-    the event being Gamma(l_draw, 1) < t, t in [0, inf].  threshold bounds
-    the summed squared gains of l_draw sub-channels.  On Rayleigh gains
+    """The one reduction of an event on a gain model: (threshold, t), the
+    event being Gamma(l, 1) < t, t in [0, inf].  threshold bounds the summed
+    squared gains of the l sub-channels.  On Rayleigh gains
     t = threshold / sigma2_f, 0 or inf where that under- or overflows, and
     inf at zero gain (0 at a zero threshold).  The fixed and uniform-phase
     gains are deterministic: t is inf where their sum lies below the
     threshold and 0 where it does not, and nothing of size l is built."""
     if config.event == "threshold":
-        l_draw = int(config.l)
-        if config.threshold is not None:
-            threshold = float(config.threshold)
-        elif config.snr is None:
-            raise ConfigError("threshold event needs an explicit threshold or an snr")
-        else:
-            threshold = 1.0 / float(config.snr)
+        threshold = 1.0 / float(config.snr) if config.threshold is None else float(config.threshold)
     else:
         # rate event: log2(1 + m*s) < rate  <=>  m < (2^rate - 1) / s
-        if config.rate_bits is None:
-            raise ConfigError("rate event needs rate_bits")
-        if config.snr is None:
-            raise ConfigError("rate event needs an snr")
-        l_draw = 1
         try:
             gain = 2.0 ** float(config.rate_bits) - 1.0
         except OverflowError:  # 2^rate beyond the float range: no draw reaches the rate
@@ -848,45 +844,42 @@ def _event_geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tupl
     if model.kind == RAYLEIGH:
         s2 = float(model.sigma2_f)
         t = threshold / s2 if s2 > 0.0 else (math.inf if threshold > 0.0 else 0.0)
-        return l_draw, threshold, t
+        return threshold, t
     if model.kind == FIXED:
         if len(model.values) != int(config.l):
             raise ConfigError("fixed model value count must equal l")
         # |v|^2 as a sum of squares, which rounds to inf rather than raising
-        gain2 = sum(v.real * v.real + v.imag * v.imag for v in model.values[:l_draw])
+        gain2 = sum(v.real * v.real + v.imag * v.imag for v in model.values)
     else:
-        gain2 = l_draw * float(model.magnitude) ** 2
-    return l_draw, threshold, math.inf if gain2 < threshold else 0.0
+        gain2 = int(config.l) * float(model.magnitude) ** 2
+    return threshold, math.inf if gain2 < threshold else 0.0
 
 
 def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
     """(estimate, None, ()) where _event_geometry decides the event (t = 0:
     no trial is an error; t = inf: every trial is), for either estimator and
-    without drawing; otherwise (None, kernel, batch args) of the batches that
-    estimate it.  monte_carlo_p_err, a pool's size and a pool's stream all
-    plan a point here, so they agree on which points draw and on every batch
-    they draw."""
-    l_draw, threshold, t = _event_geometry(config, model)
-    trials = int(config.trials)
-    crude = config.estimator == "crude"
+    without drawing, with the point interval [k/n, k/n]; otherwise
+    (None, kernel, batch args) of the batches that estimate it.
+    monte_carlo_p_err, a pool's size and a pool's stream all plan a point
+    here, so they agree on which points draw and on every batch they draw."""
+    threshold, t = _event_geometry(config, model)
+    l, trials = int(config.l), int(config.trials)
     if not 0.0 < t < math.inf:
         k = trials if t else 0
-        if crude:
-            return ErrorEstimate.from_counts(k, trials), None, ()
         p = k / trials
-        return ErrorEstimate(p, trials, p, p, k, "is"), None, ()
-    if crude:
-        batch_bytes = 16 * min(_BATCH, trials) * l_draw
-        if batch_bytes > MAX_BATCH_BYTES:
-            raise ConfigError(f"one Monte Carlo batch at l={l_draw} would draw {batch_bytes:.3g} "
-                              f"bytes of normals, over the {MAX_BATCH_BYTES} byte cap")
+        return ErrorEstimate(p, trials, p, p, k, config.estimator), None, ()
+    crude = config.estimator == "crude"
+    batch_bytes = 16 * min(_BATCH, trials) * l
+    if crude and batch_bytes > MAX_BATCH_BYTES:
+        raise ConfigError(f"one Monte Carlo batch at l={l} would draw {batch_bytes:.3g} "
+                          f"bytes of normals, over the {MAX_BATCH_BYTES} byte cap")
 
     seed, sigma2_f = int(config.seed), float(model.sigma2_f)
     batches = []
     for b in range(-(-trials // _BATCH)):
         key = b if config.point is None else (b, int(config.point))
         m = min(_BATCH, trials - b * _BATCH)
-        batches.append((seed, key, m, l_draw, sigma2_f, threshold))
+        batches.append((seed, key, m, l, sigma2_f, threshold))
     return None, _count_batch if crude else _weigh_batch, batches
 
 
@@ -922,10 +915,10 @@ def monte_carlo_p_err(
     trials = int(config.trials)
     if config.estimator == "crude":
         return ErrorEstimate.from_counts(sum(results), trials)
-    _, _, _, l_draw, sigma2_f, threshold = batches[0]
+    _, _, _, l, sigma2_f, threshold = batches[0]
     hits, sum_v, sum_v2 = (sum(column) for column in zip(*results))
-    _, theta, _, log_scale = _proposal(threshold / sigma2_f, l_draw)
-    if l_draw == 1 and theta == 1.0:
+    _, theta, _, log_scale = _proposal(threshold / sigma2_f, l)
+    if l == 1 and theta == 1.0:
         # an untilted proposal of one gain weighs every hit 1: the hits are a
         # binomial count
         return ErrorEstimate.from_counts(hits, trials, "is")
@@ -940,14 +933,14 @@ def analytic_event_probability(
     rate_bits: float | None = None,
     threshold: float | None = None,
 ) -> float:
-    """Exact probability P(l_draw, t) of the event monte_carlo_p_err samples,
-    read from the same reduction, _event_geometry: 0 or 1 where it decides
-    the event, and the exponential CDF -expm1(-t) on one sub-channel."""
-    config = MonteCarloConfig(
-        l=l, trials=1, seed=0, event=event, snr=snr, rate_bits=rate_bits, threshold=threshold
-    )
-    l_draw, _, t = _event_geometry(config, model)
-    return gamma_p(l_draw, t)
+    """Exact probability P(l, t) of the event monte_carlo_p_err samples, read
+    from the same reduction, _event_geometry: 0 or 1 where it decides the
+    event, and the exponential CDF -expm1(-t) at l = 1.  Its inputs are
+    checked as MonteCarloConfig checks them, so the rate event takes l = 1
+    only and any other l is a ConfigError."""
+    config = MonteCarloConfig(l=l, trials=1, seed=0, event=event, snr=snr,
+                              rate_bits=rate_bits, threshold=threshold)
+    return gamma_p(config.l, _event_geometry(config, model)[1])
 
 
 def fit_diversity_slope(points) -> float:

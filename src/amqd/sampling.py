@@ -67,8 +67,8 @@ class ComplexGaussianSpec:
         var = tuple(float(v) for v in self.variance_per_entry)
         if len(var) == 0:
             raise ConfigError("a complex Gaussian vector needs at least one entry")
-        if any(v < 0.0 for v in var):
-            raise ConfigError("variances must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in var):  # NaN fails this too
+            raise ConfigError("variances must be finite and nonnegative")
         object.__setattr__(self, "variance_per_entry", var)
 
     @classmethod

@@ -8,6 +8,7 @@ break the benchmark."""
 import ast
 import importlib
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -79,6 +80,20 @@ def test_workload_parses_or_binds(name):
     args = build_parser().parse_args(argv)
     cli = {key: getattr(args, key) for key in args.settings}
     build_experiment_config(merge_settings(args.defaults, args.config, cli))
+
+
+SWEEPS = sorted(name for name, w in WORKLOADS.items() if hasattr(w.job, "reference"))
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_reference_is_a_probability(name):
+    # perfbench/checks.py check_sweep compares every simulate point with the
+    # workload's reference(snr), an analytic_event_probability call; an input
+    # check that rejected it would fail the workload's every pass (run_failed)
+    job = WORKLOADS[name].job
+    for snr in job.snr_grid():
+        p = job.reference(snr)
+        assert math.isfinite(p) and 0.0 <= p <= 1.0, (snr, p)
 
 
 def test_validate_reports_the_checks_the_benchmark_times():

@@ -206,13 +206,18 @@ class TestSimulate:
     @pytest.mark.parametrize("model, event, p", [
         ("uniform-phase=0.5", "threshold", 0.0),  # l |F|^2 = 2.5e11 >= 1
         ("uniform-phase=1e-7", "threshold", 1.0),  # l |F|^2 = 0.01 < 1
-        ("uniform-phase=0.5", "rate", 0.0),  # one sub-channel, whatever l is
+        ("uniform-phase=0.5", "rate", None),  # the rate event takes l = 1 only
     ])
-    def test_deterministic_model_with_huge_l(self, tmp_path, model, event, p):
+    def test_deterministic_model_with_huge_l(self, tmp_path, capsys, model, event, p):
         out = tmp_path / "sim.csv"
-        assert main(["simulate", "--model", model, "--event", event, "--rate-bits", "0.1",
+        code = main(["simulate", "--model", model, "--event", event, "--rate-bits", "0.1",
                      "--l", "1000000000000", "--snr-db-max", "0", "--trials", "10",
-                     "--out", str(out)]) == 0
+                     "--out", str(out)])
+        if p is None:
+            assert code == 2 and not out.exists()
+            assert "config error: the rate event takes l = 1 only" in capsys.readouterr().err
+            return
+        assert code == 0
         header, rows = _read_csv(out)
         assert rows[:, header.index("p_hat")].tolist() == [p]
         assert rows[:, header.index("analytic")].tolist() == [p]
@@ -227,9 +232,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("model, l", [("fixed=1e200", "1"), ("fixed=1e200,1e200", "2")])
     def test_gain_whose_square_overflows_is_never_an_error(self, tmp_path, model, l):
-        # |F|^2 = 1e400 lies above every threshold: p = 0, not an overflow
+        # |F|^2 = 1e400 lies above every threshold: p = 0, not an overflow.
+        # The rate event takes l = 1 only
         out = tmp_path / "sim.csv"
-        for event in ("threshold", "rate"):
+        for event in ("threshold", "rate") if l == "1" else ("threshold",):
             assert main(["simulate", "--model", model, "--l", l, "--event", event,
                          "--snr-db-max", "4", "--trials", "10", "--out", str(out)]) == 0
             header, rows = _read_csv(out)

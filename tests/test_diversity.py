@@ -92,12 +92,20 @@ class TestNormalizedDifference:
         assert product_distance([3.0], [1.0], 4.0, 1.0) == pytest.approx(1.0)
         # (1) / sqrt(1/4) = 2, squared
         assert product_distance([1.0], [0.0], 1.0, 4.0) == pytest.approx(4.0)
+        # sigma2_omega' / sigma2_n underflows to 0: an infinite factor, or 0
+        # for equal components
+        assert product_distance([1.0], [0.0], 1e-300, 1e300) == math.inf
+        assert product_distance([1.0], [1.0], 1e-300, 1e300) == 0.0
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(ConfigError):
-            product_distance([1.0], [0.0], 0.0, 1.0)
-        with pytest.raises(ConfigError):
-            product_distance([1.0], [0.0], 1.0, 0.0)
+        # and a NaN or infinite one, which gave nan or a ZeroDivisionError
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                product_distance([1.0], [0.0], bad, 1.0)
+            with pytest.raises(ConfigError):
+                product_distance([1.0], [0.0], 1.0, bad)
+            with pytest.raises(ConfigError):
+                product_distance([1.0, 2.0], [0.0, 0.0], 1.0, (1.0, bad))
 
 
 class TestProductDistance:

@@ -33,6 +33,7 @@ from amqd import (
     wilson_interval,
 )
 from amqd import error_analysis
+from amqd.cli import main
 from amqd.error_analysis import (
     _BATCH,
     MAX_BATCH_BYTES,
@@ -462,7 +463,7 @@ class TestMonteCarloPErr:
             with pytest.raises(ConfigError, match="byte cap"):
                 monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0))
 
-    def test_missing_event_parameters_rejected(self):
+    def test_missing_event_parameters_rejected(self, no_draw, capsys):
         model = TransmittanceModel.rayleigh(1.0)
         with pytest.raises(ConfigError):
             monte_carlo_p_err(
@@ -472,9 +473,27 @@ class TestMonteCarloPErr:
             monte_carlo_p_err(
                 MonteCarloConfig(l=1, trials=10, seed=0, event="rate", snr=2.0), model
             )
+        # the rate event is defined at l = 1 only: the config, the oracle and
+        # the command line reject any other l before a batch is planned
+        for l in (2, 3):
+            with pytest.raises(ConfigError, match="l = 1 only"):
+                MonteCarloConfig(l=l, trials=10, seed=0, event="rate", snr=2.0, rate_bits=1.0)
+            with pytest.raises(ConfigError, match="l = 1 only"):
+                analytic_event_probability(model, "rate", l, snr=2.0, rate_bits=1.0)
+            assert main(["simulate", "--event", "rate", "--l", str(l), "--zeta", "0.5"]) == 2
+            assert "config error: the rate event takes l = 1 only" in capsys.readouterr().err
 
 
 RAYLEIGH_1 = TransmittanceModel.rayleigh(1.0)
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    def fail(args, scratch=None):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(error_analysis, "_weigh_batch", fail)
+    monkeypatch.setattr(error_analysis, "_count_batch", fail)
 
 
 def _is_config(l, threshold, seed=1, trials=10**5):
@@ -647,23 +666,15 @@ class TestImportanceSampling:
 
     def test_rate_event(self):
         snr, rate_bits = 1e4, 1.0
-        config = MonteCarloConfig(l=3, trials=10**5, seed=6, event="rate", snr=snr,
+        config = MonteCarloConfig(l=1, trials=10**5, seed=6, event="rate", snr=snr,
                                   rate_bits=rate_bits, estimator="is")
         est = monte_carlo_p_err(config, RAYLEIGH_1)
-        p = analytic_event_probability(RAYLEIGH_1, "rate", 3, snr=snr, rate_bits=rate_bits)
+        p = analytic_event_probability(RAYLEIGH_1, "rate", 1, snr=snr, rate_bits=rate_bits)
         assert est.covers(p)
         assert _rel_half_width(est) <= 0.02
         # the rate event draws one sub-channel against (2^rate - 1) / snr
         same = _is_config(1, (2.0**rate_bits - 1.0) / snr, seed=6)
         assert monte_carlo_p_err(same, RAYLEIGH_1) == est
-
-    @pytest.fixture
-    def no_draw(self, monkeypatch):
-        def fail(args, scratch=None):
-            raise AssertionError("a batch was drawn")
-
-        monkeypatch.setattr(error_analysis, "_weigh_batch", fail)
-        monkeypatch.setattr(error_analysis, "_count_batch", fail)
 
     def test_zero_threshold_is_never_an_error(self, no_draw):
         est = monte_carlo_p_err(_is_config(2, 0.0), RAYLEIGH_1)
@@ -672,11 +683,9 @@ class TestImportanceSampling:
 
     @staticmethod
     def _verdict(estimator, p, trials):
-        # an event decided without drawing: every trial an error, or none;
-        # crude reports the count it would have drawn, with its Wilson interval
-        if estimator == "crude":
-            return ErrorEstimate.from_counts(int(p) * trials, trials)
-        return ErrorEstimate(p, trials, p, p, int(p) * trials, "is")
+        # an event decided without drawing: every trial an error, or none,
+        # with the point interval [p, p] under either estimator
+        return ErrorEstimate(p, trials, p, p, int(p) * trials, estimator)
 
     @pytest.mark.parametrize("estimator", ["crude", "is"])
     def test_zero_gain_decides_the_event(self, no_draw, estimator):
@@ -774,6 +783,13 @@ class TestImportanceSampling:
             MonteCarloConfig(l=1, trials=10, seed=0, threshold=math.nan)
         with pytest.raises(ConfigError):
             MonteCarloConfig(l=1, trials=10, seed=0, event="rate", snr=1.0, rate_bits=math.nan)
+        # an infinite snr would make the overflowing rate's threshold inf / inf
+        for event in ("threshold", "rate"):
+            with pytest.raises(ConfigError, match="snr must be positive and finite"):
+                MonteCarloConfig(l=1, trials=10, seed=0, event=event, snr=math.inf,
+                                 rate_bits=2000.0)
+            with pytest.raises(ConfigError, match="snr must be positive and finite"):
+                analytic_event_probability(RAYLEIGH_1, event, 1, snr=math.inf, rate_bits=2000.0)
 
 
 class TestAnalyticEventProbability:
@@ -1072,7 +1088,7 @@ class TestWorkerPool:
         # on Rayleigh gains too, where the event is decided: 2^5000 leaves
         # the float range, so each point of 5 batches holds without drawing
         config = _sweep(300000, 2)
-        config.event, config.rate_bits = "rate", 5000.0
+        config.l_values, config.event, config.rate_bits = (1,), "rate", 5000.0
         assert [row[1] for row in run_monte_carlo(config).rows] == [1.0, 1.0, 1.0]
         assert pool_sizes == []
 

@@ -46,8 +46,10 @@ class TestComplexGaussianSpec:
             ComplexGaussianSpec.iid(0, 1.0)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ConfigError):
-            ComplexGaussianSpec((1.0, -0.5))
+        # and a NaN or infinite one, which would draw nan+nanj or inf
+        for bad in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                ComplexGaussianSpec((1.0, bad))
 
 
 class TestModulationSampling:
