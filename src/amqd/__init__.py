@@ -38,7 +38,6 @@ from .experiments import (
     gnuplot_script,
     run_analytic_table,
     run_monte_carlo,
-    write_gnuplot_script,
 )
 from .sampling import (
     ComplexGaussianSpec,

@@ -6,6 +6,7 @@ secret-key-rate allocation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ class RateAllocation:
         object.__setattr__(self, "zeta_per_user", zs)
         if int(self.k_in) < 1 or int(self.k_out) < 1:
             raise ConfigError("k_in and k_out must be >= 1")
-        if float(self.p_prime) < 0.0:
-            raise ConfigError("p_prime must be nonnegative")
+        if not 0.0 <= float(self.p_prime) < math.inf:  # NaN too
+            raise ConfigError("p_prime must be nonnegative and finite")
 
     @property
     def n_min(self) -> int:
@@ -104,7 +105,10 @@ def worst_case_set(ch: SubchannelSet, snr_star: float) -> WorstCaseSet:
     """
     if not float(snr_star) > 0.0:
         raise ConfigError("snr_star must be positive")
-    threshold = float(snr_star) ** (-ch.l)
+    try:
+        threshold = float(snr_star) ** (-ch.l)
+    except OverflowError:  # past the float range, so no sub-channel clears it
+        threshold = math.inf
     mags = np.abs(np.asarray(ch.f_transmittance, dtype=np.complex128))
     survivors = tuple(i for i, m in enumerate(mags) if m ** 2 >= threshold)
     if not survivors:

@@ -14,7 +14,11 @@ Subcommands:
             threshold, estimate, interval and hits
   validate  run every invariant suite and report pass/fail
 
-Each command has a flag for each setting it reads, and nothing else; a JSON
+Every setting is one field of config.ExperimentConfig, which declares its
+default and its flag; a command may override a default (figure2's l and zeta,
+the curve and slope grids).  main merges the defaults, a JSON --config file
+and the flags, builds the one ExperimentConfig and runs the command on it.
+Each command has a flag for each setting it reads, and nothing else; its
 --config file may set those same settings, and flags override it:
   figure2, analytic  --l --zeta --snr-db-min --snr-db-max --snr-db-step --out
                      --format (analytic also --factorial)
@@ -34,34 +38,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import SETTINGS, build_experiment_config, merge_settings
+from .config import SETTINGS, ExperimentConfig, merge_settings
 from .error_analysis import diversity_slope_scan
 from .exceptions import ConfigError, EstimationError
-from .experiments import run_analytic_table, run_monte_carlo, write_gnuplot_script
+from .experiments import gnuplot_script, run_analytic_table, run_monte_carlo
 from .validation import run_validation
-
-# The flag of each setting; its dest is the SETTINGS key.
-_FLAGS = {
-    "l": dict(type=int, action="append", help="information-carrying sub-channels; repeatable"),
-    "zeta": dict(type=float, help="degree-of-freedom ratio in [0, 1); simulate reads it only "
-                                  "for the rate event's default target (at --l 1), and its "
-                                  "threshold event ignores it; slope's thresholds fall as "
-                                  "snr^-(1-zeta)"),
-    "snr_db_min": dict(type=float, help="grid start in dB"),
-    "snr_db_max": dict(type=float, help="grid end in dB (inclusive)"),
-    "snr_db_step": dict(type=float, help="grid step in dB"),
-    "trials": dict(type=int, help="Monte Carlo trials per estimate (1 to 2e9)"),
-    "seed": dict(type=int, help="seed; batch b of grid point i of simulate or slope draws "
-                                "from the stream keyed (seed, b, i)"),
-    "model": dict(help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>"),
-    "event": dict(choices=("rate", "threshold"), help="error event to sample; the rate "
-                                                      "event takes --l 1 only (exit 2 otherwise)"),
-    "rate_bits": dict(type=float, help="rate target of the rate event, at --l 1 (default: "
-                                       "zeta * log2(1 + snr)); the threshold event ignores it"),
-    "workers": dict(type=int, help="parallel Monte Carlo workers (1-64; one pool per run)"),
-    "out": dict(help="output path; stdout when omitted"),
-    "format": dict(choices=("csv", "json"), help="output format"),
-}
 
 # The settings each command reads: its flags, and the keys its config file may set.
 _CURVE_SETTINGS = ("l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "out", "format")
@@ -69,22 +50,16 @@ _SIMULATE_SETTINGS = tuple(SETTINGS)
 _SLOPE_SETTINGS = ("l", "zeta", "snr_db_min", "snr_db_max", "snr_db_step", "seed", "workers")
 _VALIDATE_SETTINGS = ("trials", "seed", "workers")
 
-# Every setting's default; the settings a command does not read still reach
-# ExperimentConfig, with these values.
-_DEFAULTS = {
-    "l": [1], "zeta": 0.0, "snr_db_min": 0.0, "snr_db_max": 20.0, "snr_db_step": 2.0,
-    "trials": 100000, "seed": 0, "model": "rayleigh", "event": "threshold",
-    "rate_bits": None, "workers": 1, "out": None, "format": "csv",
-}
-
 
 def _add_command(sub, name: str, settings: tuple, func, defaults: dict,
                  **parser_kwargs) -> argparse.ArgumentParser:
+    """A subcommand with a flag for each of its settings; `defaults` are the
+    command's own defaults, where they differ from ExperimentConfig's."""
     sp = sub.add_parser(name, **parser_kwargs)
     for key in settings:
-        sp.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        sp.add_argument("--" + key.replace("_", "-"), **SETTINGS[key].metadata)
     sp.add_argument("--config", help="JSON config file of these settings; flags override it")
-    sp.set_defaults(func=func, settings=settings, defaults=dict(_DEFAULTS, **defaults))
+    sp.set_defaults(func=func, settings=settings, defaults=defaults)
     return sp
 
 
@@ -126,41 +101,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_settings(args: argparse.Namespace) -> dict:
-    cli = {key: getattr(args, key) for key in args.settings}
-    return merge_settings(args.defaults, args.config, cli)
+def _emit(table, config: ExperimentConfig, gnuplot: bool) -> None:
+    """The table as config.format, on stdout or in config.out; a CSV curve
+    table also gets its gnuplot script <out>.gp."""
+    text = table.to_csv() if config.format == "csv" else table.to_json()
+    if not config.out:
+        sys.stdout.write(text)
+        return
+    files = {config.out: text}
+    if gnuplot and config.format == "csv":
+        files[config.out + ".gp"] = gnuplot_script(config.out, table.columns)
+    for path, content in files.items():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(content)
 
 
-def _emit(table, settings: dict, gnuplot: bool) -> None:
-    out = settings.get("out")
-    fmt = settings.get("format") or "csv"
-    if out:
-        table.write(out, fmt)
-        if gnuplot and fmt == "csv":
-            write_gnuplot_script(table, out, out + ".gp")
-    else:
-        sys.stdout.write(table.to_csv() if fmt == "csv" else table.to_json())
-
-
-def _cmd_curves(args: argparse.Namespace) -> int:
-    settings = _merged_settings(args)
-    config = build_experiment_config(settings)
-    _emit(run_analytic_table(config, include_factorial=args.factorial), settings, gnuplot=True)
+def _cmd_curves(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    _emit(run_analytic_table(config, include_factorial=args.factorial), config, gnuplot=True)
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _merged_settings(args)
-    config = build_experiment_config(settings)
-    _emit(run_monte_carlo(config), settings, gnuplot=False)
+def _cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    _emit(run_monte_carlo(config), config, gnuplot=False)
     return 0
 
 
-def _cmd_slope(args: argparse.Namespace) -> int:
-    config = build_experiment_config(_merged_settings(args))
-    if len(config.l_values) != 1:
+def _cmd_slope(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    if len(config.l) != 1:
         raise ConfigError("the slope scan takes a single l")
-    l, snr = config.l_values[0], config.snr_grid.linear_values()
+    l, snr = config.l[0], config.snr_grid.linear_values()
     res = diversity_slope_scan(l, config.zeta, seed=config.seed, snr_min=snr[0],
                                snr_max=snr[-1], num_points=len(snr), workers=config.workers)
     print("l=%d: slope %.4f (diversity order %.2f)" % (l, res.slope, l * (1.0 - config.zeta)))
@@ -171,8 +140,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    config = build_experiment_config(_merged_settings(args))
+def _cmd_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     report = run_validation(config)
     for check in report.checks:
         print("%s %s: %s" % ("PASS" if check.passed else "FAIL", check.name, check.detail))
@@ -184,10 +152,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    flags = {key: getattr(args, key) for key in args.settings}
     try:
-        return args.func(args)
+        config = ExperimentConfig(**merge_settings(args.defaults, args.config, flags))
+        return args.func(config, args)
     except (ConfigError, EstimationError) as exc:  # a grid whose p underflows fits no slope
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
-"""Experiment configuration: SNR grids, defaults, JSON config files.
+"""Experiment configuration: SNR grids, every setting with its default and
+flag, JSON config files.
 
 Precedence is CLI flag > JSON config file > built-in defaults.
 """
@@ -7,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,25 +79,57 @@ def parse_model_spec(text: str) -> TransmittanceModel:
     )
 
 
+def _setting(default, **flag):
+    """An ExperimentConfig field: its default, and its flag's argparse keywords."""
+    return field(default=default, metadata=flag)
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything an experiment run needs; validated on construction."""
+    """Everything a command reads; validated on construction.
 
-    l_values: tuple
-    zeta: float
-    snr_grid: SnrGrid
-    trials: int = 100000
-    seed: int = 0
-    model: TransmittanceModel = field(default_factory=lambda: TransmittanceModel.rayleigh(1.0))
-    event: str = "threshold"
-    rate_bits: float | None = None
-    workers: int = 1
+    Each field but snr_grid is one setting, declared here alone: its default
+    and, in its metadata, the argparse keywords of its flag --<name> (``_``
+    written ``-``).  A config file's type for the setting follows from that
+    flag (see SETTINGS).  snr_grid is built from the three snr_db fields.
+    """
+
+    l: tuple = _setting((1,), type=int, action="append",
+                        help="information-carrying sub-channels; repeatable")
+    zeta: float = _setting(0.0, type=float,
+                           help="degree-of-freedom ratio in [0, 1); simulate reads it only "
+                                "for the rate event's default target (at --l 1), and its "
+                                "threshold event ignores it; slope's thresholds fall as "
+                                "snr^-(1-zeta)")
+    snr_db_min: float = _setting(0.0, type=float, help="grid start in dB")
+    snr_db_max: float = _setting(20.0, type=float, help="grid end in dB (inclusive)")
+    snr_db_step: float = _setting(2.0, type=float, help="grid step in dB")
+    trials: int = _setting(100000, type=int, help="Monte Carlo trials per estimate (1 to 2e9)")
+    seed: int = _setting(0, type=int,
+                         help="seed; batch b of grid point i of simulate or slope draws "
+                              "from the stream keyed (seed, b, i)")
+    model: TransmittanceModel = _setting(
+        "rayleigh",
+        help="transmittance model: rayleigh | fixed=<c1,c2,...> | uniform-phase=<mag>")
+    event: str = _setting("threshold", choices=("rate", "threshold"),
+                          help="error event to sample; the rate event takes --l 1 only "
+                               "(exit 2 otherwise)")
+    rate_bits: float | None = _setting(None, type=float,
+                                       help="rate target of the rate event, at --l 1 "
+                                            "(default: zeta * log2(1 + snr)); the threshold "
+                                            "event ignores it")
+    workers: int = _setting(1, type=int,
+                            help="parallel Monte Carlo workers (1-64; one pool per run)")
+    out: str | None = _setting(None, help="output path; stdout when omitted")
+    format: str = _setting("csv", choices=("csv", "json"), help="output format")
+    snr_grid: SnrGrid = field(init=False)
 
     def __post_init__(self):
-        ls = tuple(int(v) for v in self.l_values)
+        self.snr_grid = SnrGrid(self.snr_db_min, self.snr_db_max, self.snr_db_step)
+        ls = tuple(int(v) for v in self.l)
         if len(ls) == 0 or any(v < 1 for v in ls):
             raise ConfigError("every l must be >= 1")
-        self.l_values = ls
+        self.l = ls
         if not (0.0 <= float(self.zeta) < 1.0):
             raise ConfigError("zeta must lie in [0, 1)")
         if not (1 <= int(self.trials) <= MAX_TRIALS):
@@ -105,8 +138,9 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if isinstance(self.model, str):
             self.model = parse_model_spec(self.model)
-        if self.event not in ("threshold", "rate"):
-            raise ConfigError("event must be 'threshold' or 'rate'")
+        for key in ("event", "format"):
+            if getattr(self, key) not in SETTINGS[key].metadata["choices"]:
+                raise ConfigError(f"{key} must be {_expected(SETTINGS[key])}")
         if self.rate_bits is not None and not (0.0 <= float(self.rate_bits) < math.inf):
             raise ConfigError("rate-bits must be finite and nonnegative")
         self.workers = check_workers(self.workers)
@@ -114,59 +148,48 @@ class ExperimentConfig:
             raise ConfigError("snr grid is empty")
 
 
-def _integer(value):
+# Every setting, by name: its ExperimentConfig field.  Each command has a flag
+# (its dest is the name) for the settings it reads, and a config file given to
+# that command may set those keys alone.
+SETTINGS = {f.name: f for f in fields(ExperimentConfig) if f.init}
+
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _expected(setting) -> str:
+    """What a config file may give for a setting: a value its flag takes, a
+    list of them if the flag repeats, or null if the setting defaults to None."""
+    flag = setting.metadata
+    choices = flag.get("choices")
+    text = " or ".join(map(repr, choices)) if choices else _KINDS[flag.get("type", str)]
+    if flag.get("action") == "append":
+        text += " or a list of %ss" % text.split()[-1]
+    return text + " or null" * (setting.default is None)
+
+
+def _scalar(flag, value):
+    if "choices" in flag:
+        if value not in flag["choices"]:
+            raise ValueError(value)
+        return value
+    kind = flag.get("type", str)
     # JSON has one number type, so 1e6 is as good an integer as 1000000
-    if isinstance(value, float) and value.is_integer():
+    if kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise TypeError(value)
-    return value
+    return kind(value)
 
 
-def _number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(value)
-    return float(value)
-
-
-def _integers(value):
-    return [_integer(v) for v in (value if isinstance(value, list) else [value])]
-
-
-def _text(value):
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
-
-
-def _optional(convert):
-    return lambda value: None if value is None else convert(value)
-
-
-def _format(value):
-    if value not in ("csv", "json"):
-        raise ValueError(value)
-    return value
-
-
-# Every setting, with what a config file may give for it.  Each command has a
-# flag (its dest is the key) for the settings it reads, and a config file given
-# to that command may set those keys alone.
-SETTINGS = {
-    "l": ("an integer or a list of integers", _integers),
-    "zeta": ("a number", _number),
-    "snr_db_min": ("a number", _number),
-    "snr_db_max": ("a number", _number),
-    "snr_db_step": ("a number", _number),
-    "trials": ("an integer", _integer),
-    "seed": ("an integer", _integer),
-    "model": ("a string", _text),
-    "event": ("a string", _text),
-    "rate_bits": ("a number or null", _optional(_number)),
-    "workers": ("an integer", _integer),
-    "out": ("a string or null", _optional(_text)),
-    "format": ("'csv' or 'json'", _format),
-}
+def _convert(setting, value):
+    """A config file's value as the setting's flag would give it; TypeError,
+    ValueError or OverflowError when it is not what _expected says."""
+    if value is None and setting.default is None:
+        return None
+    flag = setting.metadata
+    if flag.get("action") == "append":
+        return [_scalar(flag, v) for v in (value if isinstance(value, list) else [value])]
+    return _scalar(flag, value)
 
 
 def _read_config_file(path: str, keys) -> dict:
@@ -185,11 +208,11 @@ def _read_config_file(path: str, keys) -> dict:
                           f"this command takes {sorted(keys)}")
     settings = {}
     for key, value in raw.items():
-        expected, convert = SETTINGS[key]
         try:
-            settings[key] = convert(value)
+            settings[key] = _convert(SETTINGS[key], value)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}") from None
+            raise ConfigError(f"config key {key!r} must be {_expected(SETTINGS[key])}, "
+                              f"got {value!r}") from None
     return settings
 
 
@@ -203,18 +226,3 @@ def merge_settings(defaults: dict, config_path: str | None, cli: dict) -> dict:
         if value is not None:
             merged[key] = value
     return merged
-
-
-def build_experiment_config(settings: dict) -> ExperimentConfig:
-    """ExperimentConfig from merged settings that hold every SETTINGS key."""
-    return ExperimentConfig(
-        l_values=tuple(settings["l"]),
-        zeta=float(settings["zeta"]),
-        snr_grid=SnrGrid(settings["snr_db_min"], settings["snr_db_max"], settings["snr_db_step"]),
-        trials=int(settings["trials"]),
-        seed=int(settings["seed"]),
-        model=settings["model"],
-        event=str(settings["event"]),
-        rate_bits=None if settings["rate_bits"] is None else float(settings["rate_bits"]),
-        workers=int(settings["workers"]),
-    )

@@ -13,8 +13,8 @@ from .sampling import RngStream
 
 def constellation_size(rate_bits: float) -> int:
     """Point count for a rate: round(2^rate), never below 2."""
-    if not np.isfinite(rate_bits):
-        raise ConfigError("rate_bits must be finite")
+    if not -math.inf < float(rate_bits) < 1024.0:  # 2^1024 is past the float range
+        raise ConfigError("rate_bits must be finite and below 1024")
     return max(2, int(round(2.0 ** float(rate_bits))))
 
 
@@ -136,9 +136,21 @@ def product_distance(p_a, p_b, sigma2_omega_prime: float, sigma2_n_per_subchanne
 
 
 def product_distance_bound(l: int, rate_bits: float, c: float = 1.0) -> float:
-    """(c / (l * 2^rate_bits))^l, the worst-case product-distance floor."""
-    if int(l) < 1:
+    """(c / (l * 2^rate_bits))^l, the worst-case product-distance floor; 0.0
+    or inf where the bound lies past the float range."""
+    l, rate_bits, c = int(l), float(rate_bits), float(c)
+    if l < 1:
         raise ConfigError("l must be >= 1")
-    if float(c) <= 0.0:
-        raise ConfigError("c must be positive")
-    return (float(c) / (int(l) * 2.0 ** float(rate_bits))) ** int(l)
+    if not 0.0 < c < math.inf:
+        raise ConfigError("c must be positive and finite")
+    if not math.isfinite(rate_bits):
+        raise ConfigError("rate_bits must be finite")
+    try:
+        bound = (c / (l * 2.0 ** rate_bits)) ** l
+    except (OverflowError, ZeroDivisionError):  # 2^rate_bits or the power left the float range
+        bound = 0.0
+    if 0.0 < bound < math.inf:
+        return bound
+    # a step left the float range, so take the bound from its log
+    log2_bound = l * (math.log2(c) - math.log2(l) - rate_bits)
+    return math.inf if log2_bound >= 1024.0 else 2.0 ** log2_bound

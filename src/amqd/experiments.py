@@ -37,24 +37,14 @@ class Table:
                    "rows": [[float(v) for v in row] for row in self.rows]}
         return json.dumps(payload, indent=2) + "\n"
 
-    def write(self, path: str, fmt: str = "csv") -> None:
-        if fmt == "csv":
-            text = self.to_csv()
-        elif fmt == "json":
-            text = self.to_json()
-        else:
-            raise ConfigError(f"unknown output format: {fmt!r}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
 
 def run_analytic_table(config: ExperimentConfig, include_factorial: bool = False) -> Table:
     """Closed-form single-carrier and multicarrier curves over the SNR grid."""
-    columns = ["snr", "p_single"] + [f"p_amqd_l{l}" for l in config.l_values]
+    columns = ["snr", "p_single"] + [f"p_amqd_l{l}" for l in config.l]
     rows = []
     for snr in config.snr_grid.linear_values():
         row = [float(snr), p_err_single_analytic(snr, config.zeta)]
-        for l in config.l_values:
+        for l in config.l:
             row.append(p_err_amqd_analytic(snr, l, config.zeta, include_factorial))
         rows.append(tuple(row))
     return Table(columns, rows)
@@ -78,9 +68,9 @@ def run_monte_carlo(config: ExperimentConfig) -> Table:
     zeta * log2(1 + snr)).  The points are estimated by
     error_analysis.monte_carlo_points, on one worker pool.
     """
-    if len(config.l_values) != 1:
+    if len(config.l) != 1:
         raise ConfigError("the Monte Carlo sweep takes a single l")
-    l = config.l_values[0]
+    l = config.l[0]
     columns = ["snr", "p_hat", "ci_low", "ci_high", "analytic"]
     points = []
     for i, snr in enumerate(config.snr_grid.linear_values()):
@@ -120,8 +110,3 @@ def gnuplot_script(csv_path: str, columns: list) -> str:
         plots.append(f"'{csv_path}' skip 1 using 1:{idx} with lines title '{name}'")
     lines.append("plot \\\n    " + ", \\\n    ".join(plots))
     return "\n".join(lines) + "\n"
-
-
-def write_gnuplot_script(table: Table, csv_path: str, script_path: str) -> None:
-    with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(gnuplot_script(csv_path, table.columns))

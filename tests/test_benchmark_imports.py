@@ -63,13 +63,17 @@ def _perfbench_module(name):
 WORKLOADS = _perfbench_module("workloads").WORKLOADS
 
 
+class _RunReached(Exception):
+    pass
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_parses_or_binds(name):
+def test_workload_parses_or_binds(name, monkeypatch):
     # a renamed flag or scan keyword would fail the workload's every pass
-    # (run_failed) while amqd's own tests stayed green
-    from amqd import diversity_slope_scan
-    from amqd.cli import build_parser
-    from amqd.config import build_experiment_config, merge_settings
+    # (run_failed) while amqd's own tests stayed green.  perfbench/setup_child.py
+    # times setup_s as cli.main up to its call of the module-global
+    # run_monte_carlo or run_validation, so a command line must reach one
+    from amqd import cli, diversity_slope_scan
 
     workload = WORKLOADS[name]
     seed = workload.pass_seed(0, 0)
@@ -77,9 +81,14 @@ def test_workload_parses_or_binds(name):
     if argv is None:
         inspect.signature(diversity_slope_scan).bind(**workload.job.kwargs(seed))
         return
-    args = build_parser().parse_args(argv)
-    cli = {key: getattr(args, key) for key in args.settings}
-    build_experiment_config(merge_settings(args.defaults, args.config, cli))
+
+    def reached(*args, **kwargs):
+        raise _RunReached
+
+    monkeypatch.setattr(cli, "run_monte_carlo", reached)
+    monkeypatch.setattr(cli, "run_validation", reached)
+    with pytest.raises(_RunReached):
+        cli.main(argv)
 
 
 SWEEPS = sorted(name for name, w in WORKLOADS.items() if hasattr(w.job, "reference"))
@@ -151,10 +160,10 @@ def mc_calls(monkeypatch):
 def test_each_grid_point_is_one_rebindable_call(mc_calls):
     # the benchmark counts trials, and so mtrials_per_s and s_to_rel10, from
     # these calls: a grid path that bypassed the module global would count none
-    from amqd import ExperimentConfig, SnrGrid, diversity_slope_scan, run_monte_carlo
+    from amqd import ExperimentConfig, diversity_slope_scan, run_monte_carlo
 
-    run_monte_carlo(ExperimentConfig(l_values=(2,), zeta=0.0, snr_grid=SnrGrid(0.0, 4.0, 2.0),
-                                     trials=70000, seed=1, workers=2))
+    run_monte_carlo(ExperimentConfig(l=(2,), zeta=0.0, snr_db_max=4.0, trials=70000, seed=1,
+                                     workers=2))
     assert [c.point for c in mc_calls] == [0, 1, 2]
     del mc_calls[:]
     diversity_slope_scan(1, 0.0, seed=1, num_points=3, target_errors=1, workers=2)

@@ -126,11 +126,14 @@ class TestWorstCaseSet:
         assert res.min_magnitude == 0.5
 
     def test_empty_survivor_set_is_valid(self):
-        ch = SubchannelSet(3, (0.9, 0.5, 0.7), ComplexGaussianSpec.iid(3, 2.0))
-        res = worst_case_set(ch, 1.01)  # threshold ~0.97
-        assert res.survivors == ()
-        assert res.min_index is None
-        assert res.min_magnitude is None
+        for ch, snr_star in (
+            (SubchannelSet(3, (0.9, 0.5, 0.7), ComplexGaussianSpec.iid(3, 2.0)), 1.01),  # ~0.97
+            (SubchannelSet.all_pass(3), 1e-300),  # threshold 1e900, past the float range
+        ):
+            res = worst_case_set(ch, snr_star)
+            assert res.survivors == ()
+            assert res.min_index is None
+            assert res.min_magnitude is None
 
     def test_tie_breaks_to_lowest_index(self):
         ch = SubchannelSet(2, (0.5, 0.5), ComplexGaussianSpec.iid(2, 2.0))
@@ -179,6 +182,12 @@ class TestSecretKeyRate:
     def test_zeta_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             RateAllocation((1.0,), 1, 1, 1.0)
+
+    @pytest.mark.parametrize("p_prime", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_p_prime_rejected(self, p_prime):
+        # an infinite p_prime would make secret_key_rate nan at zeta = 0
+        with pytest.raises(ConfigError):
+            RateAllocation((0.5,), 1, 1, p_prime)
 
     @given(
         st.floats(min_value=0.0, max_value=0.999),

@@ -377,13 +377,20 @@ class TestInputContract:
     @pytest.mark.parametrize("key, value", [
         ("trials", "abc"), ("zeta", "x"), ("trials", None), ("trials", 1.9),
         ("trials", True), ("l", [True]), ("l", "25"), ("model", 5), ("format", "xml"),
+        ("event", "outage"), ("rate_bits", "x"),
     ])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
+        # each key's type follows from its flag: type, choices, repeats, null
+        # when its default is None
+        expected = {"trials": "an integer", "zeta": "a number", "model": "a string",
+                    "l": "an integer or a list of integers", "format": "'csv' or 'json'",
+                    "event": "'rate' or 'threshold'", "rate_bits": "a number or null"}[key]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         # each value fails its type check, before any draw
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "config key %r" % key in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: config key %r must be %s, got %r\n" % (
+            key, expected, value)
 
     def test_integral_numbers_are_integers(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -621,7 +628,7 @@ class TestValidate:
         assert "~40.2 expected errors at threshold=1 (l=3)" in warnings[1]
 
     def test_fault_injection_is_caught(self, monkeypatch):
-        config = ExperimentConfig(l_values=(1,), zeta=0.0, snr_grid=SnrGrid(0, 10, 5),
+        config = ExperimentConfig(l=(1,), zeta=0.0, snr_db_min=0, snr_db_max=10, snr_db_step=5,
                                   trials=20000, seed=3)
         # a non-unitary transform pair must trip the transform suites
         monkeypatch.setattr("amqd.validation.unitary_dft", np.fft.fft)

@@ -16,6 +16,7 @@ from amqd import (
     product_distance,
     product_distance_bound,
 )
+from amqd.diversity import constellation_size
 
 
 class TestConstellation:
@@ -43,6 +44,14 @@ class TestConstellation:
     def test_single_point_rejected(self):
         with pytest.raises(ConfigError):
             Constellation((1.0,), 1.0)
+
+    @pytest.mark.parametrize("rate", [1024.0, 2000.0, 1e4, math.inf, -math.inf, math.nan])
+    def test_rate_past_float_range_rejected(self, rate):
+        # 2^rate leaves the float range; each is rejected before any point is made
+        with pytest.raises(ConfigError):
+            constellation_size(rate)
+        with pytest.raises(ConfigError):
+            Constellation.square_grid(rate)
 
 
 class TestPermutationConstellation:
@@ -159,16 +168,24 @@ class TestProductDistance:
 class TestProductDistanceBound:
     @pytest.mark.parametrize(
         "l,rate,c,expected",
-        [(1, 0.0, 1.0, 1.0), (2, 1.0, 1.0, 0.0625), (3, 1.0, 2.0, 1.0 / 27.0)],
+        [
+            (1, 0.0, 1.0, 1.0), (2, 1.0, 1.0, 0.0625), (3, 1.0, 2.0, 1.0 / 27.0),
+            # bounds past the float range: 2^rate overflows, 2^rate underflows
+            # to 0, the power overflows
+            (1, 2000.0, 1.0, 0.0), (2, -2000.0, 1.0, math.inf), (2, 1.0, 1e300, math.inf),
+            # a bound inside the float range whose 2^rate is not
+            (1, 1030.0, 1e300, math.ldexp(1e300, -1030)),
+        ],
     )
     def test_known_values(self, l, rate, c, expected):
         assert product_distance_bound(l, rate, c) == pytest.approx(expected, rel=1e-12)
 
     def test_nonpositive_c_rejected(self):
-        with pytest.raises(ConfigError):
-            product_distance_bound(2, 1.0, 0.0)
-        with pytest.raises(ConfigError):
-            product_distance_bound(2, 1.0, -1.0)
+        # and a non-finite c or rate
+        for rate, c in ((1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+                        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(ConfigError):
+                product_distance_bound(2, rate, c)
 
     @given(
         st.integers(min_value=1, max_value=10),

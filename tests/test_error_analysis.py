@@ -19,7 +19,6 @@ from amqd import (
     ExperimentConfig,
     MonteCarloConfig,
     RngStream,
-    SnrGrid,
     TransmittanceModel,
     analytic_event_probability,
     chi2_density,
@@ -977,8 +976,7 @@ class TestStreamKeys:
         # keyed by seed + i, point 1 of seed s would draw the streams of
         # point 0 of seed s + 1
         def sweep(seed):
-            run_monte_carlo(ExperimentConfig(l_values=(2,), zeta=0.0,
-                                             snr_grid=SnrGrid(0.0, 4.0, 2.0),
+            run_monte_carlo(ExperimentConfig(l=(2,), zeta=0.0, snr_db_max=4.0,
                                              trials=_BATCH + 1, seed=seed))
 
         def scan(seed):
@@ -1059,7 +1057,7 @@ def new_threads():
 
 
 def _sweep(trials, workers):
-    return ExperimentConfig(l_values=(2,), zeta=0.0, snr_grid=SnrGrid(6.0, 10.0, 2.0),
+    return ExperimentConfig(l=(2,), zeta=0.0, snr_db_min=6.0, snr_db_max=10.0,
                             trials=trials, seed=5, workers=workers)
 
 
@@ -1088,7 +1086,7 @@ class TestWorkerPool:
         # on Rayleigh gains too, where the event is decided: 2^5000 leaves
         # the float range, so each point of 5 batches holds without drawing
         config = _sweep(300000, 2)
-        config.l_values, config.event, config.rate_bits = (1,), "rate", 5000.0
+        config.l, config.event, config.rate_bits = (1,), "rate", 5000.0
         assert [row[1] for row in run_monte_carlo(config).rows] == [1.0, 1.0, 1.0]
         assert pool_sizes == []
 
@@ -1193,8 +1191,8 @@ class TestWorkerPool:
 
 
 def _grid(points, trials, workers):
-    return ExperimentConfig(l_values=(1,), zeta=0.0, trials=trials, seed=8, workers=workers,
-                            snr_grid=SnrGrid(0.0, 0.5 * (points - 1), 0.5))
+    return ExperimentConfig(l=(1,), zeta=0.0, trials=trials, seed=8, workers=workers,
+                            snr_db_max=0.5 * (points - 1), snr_db_step=0.5)
 
 
 def _point_and_batch(args):
