@@ -6,12 +6,14 @@ Subcommands:
   simulate  Monte Carlo estimate vs closed form over an SNR grid; every point
             is importance sampled (a Gamma(l) draw per trial at l = 1; at
             l >= 2 the sum of the first l - 1 gains, the last gain integrated
-            out) and reported with its weighted-CLT 95% interval, so any p is
-            reachable.  The threshold event takes any l, the rate event
-            l = 1 only (any other l exits 2)
+            out) and reported with its 95% interval, so any p is reachable:
+            the weighted-CLT one over iid draws at l = 1 and l >= 9, the
+            Student-t one over 16 scrambled-Sobol replicates at 2 <= l <= 8.
+            The threshold event takes any l, the rate event l = 1 only (any
+            other l exits 2)
   slope     importance-sampled diversity slope scan of one l over an SNR grid:
             the fitted log-log slope against l(1-zeta), and each point's
-            threshold, estimate, interval and hits
+            threshold, estimate, interval, hits and relative half-width
   validate  run every invariant suite and report pass/fail
 
 Every setting is one field of config.ExperimentConfig, which declares its
@@ -36,6 +38,7 @@ Exit codes: 0 success, 1 validation failure, 2 I/O or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import SETTINGS, ExperimentConfig, merge_settings
@@ -85,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "simulate", _SIMULATE_SETTINGS, _cmd_simulate, {},
         help="importance-sampled Monte Carlo estimate over an SNR grid",
         description="Importance-sampled Monte Carlo estimate of the error event at each "
-                    "grid point, with its weighted-CLT 95%% interval and the analytic "
+                    "grid point, with its 95%% interval and the analytic "
                     "value. The relative error stays bounded however small p is.",
     )
     _add_command(
@@ -134,9 +137,11 @@ def _cmd_slope(config: ExperimentConfig, args: argparse.Namespace) -> int:
                                snr_max=snr[-1], num_points=len(snr), workers=config.workers)
     print("l=%d: slope %.4f (diversity order %.2f)" % (l, res.slope, l * (1.0 - config.zeta)))
     for snr_i, thr, est in zip(res.snr, res.thresholds, res.estimates):
-        print("  snr %.4g thr %.4g p_hat %.4g ci [%.4g, %.4g] estimator %s hits %d of %d"
+        # the relative half-width, which %.4g can no longer show in the ci
+        rhw = (est.ci_high - est.ci_low) / (2.0 * est.p_hat) if est.p_hat > 0.0 else math.inf
+        print("  snr %.4g thr %.4g p_hat %.4g ci [%.4g, %.4g] estimator %s hits %d of %d rhw %.2e"
               % (snr_i, thr, est.p_hat, est.ci_low, est.ci_high, est.estimator,
-                 est.errors_observed, est.trials))
+                 est.errors_observed, est.trials, rhw))
     return 0
 
 

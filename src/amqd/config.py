@@ -126,7 +126,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.snr_grid = SnrGrid(self.snr_db_min, self.snr_db_max, self.snr_db_step)
-        ls = tuple(int(v) for v in self.l)
+        # a scalar l is one value, as in a config file
+        ls = tuple(int(v) for v in (self.l if np.ndim(self.l) else (self.l,)))
         if len(ls) == 0 or any(v < 1 for v in ls):
             raise ConfigError("every l must be >= 1")
         self.l = ls

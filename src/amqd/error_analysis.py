@@ -34,22 +34,36 @@ monte_carlo_p_err has two estimators of that probability
          at 10.  _proposal works out k, theta, the cut and the weights'
          scale once, for the kernel, the estimate and the slope scan's
          budget alike.
-         G is -ln(u_1 ... u_k) for k <= 7, k uniform blocks multiplied in
-         place (Devroye 1986, IX.3), so for l <= 8; beyond, it is numpy's
-         standard_gamma, the one draw that serves l up to MAX_L.
-         Every draw is weighed, with no gathering of the hits: a miss is
-         first clamped to the edge of the hit region (u to e^-cut, G to the
-         cut), so its weight is finite, and the hit mask then zeroes it.
-         Either way a batch holds at most two draws per trial, so its memory
-         does not grow with l.  Then
-         p_hat = sum(w) / trials with the weighted-CLT interval
-         p_hat +- 1.96 sd(w) / sqrt(trials); its relative error stays bounded
-         as p -> 0 (about 0.36% at p = 9e-8, l = 3, from 1e5 draws).  Where
-         there is no variance estimate (one trial, or no hit) the interval is
-         [0, min(scale, 1)], since p <= scale, the bound the kernel's
-         weights are taken over.  At l = 1 where theta = 1 every hit weighs
-         1, and the hits get a Wilson interval; at l >= 2 an untilted hit
-         still weighs h, so the interval is the weighted one.
+         G is -ln(u_1 ... u_k) for k <= 7 (Devroye 1986, IX.3), so for
+         l <= 8; beyond, it is numpy's standard_gamma, the one draw that
+         serves l up to MAX_L.  Every draw is weighed, with no gathering of
+         the hits: a miss is first clamped to the edge of the hit region (u
+         to e^-cut, G to the cut), so its weight is finite, and the hit mask
+         then zeroes it.  A batch holds at most two draws per trial, so its
+         memory does not grow with l.
+         At l = 1 and l >= 9 the draws are iid: k uniform blocks (l = 1,
+         whose weight jumps at the cut) or standard_gamma (l >= 9, where
+         randomized QMC gains little), and p_hat = sum(w) / trials with the
+         weighted-CLT interval p_hat +- 1.96 sd(w) / sqrt(trials).  At l = 1
+         where theta = 1 every hit weighs 1, and the hits get a Wilson
+         interval.
+         At 2 <= l <= 8 the weight is a smooth function of the k uniforms (h
+         vanishes at the cut), and they are the coordinates of scrambled
+         Sobol points (Owen 1997; L'Ecuyer 2018): R = min(16, trials)
+         independent replicates, replicate r the first trials // R points of
+         its own sequence, plus one for r < trials % R, each sequence
+         scrambled by a random lower-triangular matrix and a digital shift
+         (_sobol_points, Joe & Kuo direction numbers, numpy bitwise ops
+         only).  p_hat = sum(w) / trials, and the interval is
+         p_hat +- t_(R-1) sd(replicate means) / sqrt(R), a Student-t
+         interval; with no miss its lower end is scaled by the proposal's
+         hit probability (ErrorEstimate.from_replicates).  The relative
+         half-width at 1e5 trials, l = 2, is about 6e-5, against 2.8e-3 from
+         iid draws.
+         Either way the relative error stays bounded as p -> 0.  Where there
+         is no variance estimate (one trial or one replicate, or no hit) the
+         interval is [0, min(scale, 1)], since p <= scale, the bound the
+         kernel's weights are taken over.
          errors_observed counts the hits: draws whose k summed gains fall
          below the cut.
          diversity_slope_scan and experiments.run_monte_carlo (so
@@ -90,7 +104,10 @@ from the stream keyed by (seed, spawn_key=(b,)), or (seed, spawn_key=(b, i))
 at point i of a grid run (Philox for crude batches, PCG64DXSM for
 importance-sampled ones, see _weigh_generator), and the per-batch counts (or
 weight sums) are combined in batch order, so the result is byte-identical for
-any worker count.
+any worker count.  Sobol replicates are laid out replicate-major instead
+(_replicate_layout): a batch holds as many whole replicates as fit in 65536
+points, or a slice of one replicate longer than that, and draws its
+replicates' scrambles from its stream (a slice from its replicate's first).
 
 Batches run on threads when more than one worker is asked for: the draws,
 ufuncs and reductions of a batch release the GIL, so threads share the cores
@@ -114,6 +131,7 @@ them per batch.  Worker counts are capped at MAX_WORKERS (64).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -143,6 +161,13 @@ _PRODUCT_MAX_L = 7
 
 # least positive float, the floor of a missed uniform product
 _TINY = math.ulp(0.0)
+
+# independent scrambles (replicates) of a point's scrambled-Sobol estimate
+_REPLICATES = 16
+
+# Student-t 97.5% quantiles at 1 .. _REPLICATES - 1 degrees of freedom
+_T975 = (12.7062, 4.30265, 3.18245, 2.77645, 2.57058, 2.44691, 2.36462, 2.30600, 2.26216,
+         2.22814, 2.20099, 2.17881, 2.16037, 2.14479, 2.13145)
 
 # largest l a Monte Carlo config takes: every l up to it is an exact float
 MAX_L = 2**53
@@ -424,12 +449,16 @@ class ErrorEstimate:
     """Monte Carlo error-probability estimate with a 95% confidence interval.
 
     estimator "crude": errors_observed counts the errors and
-    p_hat == errors_observed / trials.  estimator "is": errors_observed counts
-    the hits of the importance-sampling proposal (at l >= 2 the draws whose
-    shrunk sum of the first l - 1 gains lies below t, the last gain being
-    integrated out) and p_hat is the mean weight over all trials, in [0, 1].
-    It is the hit fraction, with a Wilson interval, only at l = 1 with an
-    untilted proposal.  An event decided without drawing gives either
+    p_hat == errors_observed / trials, with a Wilson interval.  estimator
+    "is": errors_observed counts the hits of the importance-sampling proposal
+    (at l >= 2 the draws whose shrunk sum of the first l - 1 gains lies below
+    t, the last gain being integrated out) and p_hat is the mean weight over
+    all trials, in [0, 1].  Its interval depends on the draws: at l = 1 and
+    l >= 9 they are iid, and the interval is the weighted-CLT one
+    (from_weights), or the hit fraction's Wilson interval at l = 1 with an
+    untilted proposal; at 2 <= l <= 8 they are min(16, trials) scrambled
+    Sobol replicates, and the interval is the Student-t one on the replicate
+    means (from_replicates).  An event decided without drawing gives either
     estimator the point interval [p_hat, p_hat].
     """
 
@@ -481,6 +510,32 @@ class ErrorEstimate:
         var = max(float(sum_w2) - float(sum_w) * mean, 0.0) / (n - 1)
         half = 1.96 * scale * math.sqrt(var / n)
         return cls(p, n, max(p - half, 0.0), min(p + half, 1.0), int(hits), "is")
+
+    @classmethod
+    def from_replicates(cls, hits: int, sum_w: float, means, trials: int, scale: float = 1.0,
+                        hit_probability: float = 1.0) -> "ErrorEstimate":
+        """Estimate from R = len(means) independent replicates of `trials`
+        weights scale * w_i in all, w_i in [0, 1] and 0 off the proposal's
+        hits, given sum w_i and each replicate's mean w: p_hat =
+        scale * sum(w) / trials with the 95% Student-t interval
+        p_hat +- t_(R-1) scale sd(means) / sqrt(R), clipped to [0, 1], for
+        2 <= R <= _REPLICATES.  With one replicate, or no hit, the interval
+        is [0, min(scale, 1)], as from_weights'.  With no miss, the draws
+        show nothing of the misses, whose probability 1 - hit_probability
+        the proposal fixes: their mean estimates p / hit_probability, so the
+        lower end is scaled by hit_probability.  Only a few trials can all
+        hit, unless hit_probability is close to 1."""
+        n, r = int(trials), len(means)
+        if n < 1:
+            raise ConfigError("trials must be >= 1")
+        p = min(scale * (float(sum_w) / n), 1.0)
+        if r == 1 or int(hits) == 0:
+            return cls(p, n, 0.0, min(scale, 1.0), int(hits), "is")
+        centre = sum(means) / r
+        var = sum((w - centre) ** 2 for w in means) / (r - 1)
+        half = _T975[r - 2] * scale * math.sqrt(var / r)
+        low = max(p - half, 0.0) * (hit_probability if int(hits) == n else 1.0)
+        return cls(p, n, low, min(p + half, 1.0), int(hits), "is")
 
     def covers(self, p: float) -> bool:
         return self.ci_low <= float(p) <= self.ci_high
@@ -719,13 +774,21 @@ def _count_batch(args, scratch: _Scratch | None = None) -> int:
     re = g.standard_normal(out=scratch.array("re", (m, l)))
     im = g.standard_normal(out=scratch.array("im", (m, l)))
     # in place, in the order of ((re*re + im*im) * (sigma2_f/2)).sum(axis=1),
-    # so every sum is bit-identical to that expression; the row sum stays a
-    # single numpy reduction (pairwise once l >= 8)
+    # so every sum is bit-identical to that expression.  numpy adds a row of
+    # fewer than 8 terms from the left, as the column adds here do, about 20
+    # times faster at l = 2; from l = 8 its row sum is pairwise, so it stays
     np.multiply(re, re, out=re)
     np.multiply(im, im, out=im)
     np.add(re, im, out=re)
     np.multiply(re, sigma2_f / 2.0, out=re)
-    s = re.sum(axis=1, out=scratch.array("sum", (m,)))
+    if l >= 8:
+        s = re.sum(axis=1, out=scratch.array("sum", (m,)))
+    elif l == 1:
+        s = re[:, 0]
+    else:
+        s = np.add(re[:, 0], re[:, 1], out=scratch.array("sum", (m,)))
+        for c in range(2, l):
+            s += re[:, c]
     return int(np.count_nonzero(np.less(s, threshold, out=scratch.array("hit", (m,), bool))))
 
 
@@ -751,12 +814,114 @@ def _proposal(t: float, l: int) -> tuple:
     return k, theta, cut, k * log_theta + cut * (1.0 - theta) + log_h0
 
 
+# Joe & Kuo (2008, new-joe-kuo-6.21201) Sobol dimensions 2-7: the degree s
+# of the primitive polynomial, its inner coefficients a and m_1 .. m_s;
+# dimension 1 is van der Corput's, every m_j = 1
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
+            (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)))
+
+
+def _sobol_direction_numbers() -> np.ndarray:
+    """(7, 32) uint32: direction number j of Sobol dimension d + 1, m_(j+1)
+    2^(31-j), by the recurrence of Bratley & Fox (1988)."""
+    rows = [[1] * 32]
+    for s, a, m in _JOE_KUO:
+        m = list(m)
+        for j in range(s, 32):
+            new = m[j - s] ^ (m[j - s] << s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    new ^= m[j - i] << i
+            m.append(new)
+        rows.append(m)
+    return np.array([[mj << (31 - j) for j, mj in enumerate(row)] for row in rows], np.uint32)
+
+
+_SOBOL_V = _sobol_direction_numbers()
+# the powers 2^(31-c): digit c of a 32-bit integer, counted from the top
+_DIGIT = np.uint32(1) << (31 - np.arange(32, dtype=np.uint32))
+_BELOW = _DIGIT - np.uint32(1)
+
+
+def _digits(x: np.ndarray, count: int) -> np.ndarray:
+    """(count,) + x.shape uint32: all ones where digit c < count of x is 1."""
+    return -(x >> (31 - np.arange(count, dtype=np.uint32)).reshape((count,) + (1,) * x.ndim)
+             & np.uint32(1))
+
+
+def _gray_combinations(v: np.ndarray, n) -> np.ndarray:
+    """XOR of the v[..., j] picked by the 1 bits of the Gray code of each of
+    the integers n (n.shape + (len(v),)...), v uint32 (..., bits)."""
+    n = np.asarray(n, np.uint32)
+    picks = -((n ^ (n >> 1))[:, None] >> np.arange(v.shape[-1], dtype=np.uint32) & 1)
+    return np.bitwise_xor.reduce(v[..., None, :] & picks, axis=-1, initial=0)
+
+
+# the Gray-ordered combinations of direction numbers 0-3 of each dimension
+# and of 4-7, forward and reversed, unscrambled, by digit:
+# _QUARTER_DIGITS[c, d, table, i], c < 8
+_QUARTER_DIGITS = _digits(np.stack([_gray_combinations(_SOBOL_V[:, j:j + 4], order)
+                                    for j in (0, 4) for order in (range(16), range(15, -1, -1))],
+                                   axis=1), 8)
+
+
+@functools.lru_cache(maxsize=64)
+def _high_digits(h0: int, count: int, bits: int) -> np.ndarray:
+    """(bits, 7, count): the digits of the unscrambled combinations of
+    direction numbers 8 .. bits - 1 that the Gray codes of h0 .. h0 + count - 1
+    pick, which every batch of the same layout asks for again."""
+    digits = _digits(_gray_combinations(_SOBOL_V[:, 8:bits], range(h0, h0 + count)), bits)
+    digits.flags.writeable = False
+    return digits
+
+
+def _sobol_points(words: np.ndarray, start: int, stop: int, scratch: _Scratch):
+    """The points start .. stop - 1 of `rows` scrambled Sobol sequences in
+    k dimensions, in Gray-code order (as scipy's Sobol engine), as 32-bit
+    integers: one (rows, stop - start) uint32 view per dimension, each
+    overwritten by the next.  words (rows, k, 34) uint32 holds a sequence's
+    scramble: per dimension the random digits below the diagonal of the
+    columns of a lower-triangular binary matrix L (Matousek 1998), then a
+    digital shift e; a point x becomes L x xor e.  All zeros leave the
+    sequence unscrambled.
+
+    Point 256 h + b is high[h] xor low[b] (h even) or low[255 - b] (h odd):
+    the Gray code of 256 h + b is that of h, then that of b or of 255 - b.
+    low holds the Gray-ordered combinations of direction numbers 0-7, with e
+    folded in, and is an outer xor of two 16-entry tables by the same rule,
+    as low reversed is of the first one reversed and the same second one;
+    high[h] is the combination of the others that h picks.  L is linear, so
+    it is applied to the unscrambled tables, as a xor of its columns."""
+    rows, k, _ = words.shape
+    bits = max(8, (stop - 1).bit_length())
+    columns = ((words[..., :bits] & _BELOW[:bits]) | _DIGIT[:bits]).transpose(2, 0, 1)
+    quarter = np.bitwise_xor.reduce(columns[:8, :, :, None, None] & _QUARTER_DIGITS[:, None, :k],
+                                    axis=0)
+    quarter[..., 2:, :] ^= words[..., 32, None, None]
+    # low[..., 0, :] and low reversed, low[..., 1, :]
+    low = scratch.array("sobol_low", (rows, k, 2, 256), np.uint32)
+    np.bitwise_xor(quarter[..., 2:, :].reshape(rows, k, 2, 8, 2, 1),
+                   quarter[..., None, None, :2, :], out=low.reshape(rows, k, 2, 8, 2, 16))
+    # whole pairs of h, from an even one
+    h0 = start >> 9 << 1
+    pairs = (((stop - 1) >> 8) - h0) // 2 + 1
+    digits = _high_digits(h0, 2 * pairs, bits)[:, None, :k]
+    high = np.bitwise_xor.reduce(columns[..., None] & digits, axis=0).reshape(rows, k, pairs, 2, 1)
+    block = scratch.array("sobol", (rows, pairs, 2, 256), np.uint32)
+    offset = start - 256 * h0
+    span = block.reshape(rows, -1)[:, offset:offset + stop - start]
+    for d in range(k):
+        np.bitwise_xor(high[:, d], low[:, d, None], out=block)
+        yield span
+
+
 def _weigh_generator(seed: int, batch_index) -> np.random.Generator:
     """The importance-sampled kernel's stream: PCG64DXSM over the key that
     RngStream(seed, batch_index) makes, so streams stay independent across
     batches, points and seeds.  It makes a uniform block in less than half
-    of Philox's time, and uniforms are most of the kernel's work; crude
-    batches keep Philox, the independent check (_count_batch)."""
+    of Philox's time, and uniforms are most of the iid kernel's work (at
+    2 <= l <= 8 it draws only the Sobol scrambles); crude batches keep
+    Philox, the independent check (_count_batch)."""
     return np.random.Generator(np.random.PCG64DXSM(RngStream(seed, batch_index).seed_sequence()))
 
 
@@ -764,7 +929,8 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     """(hits, sum v, sum v^2) of one importance-sampled batch, each draw's
     weight being scale * v, with v in [0, 1] (0 off the event); the proposal
     (k, theta, cut) and the scale, which monte_carlo_p_err applies, are both
-    _proposal's.  Pure function of its arguments (scratch only lends it
+    _proposal's.  A batch of Sobol replicates returns a fourth item, sum v
+    per replicate.  Pure function of its arguments (scratch only lends it
     arrays to draw into).  Needs 0 < threshold / sigma2_f < inf, as _plan
     ensures.
 
@@ -772,44 +938,71 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     the density ratio.  At l >= 2 the last gain is integrated out: G ~
     Gamma(l - 1, 1) sums the other gains, a hit is G < cut, and it weighs
     the Gamma(l - 1) density ratio times h = 1 - e^-(t - theta G), the
-    chance that the last Exp(1) gain closes the gap."""
-    seed, batch_index, m, l, sigma2_f, threshold = args
+    chance that the last Exp(1) gain closes the gap.
+
+    replicates is None for iid draws, or (r0, start, sizes) for the points
+    start .. start + sizes[i] - 1 of replicate r0 + i, i < len(sizes), whose
+    scrambles are the stream's first len(sizes) draws (_replicate_layout)."""
+    seed, batch_index, m, l, sigma2_f, threshold, replicates = args
     scratch = scratch or _Scratch()
     t = threshold / sigma2_f
     k, theta, cut, _ = _proposal(t, l)
     g = _weigh_generator(seed, batch_index)
-    hit = scratch.array("hit", (m,), bool)
+    if replicates is None:
+        shape, unit = (m,), 1.0
+    else:
+        _, start, sizes = replicates
+        shape, unit = (len(sizes), max(sizes)), 2.0 ** (32 * k)
+    # the hit mask first: allocated after the draws' array, it ran the
+    # grid_fanout pass about 3% slower (2 threads, 2-core host)
+    hit = scratch.array("hit", shape, bool)
+    if replicates is not None:
+        # the k uniforms of a trial are the coordinates of a scrambled Sobol
+        # point, (n + 1/2) 2^-32 for its integer coordinates n; x is their
+        # product over `unit`
+        raw = g.bit_generator.random_raw(shape[0] * k * 17).astype("<u8", copy=False)
+        words = raw.view("<u4").reshape(shape[0], k, 34)
+        x = scratch.array("gamma", shape)
+        for d, points in enumerate(_sobol_points(words, start, start + shape[1], scratch)):
+            u = np.add(points, 0.5, out=x if d == 0 else scratch.array("uniform", shape))
+            if d:
+                x *= u
+    elif k <= _PRODUCT_MAX_L:
+        x = g.random(out=scratch.array("gamma", shape))
+        for _ in range(k - 1):
+            x *= g.random(out=scratch.array("uniform", shape))
+    else:
+        x = g.standard_gamma(k, out=scratch.array("gamma", shape))
     if k <= _PRODUCT_MAX_L:
         # G = -ln(u_1 ... u_k) for uniforms u_i (Devroye 1986, IX.3), and
         # G < cut is u > e^-cut
-        x = g.random(out=scratch.array("gamma", (m,)))
-        for _ in range(k - 1):
-            x *= g.random(out=scratch.array("uniform", (m,)))
         edge = math.exp(-cut)
-        np.greater(x, edge, out=hit)
+        np.greater(x, edge * unit, out=hit)
         # a miss moves to the edge of the hit region (to the least positive
         # float where e^-cut underflows), so ln u stays finite for every draw
-        np.maximum(x, max(edge, _TINY), out=x)
+        np.maximum(x, max(edge, _TINY) * unit, out=x)
         np.log(x, out=x)
     else:
-        x = g.standard_gamma(k, out=scratch.array("gamma", (m,)))
         np.less(x, cut, out=hit)
         np.minimum(x, cut, out=x)
         np.negative(x, out=x)
-    # x is ln u = -G for every draw.  The Gamma(k, 1) over Gamma(k, theta)
-    # density ratio at theta G is theta^k exp(theta G (1/theta - 1)), which
-    # is the scale's theta^k e^(cut (1 - theta)) times
-    # exp((G - cut)(1 - theta)) = exp((cut - G)(theta - 1)) <= 1, so neither
-    # v nor v^2 underflows at tiny p.  Every draw is weighed rather than the
-    # hits gathered first; a clamped miss weighs about 1 here, and the hit
-    # mask zeroes it
-    x += cut
+    if replicates is not None and min(sizes) < shape[1]:
+        # the shorter replicates' last column is padding
+        hit[np.less(sizes, shape[1]), -1] = False
+    # x is ln u + ln unit = -G + ln unit for every draw.  The Gamma(k, 1)
+    # over Gamma(k, theta) density ratio at theta G is
+    # theta^k exp(theta G (1/theta - 1)), which is the scale's
+    # theta^k e^(cut (1 - theta)) times exp((G - cut)(1 - theta)) =
+    # exp((cut - G)(theta - 1)) <= 1, so neither v nor v^2 underflows at tiny
+    # p.  Every draw is weighed rather than the hits gathered first; a
+    # clamped miss weighs about 1 here, and the hit mask zeroes it
+    x += cut - math.log(unit)
     if l >= 2:
         # a hit within rounding of the cut closes no gap
         np.maximum(x, 0.0, out=x)
         # the gap t - theta G = t (cut - G) / cut, with no subnormal theta;
         # h = -expm1(-gap), over the scale's h0 = -expm1(-t) >= h
-        h = scratch.array("uniform", (m,))
+        h = scratch.array("uniform", shape)
         np.multiply(x, -1.0 / cut, out=h)
         h *= t
         np.expm1(h, out=h)
@@ -819,9 +1012,54 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     if l >= 2:
         x *= h
     np.multiply(x, hit, out=x)
-    sum_v = float(x.sum())
+    hits = int(np.count_nonzero(hit))
+    if replicates is None:
+        sum_v = float(x.sum())
+        np.multiply(x, x, out=x)
+        return hits, sum_v, float(x.sum())
+    sums = x.sum(axis=1)
     np.multiply(x, x, out=x)
-    return int(np.count_nonzero(hit)), sum_v, float(x.sum())
+    return hits, float(sums.sum()), float(x.sum()), tuple(sums.tolist())
+
+
+def _replicate_layout(trials: int) -> list:
+    """[(stream index, (r0, start, sizes))] of the batches of a point of
+    scrambled-Sobol replicates (_weigh_batch): R = min(_REPLICATES, trials)
+    replicates, replicate r the first trials // R points of its sequence,
+    plus one for r < trials % R, laid out replicate-major.  A batch holds
+    as many whole replicates as fit in _BATCH points, or, for replicates
+    longer than that, a slice of one, the slices of equal length.  A batch
+    draws its replicates' scrambles from its own stream, and a slice from
+    the stream of its replicate's first slice, so every slice of a
+    replicate has its scramble."""
+    count = min(_REPLICATES, trials)
+    size, extra = divmod(trials, count)
+    sizes = [size + (r < extra) for r in range(count)]
+    if sizes[0] <= _BATCH:
+        per = _BATCH // sizes[0]
+        return [(b, (r0, 0, tuple(sizes[r0:r0 + per])))
+                for b, r0 in enumerate(range(0, count, per))]
+    layout = []
+    for r, n in enumerate(sizes):
+        step = -(-n // -(-n // _BATCH))
+        first = len(layout)
+        layout += [(first, (r, a, (min(step, n - a),))) for a in range(0, n, step)]
+    return layout
+
+
+def _replicate_means(batches, results) -> list:
+    """The mean v of each replicate, from the per-replicate sums of its
+    batches, added in batch order."""
+    sums, sizes = [], []
+    for args, result in zip(batches, results):
+        r0, _, counts = args[6]
+        for r, n, s in zip(range(r0, r0 + len(counts)), counts, result[3]):
+            if r == len(sums):
+                sums.append(0.0)
+                sizes.append(0)
+            sums[r] += s
+            sizes[r] += n
+    return [s / n for s, n in zip(sums, sizes)]
 
 
 def _event_geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
@@ -875,11 +1113,19 @@ def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
                           f"bytes of normals, over the {MAX_BATCH_BYTES} byte cap")
 
     seed, sigma2_f = int(config.seed), float(model.sigma2_f)
+
+    def key(b):
+        return b if config.point is None else (b, int(config.point))
+
+    if not crude and 2 <= l <= _PRODUCT_MAX_L + 1:
+        # the k = l - 1 uniforms of a trial are a scrambled Sobol point
+        return None, _weigh_batch, [
+            (seed, key(b), sum(reps[2]), l, sigma2_f, threshold, reps)
+            for b, reps in _replicate_layout(trials)]
     batches = []
     for b in range(-(-trials // _BATCH)):
-        key = b if config.point is None else (b, int(config.point))
         m = min(_BATCH, trials - b * _BATCH)
-        batches.append((seed, key, m, l, sigma2_f, threshold))
+        batches.append((seed, key(b), m, l, sigma2_f, threshold) + (() if crude else (None,)))
     return None, _count_batch if crude else _weigh_batch, batches
 
 
@@ -915,14 +1161,19 @@ def monte_carlo_p_err(
     trials = int(config.trials)
     if config.estimator == "crude":
         return ErrorEstimate.from_counts(sum(results), trials)
-    _, _, _, l, sigma2_f, threshold = batches[0]
-    hits, sum_v, sum_v2 = (sum(column) for column in zip(*results))
-    _, theta, _, log_scale = _proposal(threshold / sigma2_f, l)
+    _, _, _, l, sigma2_f, threshold, replicates = batches[0]
+    hits, sum_v = sum(r[0] for r in results), sum(r[1] for r in results)
+    k, theta, cut, log_scale = _proposal(threshold / sigma2_f, l)
+    if replicates is not None:
+        return ErrorEstimate.from_replicates(hits, sum_v, _replicate_means(batches, results),
+                                             trials, scale=math.exp(log_scale),
+                                             hit_probability=gamma_p(k, cut))
     if l == 1 and theta == 1.0:
         # an untilted proposal of one gain weighs every hit 1: the hits are a
         # binomial count
         return ErrorEstimate.from_counts(hits, trials, "is")
-    return ErrorEstimate.from_weights(hits, sum_v, sum_v2, trials, scale=math.exp(log_scale))
+    return ErrorEstimate.from_weights(hits, sum_v, sum(r[2] for r in results), trials,
+                                      scale=math.exp(log_scale))
 
 
 def analytic_event_probability(

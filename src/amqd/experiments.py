@@ -61,7 +61,7 @@ def run_monte_carlo(config: ExperimentConfig) -> Table:
     """Monte Carlo estimate vs the matching closed form, per grid point.
 
     Every point is importance sampled (estimator "is"), so p_hat and its
-    weighted-CLT interval keep a bounded relative error however small the
+    95% interval keep a bounded relative error however small the
     analytic p is.  Batch b of grid point i draws from the substream
     (seed, spawn_key=(b, i)).  The threshold event uses
     threshold 1/snr; the rate event targets rate_bits (default

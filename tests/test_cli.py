@@ -79,9 +79,14 @@ class TestSlope:
         # gate 4's l = 2 scan: seed 7000 + l, 20..40 dB in 5 dB steps
         assert main(["slope", "--l", "2", "--seed", "7002"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "l=2: slope 1.9538 (diversity order 2.00)"
+        assert lines[0] == "l=2: slope 1.9541 (diversity order 2.00)"
         assert [line.split()[1] for line in lines[1:]] == ["100", "316.2", "1000", "3162",
                                                           "1e+04"]
+        # every point's relative half-width, which its %.4g interval cannot
+        # show: about 6e-5 from the Sobol replicates, 2.8e-3 from iid draws
+        for words in (line.split() for line in lines[1:]):
+            assert words[-2] == "rhw" and re.fullmatch(r"\d\.\d\de-\d\d", words[-1])
+            assert float(words[-1]) < 1e-4
 
     @pytest.mark.parametrize("flags", [
         ["--l", "0"],
@@ -256,9 +261,9 @@ class TestSimulate:
             assert np.all((lo <= p) & (p <= hi))
 
     def test_two_trials_report_intervals_not_points(self, tmp_path):
-        # two weights do give a variance estimate, and the weighted-CLT
-        # interval on it covers only about 80% of the time, so only its width
-        # is checked here
+        # two trials are two Sobol replicates of one point each, whose
+        # Student-t interval has one degree of freedom; only its width is
+        # checked here
         out = tmp_path / "mc.csv"
         assert main(["simulate", "--l", "2", "--snr-db-max", "2", "--trials", "2",
                      "--out", str(out)]) == 0
@@ -285,6 +290,19 @@ class TestSimulate:
 
 
 class TestConfigPrecedence:
+    def test_scalar_l_is_one_value(self, tmp_path):
+        # as a config file's scalar l is
+        assert ExperimentConfig(l=5).l == (5,)
+        assert ExperimentConfig(l=np.int64(3)).l == (3,)
+        assert ExperimentConfig(l=[2, 4]).l == (2, 4)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(l=0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"l": 5}))
+        out = tmp_path / "t.csv"
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+        assert _read_csv(out)[0] == ["snr", "p_single", "p_amqd_l5"]
+
     def test_cli_beats_file_beats_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"zeta": 0.5, "l": [2]}))

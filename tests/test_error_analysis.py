@@ -426,7 +426,8 @@ class TestMonteCarloPErr:
         est = monte_carlo_p_err(config, TransmittanceModel.rayleigh(1.0), workers=workers)
         assert est.errors_observed == errors
 
-    @pytest.mark.parametrize("l", [1, 2, 3, 10])
+    # l < 8 adds the columns, l >= 8 keeps numpy's row sum
+    @pytest.mark.parametrize("l", [1, 2, 3, 5, 7, 8, 10])
     def test_batch_kernel_matches_reference_expression_bitwise(self, l):
         # thresholds on a reference row sum and one ulp above it: a row sum
         # that moved by a single ulp changes one of the two counts
@@ -543,7 +544,11 @@ class TestImportanceSampling:
         g = error_analysis._weigh_generator(seed, batch)
         t = threshold / sigma2_f
         theta = t / l
-        hits, sum_v, sum_v2 = error_analysis._weigh_batch((seed, batch, m, l, sigma2_f, threshold))
+        # 2 <= l <= 8 weighs three Sobol replicates, the first one point longer
+        sizes = (1366, 1365, 1365)
+        replicates = (5, 0, sizes) if 2 <= l <= 8 else None
+        hits, sum_v, sum_v2, *rows = error_analysis._weigh_batch(
+            (seed, batch, m, l, sigma2_f, threshold, replicates))
         if l == 1:
             # the reference takes the same stream's Gamma(l) draw (one uniform
             # block) and weighs every hit x = theta G < t by the density ratio
@@ -553,17 +558,29 @@ class TestImportanceSampling:
             w = theta**l * np.exp(x * (1.0 / theta - 1.0))
             scale = (theta * math.exp(1.0 - theta)) ** l
         else:
-            # the same stream's Gamma(l - 1) draws (l - 1 uniform blocks for
-            # l <= 8, standard_gamma beyond); every hit x = theta G < t weighs
-            # the Gamma(l - 1) density ratio times the chance 1 - e^-(t - x)
-            # that the last Exp(1) gain falls below t - x
+            # the Gamma(l - 1) draws of the same stream: the coordinates of
+            # Sobol points scrambled by its first words for l <= 8 (laid out
+            # replicate-major), standard_gamma beyond; every hit
+            # x = theta G < t weighs the Gamma(l - 1) density ratio times the
+            # chance 1 - e^-(t - x) that the last Exp(1) gain falls below t - x
             if l <= 8:
-                gam = -np.log(np.prod([g.random(m) for _ in range(l - 1)], axis=0))
+                words = g.bit_generator.random_raw(3 * (l - 1) * 17).view("<u4")
+                points = error_analysis._sobol_points(words.reshape(3, l - 1, 34), 0, sizes[0],
+                                                      error_analysis._Scratch())
+                u = (np.array([p.copy() for p in points]) + 0.5) / 2.0**32
+                u = np.concatenate([u[:, r, :n] for r, n in enumerate(sizes)], axis=1)
+                gam = -np.log(np.prod(u, axis=0))
             else:
                 gam = g.standard_gamma(l - 1, m)
-            x = theta * gam[theta * gam < t]
+            hit = theta * gam < t
+            x = theta * gam[hit]
             w = theta ** (l - 1) * np.exp(x * (1.0 / theta - 1.0)) * -np.expm1(-(t - x))
             scale = theta ** (l - 1) * math.exp(l * (1.0 - theta)) * -math.expm1(-t)
+            if l <= 8:
+                # each replicate's sum
+                owner = np.repeat(np.arange(3), sizes)[hit]
+                expected = [w[owner == r].sum() for r in range(3)]
+                assert np.array(rows[0]) * scale == pytest.approx(expected, rel=1e-12)
         assert hits == x.size
         assert sum_v * scale == pytest.approx(w.sum(), rel=1e-12)
         assert sum_v2 * scale**2 == pytest.approx((w * w).sum(), rel=1e-12)
@@ -574,7 +591,9 @@ class TestImportanceSampling:
         # a uniform block holding an exact 0 (a product of 0, so ln 0 = -inf,
         # and e^-cut underflows to 0 at threshold 900) and a Gamma block with
         # draws far above the cut (whose unclamped weight overflows to inf):
-        # every sum must stay finite and match a reference over the hits alone
+        # every sum must stay finite and match a reference over the hits
+        # alone.  Sobol points (2 <= l <= 8) are integers n, the uniform
+        # (n + 1/2) 2^-32: the extremes n = 0 and 2^32 - 1 stand in for them
         blocks = []
 
         class Generator:
@@ -594,9 +613,24 @@ class TestImportanceSampling:
                 blocks.append(out.copy())
                 return out
 
-        monkeypatch.setattr(error_analysis, "_weigh_generator", lambda seed, key: Generator())
+        def sobol_points(words, start, stop, scratch):
+            rng = np.random.default_rng(l)
+            for _ in range(words.shape[1]):
+                n = rng.integers(0, 2**32, (words.shape[0], stop - start), dtype=np.uint32)
+                n[:, ::97] = 0
+                n[:, 1::89] = 2**32 - 1
+                blocks.append((n.ravel() + 0.5) / 2.0**32)
+                yield n
+
         m, sigma2_f = 4096, 0.8
-        hits, sum_v, sum_v2 = error_analysis._weigh_batch((0, 0, m, l, sigma2_f, threshold))
+        sobol = 2 <= l <= 8
+        if sobol:
+            monkeypatch.setattr(error_analysis, "_sobol_points", sobol_points)
+        else:
+            monkeypatch.setattr(error_analysis, "_weigh_generator", lambda seed, key: Generator())
+        replicates = (0, 0, (m // 2, m // 2)) if sobol else None
+        hits, sum_v, sum_v2, *_ = error_analysis._weigh_batch(
+            (0, 0, m, l, sigma2_f, threshold, replicates))
         t = threshold / sigma2_f
         cut = max(t, l)
         # l gains drawn at l = 1; the first l - 1 beyond, the last integrated out
@@ -611,7 +645,7 @@ class TestImportanceSampling:
         v = np.exp((gam - cut) * (1.0 - theta))  # w / scale over the hits
         if l >= 2:
             v *= np.expm1(-(t - theta * gam)) / math.expm1(-t)
-        assert 0 < hits == hit.sum() < m
+        assert 0 < hits == hit.sum() < m or (hits == m and math.exp(-cut) == 0.0)
         assert math.isfinite(sum_v) and math.isfinite(sum_v2)
         assert sum_v == pytest.approx(v.sum(), rel=1e-12)
         assert sum_v2 == pytest.approx((v * v).sum(), rel=1e-12)
@@ -627,9 +661,13 @@ class TestImportanceSampling:
         assert (est.ci_low, est.ci_high) == wilson_interval(est.errors_observed, 1000)
         for l in (2, 6):
             t = 1.5 * l
-            est = monte_carlo_p_err(_is_config(l, t, seed=4, trials=1000), RAYLEIGH_1)
-            weights = error_analysis._weigh_batch((4, 0, 1000, l, 1.0, t))
-            assert est == ErrorEstimate.from_weights(*weights, 1000, scale=-math.expm1(-t))
+            config = _is_config(l, t, seed=4, trials=1000)
+            est = monte_carlo_p_err(config, RAYLEIGH_1)
+            _, kernel, batches = error_analysis._plan(config, RAYLEIGH_1)
+            (hits, sum_v, _, _), = results = [kernel(args) for args in batches]
+            means = error_analysis._replicate_means(batches, results)
+            assert est == ErrorEstimate.from_replicates(hits, sum_v, means, 1000,
+                                                        scale=-math.expm1(-t))
             assert est.p_hat < est.errors_observed / 1000
             assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t))
 
@@ -789,6 +827,137 @@ class TestImportanceSampling:
                                  rate_bits=2000.0)
             with pytest.raises(ConfigError, match="snr must be positive and finite"):
                 analytic_event_probability(RAYLEIGH_1, event, 1, snr=math.inf, rate_bits=2000.0)
+
+
+def _scrambled_reference(words, n):
+    """The first n points of scipy's unscrambled Sobol sequence in
+    words.shape[1] dimensions, each scrambled digit by digit by the lower
+    triangular matrix and digital shift that words (k, 34) hold."""
+    k = words.shape[0]
+    engine = stats.qmc.Sobol(k, scramble=False, bits=32)
+    x = (engine.random(1 << (n - 1).bit_length())[:n] * 2.0**32).astype(np.uint32).T
+    out = np.repeat(words[:, 32, None], n, axis=1)
+    for c in range(32):
+        diagonal = np.uint32(1 << (31 - c))
+        column = (words[:, c] & (diagonal - np.uint32(1))) | diagonal
+        out ^= np.where(x & diagonal, column[:, None], np.uint32(0))
+    return out
+
+
+def _sobol(words, start, stop):
+    """_sobol_points of these scrambles, (rows, k, stop - start)."""
+    points = error_analysis._sobol_points(words, start, stop, error_analysis._Scratch())
+    return np.stack([p.copy() for p in points], axis=1)
+
+
+class TestSobolReplicates:
+    """Scrambled Sobol points for the importance sampler at 2 <= l <= 8."""
+
+    def test_unscrambled_points_match_scipy(self):
+        engine = stats.qmc.Sobol(7, scramble=False, bits=32)
+        assert np.array_equal(error_analysis._SOBOL_V, engine._sv)
+        reference = (engine.random(1 << 10) * 2.0**32).astype(np.uint32).T
+        zeros = np.zeros((1, 7, 34), np.uint32)
+        assert np.array_equal(_sobol(zeros, 0, 1 << 10)[0], reference)
+        # any window: a start within a 256-point block and an odd block
+        assert np.array_equal(_sobol(zeros, 300, 1000)[0], reference[:, 300:1000])
+
+    @pytest.mark.parametrize("start, stop", [(0, 1024), (700, 1500), (255, 257)])
+    def test_scrambled_points_match_a_digit_by_digit_reference(self, start, stop):
+        words = np.random.default_rng(start).integers(0, 2**32, (3, 7, 34), dtype=np.uint32)
+        got = _sobol(words, start, stop)
+        for r in range(3):
+            assert np.array_equal(got[r], _scrambled_reference(words[r], stop)[:, start:])
+
+    def test_scrambled_points_stay_a_net(self):
+        # 2^10 points: each dimension alone, and dimensions 1 and 2 together,
+        # put one point in each of the 2^10 boxes of every shape (a (0, 10,
+        # 1)- and (0, 10, 2)-net), as the unscrambled points do
+        words = np.random.default_rng(1).integers(0, 2**32, (1, 7, 34), dtype=np.uint32)
+        x = _sobol(words, 0, 1 << 10)[0].astype(np.int64)
+        for d in range(7):
+            assert sorted(x[d] >> 22) == list(range(1 << 10))
+        for a in range(11):
+            boxes = (x[0] >> (32 - a)) << (10 - a) | x[1] >> (22 + a)
+            assert len(set(boxes.tolist())) == 1 << 10
+
+    @pytest.mark.parametrize("trials, sizes", [(1, [1]), (2, [1, 1]), (17, [2] + [1] * 15),
+                                               (10**5, [6250] * 16),
+                                               (1_100_003, [68751] * 3 + [68750] * 13)])
+    def test_layout_holds_every_trial_once(self, trials, sizes):
+        layout = error_analysis._replicate_layout(trials)
+        held = {}
+        for _, (r0, start, counts) in layout:
+            assert sum(counts) <= _BATCH
+            for r, n in enumerate(counts, r0):
+                assert held.get(r, 0) == start
+                held[r] = start + n
+        assert [held[r] for r in range(len(held))] == sizes
+        # batches of whole replicates draw their scrambles from their own
+        # streams, and the slices of a replicate from the first one's
+        first = {}
+        for i, (_, (r0, _, _)) in enumerate(layout):
+            first.setdefault(r0, i)
+        assert [b for b, _ in layout] == [first[r0] for _, (r0, _, _) in layout]
+
+    def test_t_quantiles(self):
+        assert error_analysis._T975 == pytest.approx(stats.t.ppf(0.975, range(1, 16)), rel=5e-6)
+
+    def test_replicate_interval(self):
+        # replicate means 0.2 and 0.4 of 3 trials: p = scale * sum / trials,
+        # interval p +- t_1 scale sd / sqrt(2)
+        est = ErrorEstimate.from_replicates(2, 1.0, [0.2, 0.4], 3, scale=0.5)
+        half = 12.7062 * 0.5 * np.std([0.2, 0.4], ddof=1) / math.sqrt(2)
+        assert (est.p_hat, est.ci_low, est.errors_observed) == (0.5 / 3, 0.0, 2)
+        assert est.ci_high == pytest.approx(0.5 / 3 + half, rel=1e-12)
+        one = ErrorEstimate.from_replicates(1, 0.5, [0.5], 1, scale=0.4)
+        assert (one.p_hat, one.ci_low, one.ci_high) == (0.2, 0.0, 0.4)
+        none = ErrorEstimate.from_replicates(0, 0.0, [0.0] * 16, 100, scale=3.0)
+        assert (none.p_hat, none.ci_low, none.ci_high) == (0.0, 0.0, 1.0)
+        # every trial a hit: the lower end is scaled by the hit probability
+        every = ErrorEstimate.from_replicates(3, 1.5, [0.4, 0.5, 0.6], 3, hit_probability=0.8)
+        half = 4.30265 * 0.1 / math.sqrt(3)
+        assert every.ci_low == pytest.approx((0.5 - half) * 0.8, rel=1e-12)
+        assert every.ci_high == pytest.approx(0.5 + half, rel=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, 2, 15, 16, 17])
+    def test_replicate_interval_at_few_trials(self, trials):
+        # min(16, trials) replicates, and the t interval on their means; one
+        # trial has no variance estimate
+        l, t = 3, 0.5
+        config = _is_config(l, t, seed=3, trials=trials)
+        est = monte_carlo_p_err(config, RAYLEIGH_1)
+        _, kernel, batches = error_analysis._plan(config, RAYLEIGH_1)
+        results = [kernel(args) for args in batches]
+        means = error_analysis._replicate_means(batches, results)
+        assert len(means) == min(16, trials)
+        scale = math.exp(error_analysis._proposal(t, l)[3])
+        p = scale * sum(r[1] for r in results) / trials
+        assert est.p_hat == pytest.approx(p, rel=1e-15)
+        if trials == 1:
+            assert (est.ci_low, est.ci_high) == (0.0, scale)
+        else:
+            half = (stats.t.ppf(0.975, len(means) - 1) * scale * np.std(means, ddof=1)
+                    / math.sqrt(len(means)))
+            assert est.ci_high - est.p_hat == pytest.approx(half, rel=1e-5)
+            # with no miss, the lower end is scaled by the hit probability
+            q = special.gammainc(l - 1, l) if est.errors_observed == trials else 1.0
+            assert est.ci_low == pytest.approx(max(p - half, 0.0) * q, rel=1e-5)
+        assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t))
+
+    # a point whose batches pack several whole replicates (10 + 6), and one
+    # whose replicates are longer than a batch, each laid out as two slices
+    @pytest.mark.parametrize("l, trials, batches", [(2, 10**5, 2), (3, 1_100_003, 32)])
+    def test_estimate_identical_at_any_worker_count(self, l, trials, batches):
+        config = _is_config(l, 0.05 * l, seed=12, trials=trials)
+        assert len(error_analysis._plan(config, RAYLEIGH_1)[2]) == batches
+        serial = monte_carlo_p_err(config, RAYLEIGH_1)
+        for workers in (1, 2, 4):
+            assert monte_carlo_p_err(config, RAYLEIGH_1, workers=workers) == serial
+            with error_analysis.worker_pool(workers, [config], RAYLEIGH_1) as pool:
+                assert monte_carlo_p_err(config, RAYLEIGH_1, pool=pool) == serial
+        p = analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=0.05 * l)
+        assert serial.covers(p) and _rel_half_width(serial) < 1e-4
 
 
 class TestAnalyticEventProbability:
@@ -1007,10 +1176,12 @@ class TestStreamKeys:
 
         monkeypatch.setattr(np.random, "Generator", recorded)
         args = (3, (1, 2), 1000, 2, 1.0, 0.5)
-        for kernel, bit_generator in ((_count_batch, np.random.Philox),
-                                      (error_analysis._weigh_batch, np.random.PCG64DXSM)):
+        # at l = 2 the importance sampler draws its Sobol scrambles
+        for kernel, bit_generator, extra in (
+                (_count_batch, np.random.Philox, ()),
+                (error_analysis._weigh_batch, np.random.PCG64DXSM, ((0, 0, (1000,)),))):
             del stream_keys[:], made[:]
-            kernel(args)
+            kernel(args + extra)
             assert stream_keys == [(3, (1, 2))]
             assert made == [bit_generator]
         ss = np.random.SeedSequence(3, spawn_key=(1, 2))
@@ -1168,9 +1339,14 @@ class TestWorkerPool:
         # one scratch lent to batches of different sizes and dimensions
         scratch = error_analysis._Scratch()
         for m, l in ((1234, 3), (_BATCH, 3), (5000, 10), (_BATCH, 1), (_BATCH, 2), (3000, 4),
-                     (_BATCH, 5)):
-            for kernel in (_count_batch, error_analysis._weigh_batch):
-                args = (4, 7, m, l, 0.9, 0.5 * l)
+                     (_BATCH, 5), (34375, 3)):
+            # 2 <= l <= 8 weighs the Sobol replicates of an m-trial point,
+            # or (the last case) the second slice of a 68751-point replicate
+            layout = error_analysis._replicate_layout(16 * 68751 if m == 34375 else m)
+            replicates = layout[1 if m == 34375 else 0][1]
+            for kernel, extra in ((_count_batch, ()), (error_analysis._weigh_batch,
+                                                       (replicates if 2 <= l <= 8 else None,))):
+                args = (4, 7, m, l, 0.9, 0.5 * l) + extra
                 assert kernel(args, scratch) == kernel(args)
 
     @pytest.mark.parametrize("estimator", ["crude", "is"])
