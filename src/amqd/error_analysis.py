@@ -34,14 +34,14 @@ monte_carlo_p_err has two estimators of that probability
          at 10.  _proposal works out k, theta, the cut and the weights'
          scale once, for the kernel, the estimate and the slope scan's
          budget alike.
-         G is -ln(u_1 ... u_k) for k <= 7 (Devroye 1986, IX.3), so for
-         l <= 8; beyond, it is numpy's standard_gamma, the one draw that
-         serves l up to MAX_L.  Every draw is weighed, with no gathering of
-         the hits: a miss is first clamped to the edge of the hit region (u
-         to e^-cut, G to the cut), so its weight is finite, and the hit mask
-         then zeroes it.  A batch holds at most two draws per trial, so its
-         memory does not grow with l.
-         At l = 1 and l >= 9 the draws are iid: k uniform blocks (l = 1,
+         G is -ln(u_1 ... u_k) for l <= 8 (Devroye 1986, IX.3); beyond, it
+         is numpy's standard_gamma, the one draw that serves l up to MAX_L.
+         Every draw is weighed, with no gathering of the hits: a miss is
+         first clamped to the edge of the hit region (u to e^-cut, G to the
+         cut), so its weight is finite, and the hit mask then zeroes it.  A
+         batch holds at most two draws per trial, so its memory does not
+         grow with l.
+         At l = 1 and l >= 9 the draws are iid: one uniform block (l = 1,
          whose weight jumps at the cut) or standard_gamma (l >= 9, where
          randomized QMC gains little), and p_hat = sum(w) / trials with the
          weighted-CLT interval p_hat +- 1.96 sd(w) / sqrt(trials).  At l = 1
@@ -131,7 +131,6 @@ them per batch.  Worker counts are capped at MAX_WORKERS (64).
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -151,13 +150,13 @@ MAX_BATCH_BYTES = 1 << 30
 
 ESTIMATORS = ("crude", "is")
 
-# most uniforms whose product makes an importance-sampled Gamma draw (k gains:
-# l at l = 1, l - 1 beyond, so l <= 8 draws uniforms).  One 65536-draw batch
-# on PCG64DXSM (2 cores, medians of 300 interleaved reps) took 0.83-0.89 ms
-# at k = 2, about 0.17 ms more per further uniform block, and 1.65-1.78 ms at
-# k = 7; with standard_gamma it took 1.8-2.0 ms at every k.  The product won
-# 251-279 of 300 reps at k = 6, 7, and lost 194 of 300 at k = 8
-_PRODUCT_MAX_L = 7
+# largest l whose importance sampler draws scrambled Sobol points, the sum of
+# the k = l - 1 other gains being -ln of the product of a point's k
+# coordinates.  Beyond, standard_gamma: randomized QMC gains less with each
+# dimension (relative sd 2.5e-3 iid against 1.6e-3 at l = 8, t = 1), and a
+# product of k iid uniform blocks already lost to standard_gamma at k = 8 (194
+# of 300 interleaved reps of a 65536-draw batch, PCG64DXSM, 2 cores)
+_SOBOL_MAX_L = 8
 
 # least positive float, the floor of a missed uniform product
 _TINY = math.ulp(0.0)
@@ -838,41 +837,13 @@ def _sobol_direction_numbers() -> np.ndarray:
 
 
 _SOBOL_V = _sobol_direction_numbers()
+_SHIFT = np.arange(32, dtype=np.uint32)
 # the powers 2^(31-c): digit c of a 32-bit integer, counted from the top
-_DIGIT = np.uint32(1) << (31 - np.arange(32, dtype=np.uint32))
+_DIGIT = np.uint32(1) << (31 - _SHIFT)
 _BELOW = _DIGIT - np.uint32(1)
-
-
-def _digits(x: np.ndarray, count: int) -> np.ndarray:
-    """(count,) + x.shape uint32: all ones where digit c < count of x is 1."""
-    return -(x >> (31 - np.arange(count, dtype=np.uint32)).reshape((count,) + (1,) * x.ndim)
-             & np.uint32(1))
-
-
-def _gray_combinations(v: np.ndarray, n) -> np.ndarray:
-    """XOR of the v[..., j] picked by the 1 bits of the Gray code of each of
-    the integers n (n.shape + (len(v),)...), v uint32 (..., bits)."""
-    n = np.asarray(n, np.uint32)
-    picks = -((n ^ (n >> 1))[:, None] >> np.arange(v.shape[-1], dtype=np.uint32) & 1)
-    return np.bitwise_xor.reduce(v[..., None, :] & picks, axis=-1, initial=0)
-
-
-# the Gray-ordered combinations of direction numbers 0-3 of each dimension
-# and of 4-7, forward and reversed, unscrambled, by digit:
-# _QUARTER_DIGITS[c, d, table, i], c < 8
-_QUARTER_DIGITS = _digits(np.stack([_gray_combinations(_SOBOL_V[:, j:j + 4], order)
-                                    for j in (0, 4) for order in (range(16), range(15, -1, -1))],
-                                   axis=1), 8)
-
-
-@functools.lru_cache(maxsize=64)
-def _high_digits(h0: int, count: int, bits: int) -> np.ndarray:
-    """(bits, 7, count): the digits of the unscrambled combinations of
-    direction numbers 8 .. bits - 1 that the Gray codes of h0 .. h0 + count - 1
-    pick, which every batch of the same layout asks for again."""
-    digits = _digits(_gray_combinations(_SOBOL_V[:, 8:bits], range(h0, h0 + count)), bits)
-    digits.flags.writeable = False
-    return digits
+# all ones where digit c of direction number j of dimension d + 1 is 1:
+# _V_DIGITS[d, j, c]
+_V_DIGITS = -(_SOBOL_V[..., None] >> (31 - _SHIFT) & np.uint32(1))
 
 
 def _sobol_points(words: np.ndarray, start: int, stop: int, scratch: _Scratch):
@@ -882,57 +853,54 @@ def _sobol_points(words: np.ndarray, start: int, stop: int, scratch: _Scratch):
     overwritten by the next.  words (rows, k, 34) uint32 holds a sequence's
     scramble: per dimension the random digits below the diagonal of the
     columns of a lower-triangular binary matrix L (Matousek 1998), then a
-    digital shift e; a point x becomes L x xor e.  All zeros leave the
-    sequence unscrambled.
+    digital shift e.  Point n is e xor L x_n, where x_n xors the direction
+    numbers v_j that the Gray code g(n) = n xor n >> 1 picks; all zeros
+    leave the sequence unscrambled.
 
-    Point 256 h + b is high[h] xor low[b] (h even) or low[255 - b] (h odd):
-    the Gray code of 256 h + b is that of h, then that of b or of 255 - b.
-    low holds the Gray-ordered combinations of direction numbers 0-7, with e
-    folded in, and is an outer xor of two 16-entry tables by the same rule,
-    as low reversed is of the first one reversed and the same second one;
-    high[h] is the combination of the others that h picks.  L is linear, so
-    it is applied to the unscrambled tables, as a xor of its columns."""
+    L is linear, so it scrambles the direction numbers once.  Point
+    256 h + b is then low[b] xor high[h]: the low 8 bits of g(256 h + b) are
+    g(b) with bit 7 flipped for odd h, and the others are g(h).  low, with e
+    in it, grows by Gray reflection, g(2^j + i) = 2^j + g(2^j - 1 - i);
+    high[h] xors the v_(7+j) that g(2 h) = h xor 2 h picks: v_7 for odd h,
+    and the v_(8+j) that g(h) picks."""
     rows, k, _ = words.shape
     bits = max(8, (stop - 1).bit_length())
-    columns = ((words[..., :bits] & _BELOW[:bits]) | _DIGIT[:bits]).transpose(2, 0, 1)
-    quarter = np.bitwise_xor.reduce(columns[:8, :, :, None, None] & _QUARTER_DIGITS[:, None, :k],
-                                    axis=0)
-    quarter[..., 2:, :] ^= words[..., 32, None, None]
-    # low[..., 0, :] and low reversed, low[..., 1, :]
-    low = scratch.array("sobol_low", (rows, k, 2, 256), np.uint32)
-    np.bitwise_xor(quarter[..., 2:, :].reshape(rows, k, 2, 8, 2, 1),
-                   quarter[..., None, None, :2, :], out=low.reshape(rows, k, 2, 8, 2, 16))
-    # whole pairs of h, from an even one
-    h0 = start >> 9 << 1
-    pairs = (((stop - 1) >> 8) - h0) // 2 + 1
-    digits = _high_digits(h0, 2 * pairs, bits)[:, None, :k]
-    high = np.bitwise_xor.reduce(columns[..., None] & digits, axis=0).reshape(rows, k, pairs, 2, 1)
-    block = scratch.array("sobol", (rows, pairs, 2, 256), np.uint32)
-    offset = start - 256 * h0
-    span = block.reshape(rows, -1)[:, offset:offset + stop - start]
+    # L's columns hold 1 on the diagonal; L v_j xors those that v_j's digits pick
+    columns = (words[..., None, :bits] & _BELOW[:bits]) | _DIGIT[:bits]
+    v = np.bitwise_xor.reduce(columns & _V_DIGITS[:k, :bits, :bits], axis=-1)
+    low = scratch.array("sobol_low", (rows, k, 256), np.uint32)
+    low[..., 0] = words[..., 32]
+    for j in range(8):
+        np.bitwise_xor(low[..., (1 << j) - 1::-1], v[..., j, None], out=low[..., 1 << j:2 << j])
+    h = np.arange(start >> 8, ((stop - 1) >> 8) + 1, dtype=np.uint32)
+    picks = -((h ^ h << 1) >> _SHIFT[:bits - 7, None] & 1)
+    high = np.bitwise_xor.reduce(v[..., 7:bits].transpose(2, 0, 1)[..., None] & picks[:, None, None],
+                                 axis=0)
+    block = scratch.array("sobol", (rows, h.size, 256), np.uint32)
+    span = block.reshape(rows, -1)[:, start & 255:(start & 255) + stop - start]
     for d in range(k):
-        np.bitwise_xor(high[:, d], low[:, d, None], out=block)
+        np.bitwise_xor(high[:, d, :, None], low[:, d, None, :], out=block)
         yield span
 
 
 def _weigh_generator(seed: int, batch_index) -> np.random.Generator:
     """The importance-sampled kernel's stream: PCG64DXSM over the key that
     RngStream(seed, batch_index) makes, so streams stay independent across
-    batches, points and seeds.  It makes a uniform block in less than half
-    of Philox's time, and uniforms are most of the iid kernel's work (at
-    2 <= l <= 8 it draws only the Sobol scrambles); crude batches keep
-    Philox, the independent check (_count_batch)."""
+    batches, points and seeds.  It makes a uniform block, the draw at l = 1,
+    in less than half of Philox's time; at 2 <= l <= 8 it draws only the
+    Sobol scrambles.  Crude batches keep Philox, the independent check
+    (_count_batch)."""
     return np.random.Generator(np.random.PCG64DXSM(RngStream(seed, batch_index).seed_sequence()))
 
 
 def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
-    """(hits, sum v, sum v^2) of one importance-sampled batch, each draw's
-    weight being scale * v, with v in [0, 1] (0 off the event); the proposal
-    (k, theta, cut) and the scale, which monte_carlo_p_err applies, are both
-    _proposal's.  A batch of Sobol replicates returns a fourth item, sum v
-    per replicate.  Pure function of its arguments (scratch only lends it
-    arrays to draw into).  Needs 0 < threshold / sigma2_f < inf, as _plan
-    ensures.
+    """(hits, sum v, sum v^2, sum v per replicate) of one importance-sampled
+    batch, each draw's weight being scale * v, with v in [0, 1] (0 off the
+    event); the proposal (k, theta, cut) and the scale, which
+    monte_carlo_p_err applies, are both _proposal's.  The per-replicate sums
+    are () for iid draws.  Pure function of its arguments (scratch only
+    lends it arrays to draw into).  Needs 0 < threshold / sigma2_f < inf, as
+    _plan ensures.
 
     At l = 1 the draw is G ~ Gamma(1, 1), a hit is G < cut and it weighs
     the density ratio.  At l >= 2 the last gain is integrated out: G ~
@@ -940,9 +908,10 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     the Gamma(l - 1) density ratio times h = 1 - e^-(t - theta G), the
     chance that the last Exp(1) gain closes the gap.
 
-    replicates is None for iid draws, or (r0, start, sizes) for the points
-    start .. start + sizes[i] - 1 of replicate r0 + i, i < len(sizes), whose
-    scrambles are the stream's first len(sizes) draws (_replicate_layout)."""
+    replicates is None for iid draws (l = 1 and l > _SOBOL_MAX_L), or
+    (r0, start, sizes) for the points start .. start + sizes[i] - 1 of
+    replicate r0 + i, i < len(sizes), whose scrambles are the stream's first
+    len(sizes) draws (_replicate_layout)."""
     seed, batch_index, m, l, sigma2_f, threshold, replicates = args
     scratch = scratch or _Scratch()
     t = threshold / sigma2_f
@@ -967,13 +936,11 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
             u = np.add(points, 0.5, out=x if d == 0 else scratch.array("uniform", shape))
             if d:
                 x *= u
-    elif k <= _PRODUCT_MAX_L:
+    elif l == 1:
         x = g.random(out=scratch.array("gamma", shape))
-        for _ in range(k - 1):
-            x *= g.random(out=scratch.array("uniform", shape))
     else:
         x = g.standard_gamma(k, out=scratch.array("gamma", shape))
-    if k <= _PRODUCT_MAX_L:
+    if l <= _SOBOL_MAX_L:
         # G = -ln(u_1 ... u_k) for uniforms u_i (Devroye 1986, IX.3), and
         # G < cut is u > e^-cut
         edge = math.exp(-cut)
@@ -1012,14 +979,13 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     if l >= 2:
         x *= h
     np.multiply(x, hit, out=x)
-    hits = int(np.count_nonzero(hit))
     if replicates is None:
-        sum_v = float(x.sum())
-        np.multiply(x, x, out=x)
-        return hits, sum_v, float(x.sum())
-    sums = x.sum(axis=1)
+        sums, sum_v = (), float(x.sum())
+    else:
+        rows = x.sum(axis=1)
+        sums, sum_v = tuple(rows.tolist()), float(rows.sum())
     np.multiply(x, x, out=x)
-    return hits, float(sums.sum()), float(x.sum()), tuple(sums.tolist())
+    return int(np.count_nonzero(hit)), sum_v, float(x.sum()), sums
 
 
 def _replicate_layout(trials: int) -> list:
@@ -1117,7 +1083,7 @@ def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
     def key(b):
         return b if config.point is None else (b, int(config.point))
 
-    if not crude and 2 <= l <= _PRODUCT_MAX_L + 1:
+    if not crude and 2 <= l <= _SOBOL_MAX_L:
         # the k = l - 1 uniforms of a trial are a scrambled Sobol point
         return None, _weigh_batch, [
             (seed, key(b), sum(reps[2]), l, sigma2_f, threshold, reps)

@@ -547,13 +547,13 @@ class TestImportanceSampling:
         # 2 <= l <= 8 weighs three Sobol replicates, the first one point longer
         sizes = (1366, 1365, 1365)
         replicates = (5, 0, sizes) if 2 <= l <= 8 else None
-        hits, sum_v, sum_v2, *rows = error_analysis._weigh_batch(
+        hits, sum_v, sum_v2, sums = error_analysis._weigh_batch(
             (seed, batch, m, l, sigma2_f, threshold, replicates))
         if l == 1:
-            # the reference takes the same stream's Gamma(l) draw (one uniform
+            # the reference takes the same stream's Gamma(1) draw (one uniform
             # block) and weighs every hit x = theta G < t by the density ratio
-            # theta^l exp(x (1/theta - 1))
-            gam = -np.log(np.prod([g.random(m) for _ in range(l)], axis=0))
+            # theta exp(x (1/theta - 1))
+            gam = -np.log(g.random(m))
             x = theta * gam[theta * gam < t]
             w = theta**l * np.exp(x * (1.0 / theta - 1.0))
             scale = (theta * math.exp(1.0 - theta)) ** l
@@ -580,20 +580,24 @@ class TestImportanceSampling:
                 # each replicate's sum
                 owner = np.repeat(np.arange(3), sizes)[hit]
                 expected = [w[owner == r].sum() for r in range(3)]
-                assert np.array(rows[0]) * scale == pytest.approx(expected, rel=1e-12)
+                assert np.array(sums) * scale == pytest.approx(expected, rel=1e-12)
+        # iid draws have no replicates
+        assert len(sums) == (3 if 2 <= l <= 8 else 0)
         assert hits == x.size
         assert sum_v * scale == pytest.approx(w.sum(), rel=1e-12)
         assert sum_v2 * scale**2 == pytest.approx((w * w).sum(), rel=1e-12)
 
-    @pytest.mark.parametrize("l, threshold", [(1, 0.3), (3, 0.9), (2, 900.0), (8, 2.4),
-                                              (10, 2.8), (9, 800.0)])
+    @pytest.mark.parametrize("l, threshold", [(1, 0.3), (1, 900.0), (3, 0.9), (2, 900.0),
+                                              (8, 2.4), (10, 2.8), (9, 800.0)])
     def test_weigh_kernel_clamps_the_misses(self, monkeypatch, l, threshold):
-        # a uniform block holding an exact 0 (a product of 0, so ln 0 = -inf,
-        # and e^-cut underflows to 0 at threshold 900) and a Gamma block with
-        # draws far above the cut (whose unclamped weight overflows to inf):
-        # every sum must stay finite and match a reference over the hits
-        # alone.  Sobol points (2 <= l <= 8) are integers n, the uniform
-        # (n + 1/2) 2^-32: the extremes n = 0 and 2^32 - 1 stand in for them
+        # a uniform block holding an exact 0 (ln 0 = -inf; at threshold 900
+        # e^-cut underflows to 0 too, so the miss is clamped to the least
+        # positive float) and a Gamma block with draws far above the cut
+        # (whose unclamped weight overflows to inf): every sum must stay
+        # finite and match a reference over the hits alone.  Sobol points
+        # (2 <= l <= 8) are integers n, the uniform (n + 1/2) 2^-32: the
+        # extremes n = 0 and 2^32 - 1 stand in for them, and with e^-cut
+        # underflowed every one of them hits
         blocks = []
 
         class Generator:
@@ -629,12 +633,12 @@ class TestImportanceSampling:
         else:
             monkeypatch.setattr(error_analysis, "_weigh_generator", lambda seed, key: Generator())
         replicates = (0, 0, (m // 2, m // 2)) if sobol else None
-        hits, sum_v, sum_v2, *_ = error_analysis._weigh_batch(
+        hits, sum_v, sum_v2, _ = error_analysis._weigh_batch(
             (0, 0, m, l, sigma2_f, threshold, replicates))
         t = threshold / sigma2_f
         cut = max(t, l)
         # l gains drawn at l = 1; the first l - 1 beyond, the last integrated out
-        if max(l - 1, 1) <= 7:
+        if l <= 8:
             u = np.prod(blocks, axis=0)
             hit = u > math.exp(-cut)
             gam = -np.log(u[hit])
@@ -645,7 +649,7 @@ class TestImportanceSampling:
         v = np.exp((gam - cut) * (1.0 - theta))  # w / scale over the hits
         if l >= 2:
             v *= np.expm1(-(t - theta * gam)) / math.expm1(-t)
-        assert 0 < hits == hit.sum() < m or (hits == m and math.exp(-cut) == 0.0)
+        assert hits == hit.sum() and (0 < hits < m or (sobol and math.exp(-cut) == 0.0))
         assert math.isfinite(sum_v) and math.isfinite(sum_v2)
         assert sum_v == pytest.approx(v.sum(), rel=1e-12)
         assert sum_v2 == pytest.approx((v * v).sum(), rel=1e-12)
@@ -1485,7 +1489,7 @@ class TestLookAhead:
                 while holding() < window and time.monotonic() < deadline:
                     time.sleep(0.001)
                 held.append(holding())
-            return 1, 0.5, 0.25
+            return 1, 0.5, 0.25, ()
 
         monkeypatch.setattr(error_analysis, "_weigh_batch", stub)
         rows = run_monte_carlo(_grid(400, trials, 2)).rows
