@@ -451,8 +451,8 @@ class TestInputContract:
 
     def test_huge_l_gives_the_exact_answer(self, capsys):
         # an importance-sampled batch holds at most two draws per trial
-        # (l <= 8 multiplies l - 1 uniform blocks into two arrays, larger l draws
-        # one gamma), so l is no memory bound
+        # (l <= 8 multiplies the l - 1 coordinates of Sobol points into two
+        # arrays, larger l draws one gamma), so l is no memory bound
         assert main(["simulate", "--l", "1000000000000", "--snr-db-max", "0"]) == 0
         header, *rows = capsys.readouterr().out.strip().split("\n")
         row = dict(zip(header.split(","), map(float, rows[0].split(","))))

@@ -684,8 +684,8 @@ class TestImportanceSampling:
                 assert est.covers(p)
 
     def test_interval_coverage_on_both_sides_of_the_draw_switch(self):
-        # l = 8 draws its Gamma(l - 1) as a product of uniforms, l = 9 with
-        # standard_gamma.  One pooled verdict over 2 l x 3 events x 200 runs,
+        # l = 8 draws its Gamma(l - 1) as a product of Sobol coordinates, l = 9
+        # with standard_gamma.  One pooled verdict over 2 l x 3 events x 200 runs,
         # in the form of ACCEPTANCE 9: the bound, 1106/1200, sits 4.5 binomial
         # sd (2.8%) below the nominal 95%
         runs, seed, covered = 200, 95000, 0
@@ -1354,9 +1354,9 @@ class TestWorkerPool:
                 assert kernel(args, scratch) == kernel(args)
 
     @pytest.mark.parametrize("estimator", ["crude", "is"])
-    # the importance sampler draws the l - 1 other gains as 1 and 7 uniform
-    # blocks at l = 2 and 8, and with standard_gamma from l = 9; a threshold
-    # of 3 l leaves its proposal untilted
+    # the importance sampler draws the l - 1 other gains as the 1 and 7
+    # coordinates of Sobol points at l = 2 and 8, and with standard_gamma from
+    # l = 9; a threshold of 3 l leaves its proposal untilted
     @pytest.mark.parametrize("l", [1, 2, 3, 8, 9, 10])
     def test_estimates_identical_at_any_worker_count(self, estimator, l):
         for threshold in (float(gammaincinv(l, 0.01)), 3.0 * l):
