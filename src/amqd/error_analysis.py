@@ -106,12 +106,18 @@ importance-sampled ones, see _weigh_generator), and the per-batch counts (or
 weight sums) are combined in batch order, so the result is byte-identical for
 any worker count.  Sobol replicates are laid out replicate-major instead
 (_replicate_layout): a batch holds as many whole replicates as fit in 65536
-points, or a slice of one replicate longer than that, and draws its
-replicates' scrambles from its stream (a slice from its replicate's first).
+points, or a slice of one replicate longer than that.  The scrambles of a
+batch's replicates come from its stream (a slice's from its replicate's
+first slice's), but are drawn once per point: whichever of the point's
+batches runs first builds the tables of all its replicates (_Scrambles),
+and every batch of the point shares them.
 
 Batches run on threads when more than one worker is asked for: the draws,
 ufuncs and reductions of a batch release the GIL, so threads share the cores
-without forking or pickling.  A run opens one pool (worker_pool) over the
+without forking or pickling.  numpy calls on small arrays, and the Python
+between them, hold it: two threads run those one at a time, so a batch keeps
+few of them, and the per-point work (the Sobol scramble tables) is done once
+per point, not per batch.  A run opens one pool (worker_pool) over the
 points it will estimate, and the pool's threads take the batches of every
 point from one stream, in the order the run collects them.  The calling
 thread is one of the workers: while it waits for a result it runs the next
@@ -122,10 +128,12 @@ the next instead of idling at the end of each, and the pool's memory does not
 grow with the grid.  monte_carlo_points runs a grid (run_monte_carlo,
 diversity_slope_scan) this way and still estimates each point with one
 monte_carlo_p_err call.  A pool has at most one worker per batch of its
-largest point, so a one-batch run opens none.  A failing batch stops the
-stream, and so does leaving the pool, before its helpers are joined.  Each
-worker draws into arrays it reuses for the whole run rather than allocating
-them per batch.  Worker counts are capped at MAX_WORKERS (64).
+largest point (ceil(trials / 65536) batches of iid draws, or
+len(_replicate_layout(trials)) of Sobol replicates), so a one-batch run
+opens none.  A failing batch stops the stream, and so does leaving the
+pool, before its helpers are joined.  Each worker draws into arrays it
+reuses for the whole run rather than allocating them per batch.  Worker
+counts are capped at MAX_WORKERS (64).
 """
 
 from __future__ import annotations
@@ -134,7 +142,7 @@ import contextlib
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -846,32 +854,71 @@ _BELOW = _DIGIT - np.uint32(1)
 _V_DIGITS = -(_SOBOL_V[..., None] >> (31 - _SHIFT) & np.uint32(1))
 
 
-def _sobol_points(words: np.ndarray, start: int, stop: int, scratch: _Scratch):
-    """The points start .. stop - 1 of `rows` scrambled Sobol sequences in
-    k dimensions, in Gray-code order (as scipy's Sobol engine), as 32-bit
-    integers: one (rows, stop - start) uint32 view per dimension, each
-    overwritten by the next.  words (rows, k, 34) uint32 holds a sequence's
-    scramble: per dimension the random digits below the diagonal of the
-    columns of a lower-triangular binary matrix L (Matousek 1998), then a
-    digital shift e.  Point n is e xor L x_n, where x_n xors the direction
-    numbers v_j that the Gray code g(n) = n xor n >> 1 picks; all zeros
-    leave the sequence unscrambled.
-
-    L is linear, so it scrambles the direction numbers once.  Point
-    256 h + b is then low[b] xor high[h]: the low 8 bits of g(256 h + b) are
-    g(b) with bit 7 flipped for odd h, and the others are g(h).  low, with e
-    in it, grows by Gray reflection, g(2^j + i) = 2^j + g(2^j - 1 - i);
-    high[h] xors the v_(7+j) that g(2 h) = h xor 2 h picks: v_7 for odd h,
-    and the v_(8+j) that g(h) picks."""
-    rows, k, _ = words.shape
-    bits = max(8, (stop - 1).bit_length())
-    # L's columns hold 1 on the diagonal; L v_j xors those that v_j's digits pick
+def _scramble_tables(words: np.ndarray, bits: int) -> tuple:
+    """(v, low) of `rows` scrambled Sobol sequences in k dimensions, from
+    words (rows, k, 34) uint32, a sequence's scramble: per dimension the
+    random digits below the diagonal of the columns of a lower-triangular
+    binary matrix L (Matousek 1998), then a digital shift e.  Point n of a
+    sequence is e xor L x_n, where x_n xors the direction numbers v_j that
+    the Gray code g(n) = n xor n >> 1 picks; all zeros leave it
+    unscrambled.  L is linear, so it scrambles the direction numbers once:
+    v (rows, k, bits) holds the L v_j for j < bits, which is all that the
+    points below 2^bits use, 8 <= bits <= 32.  low (rows, k, 256) holds
+    points 0 .. 255, e in them, grown by Gray reflection, g(2^j + i) =
+    2^j + g(2^j - 1 - i)."""
+    # L's columns hold 1 on the diagonal; L v_j xors those that v_j's digits
+    # pick, all among its first j + 1
     columns = (words[..., None, :bits] & _BELOW[:bits]) | _DIGIT[:bits]
-    v = np.bitwise_xor.reduce(columns & _V_DIGITS[:k, :bits, :bits], axis=-1)
-    low = scratch.array("sobol_low", (rows, k, 256), np.uint32)
+    v = np.bitwise_xor.reduce(columns & _V_DIGITS[:words.shape[1], :bits, :bits], axis=-1)
+    low = np.empty(words.shape[:2] + (256,), np.uint32)
     low[..., 0] = words[..., 32]
     for j in range(8):
         np.bitwise_xor(low[..., (1 << j) - 1::-1], v[..., j, None], out=low[..., 1 << j:2 << j])
+    return v, low
+
+
+@dataclass(slots=True)
+class _Scrambles:
+    """The scramble tables (_scramble_tables) of one point's Sobol
+    replicates, for point indices below 2^bits, built once, by the first
+    batch that asks for them.  Their words are drawn from `streams`,
+    ((stream key, replicates), ...) in replicate order: replicates * k * 17
+    raw words of each key's _weigh_generator stream.  Equal where
+    (seed, k, bits, streams) is, so batch args that hold one compare
+    cheaply, and the copies made by planning the point again (for the
+    pool's size, its stream and monte_carlo_p_err) are equal to the one the
+    pool's stream hands its batches, the only copy ever built."""
+
+    seed: int
+    k: int
+    bits: int
+    streams: tuple
+    _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
+    _tables: tuple | None = field(default=None, compare=False, repr=False)
+
+    def tables(self) -> tuple:
+        """(v, low) of every replicate of the point."""
+        with self._lock:
+            if self._tables is None:
+                raw = np.concatenate([
+                    _weigh_generator(self.seed, key).bit_generator.random_raw(n * self.k * 17)
+                    for key, n in self.streams])
+                words = raw.astype("<u8", copy=False).view("<u4").reshape(-1, self.k, 34)
+                self._tables = _scramble_tables(words, self.bits)
+            return self._tables
+
+
+def _sobol_points(v: np.ndarray, low: np.ndarray, start: int, stop: int, scratch: _Scratch):
+    """The points start .. stop - 1 of the scrambled Sobol sequences whose
+    tables (_scramble_tables) are v and low, in Gray-code order (as scipy's
+    Sobol engine), as 32-bit integers: one (rows, stop - start) uint32 view
+    per dimension, each overwritten by the next.  Point 256 h + b is
+    low[b] xor high[h]: the low 8 bits of g(256 h + b) are g(b) with bit 7
+    flipped for odd h, and the others are g(h), so high[h] xors the v_(7+j)
+    that g(2 h) = h xor 2 h picks: v_7 for odd h, and the v_(8+j) that g(h)
+    picks."""
+    rows, k, _ = low.shape
+    bits = max(8, (stop - 1).bit_length())
     h = np.arange(start >> 8, ((stop - 1) >> 8) + 1, dtype=np.uint32)
     picks = -((h ^ h << 1) >> _SHIFT[:bits - 7, None] & 1)
     high = np.bitwise_xor.reduce(v[..., 7:bits].transpose(2, 0, 1)[..., None] & picks[:, None, None],
@@ -888,8 +935,8 @@ def _weigh_generator(seed: int, batch_index) -> np.random.Generator:
     RngStream(seed, batch_index) makes, so streams stay independent across
     batches, points and seeds.  It makes a uniform block, the draw at l = 1,
     in less than half of Philox's time; at 2 <= l <= 8 it draws only the
-    Sobol scrambles.  Crude batches keep Philox, the independent check
-    (_count_batch)."""
+    Sobol scrambles, once per point (_Scrambles).  Crude batches keep
+    Philox, the independent check (_count_batch)."""
     return np.random.Generator(np.random.PCG64DXSM(RngStream(seed, batch_index).seed_sequence()))
 
 
@@ -908,19 +955,20 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     the Gamma(l - 1) density ratio times h = 1 - e^-(t - theta G), the
     chance that the last Exp(1) gain closes the gap.
 
-    replicates is None for iid draws (l = 1 and l > _SOBOL_MAX_L), or
-    (r0, start, sizes) for the points start .. start + sizes[i] - 1 of
-    replicate r0 + i, i < len(sizes), whose scrambles are the stream's first
-    len(sizes) draws (_replicate_layout)."""
+    replicates is None for iid draws (l = 1 and l > _SOBOL_MAX_L), drawn
+    from the stream (seed, batch_index) names, or (scrambles, r0, start,
+    sizes) for the points start .. start + sizes[i] - 1 of replicate r0 + i,
+    i < len(sizes), of the point whose scramble tables scrambles
+    (_Scrambles) holds; (seed, batch_index) then names the stream the
+    scrambles of replicate r0 were drawn from (_replicate_layout)."""
     seed, batch_index, m, l, sigma2_f, threshold, replicates = args
     scratch = scratch or _Scratch()
     t = threshold / sigma2_f
     k, theta, cut, _ = _proposal(t, l)
-    g = _weigh_generator(seed, batch_index)
     if replicates is None:
         shape, unit = (m,), 1.0
     else:
-        _, start, sizes = replicates
+        scrambles, r0, start, sizes = replicates
         shape, unit = (len(sizes), max(sizes)), 2.0 ** (32 * k)
     # the hit mask first: allocated after the draws' array, it ran the
     # grid_fanout pass about 3% slower (2 threads, 2-core host)
@@ -929,17 +977,17 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
         # the k uniforms of a trial are the coordinates of a scrambled Sobol
         # point, (n + 1/2) 2^-32 for its integer coordinates n; x is their
         # product over `unit`
-        raw = g.bit_generator.random_raw(shape[0] * k * 17).astype("<u8", copy=False)
-        words = raw.view("<u4").reshape(shape[0], k, 34)
+        v, low = scrambles.tables()
+        rows = slice(r0, r0 + shape[0])
         x = scratch.array("gamma", shape)
-        for d, points in enumerate(_sobol_points(words, start, start + shape[1], scratch)):
+        for d, points in enumerate(_sobol_points(v[rows], low[rows], start, start + shape[1],
+                                                 scratch)):
             u = np.add(points, 0.5, out=x if d == 0 else scratch.array("uniform", shape))
             if d:
                 x *= u
-    elif l == 1:
-        x = g.random(out=scratch.array("gamma", shape))
     else:
-        x = g.standard_gamma(k, out=scratch.array("gamma", shape))
+        g, x = _weigh_generator(seed, batch_index), scratch.array("gamma", shape)
+        x = g.random(out=x) if l == 1 else g.standard_gamma(k, out=x)
     if l <= _SOBOL_MAX_L:
         # G = -ln(u_1 ... u_k) for uniforms u_i (Devroye 1986, IX.3), and
         # G < cut is u > e^-cut
@@ -994,10 +1042,10 @@ def _replicate_layout(trials: int) -> list:
     replicates, replicate r the first trials // R points of its sequence,
     plus one for r < trials % R, laid out replicate-major.  A batch holds
     as many whole replicates as fit in _BATCH points, or, for replicates
-    longer than that, a slice of one, the slices of equal length.  A batch
-    draws its replicates' scrambles from its own stream, and a slice from
-    the stream of its replicate's first slice, so every slice of a
-    replicate has its scramble."""
+    longer than that, a slice of one, the slices of equal length.  A
+    batch's replicates are scrambled from its own stream, and a slice's
+    from the stream of its replicate's first slice, so every slice of a
+    replicate has its scramble (_Scrambles draws them, once per point)."""
     count = min(_REPLICATES, trials)
     size, extra = divmod(trials, count)
     sizes = [size + (r < extra) for r in range(count)]
@@ -1018,7 +1066,7 @@ def _replicate_means(batches, results) -> list:
     batches, added in batch order."""
     sums, sizes = [], []
     for args, result in zip(batches, results):
-        r0, _, counts = args[6]
+        _, r0, _, counts = args[6]
         for r, n, s in zip(range(r0, r0 + len(counts)), counts, result[3]):
             if r == len(sums):
                 sums.append(0.0)
@@ -1084,10 +1132,15 @@ def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
         return b if config.point is None else (b, int(config.point))
 
     if not crude and 2 <= l <= _SOBOL_MAX_L:
-        # the k = l - 1 uniforms of a trial are a scrambled Sobol point
+        # the k = l - 1 uniforms of a trial are a scrambled Sobol point; the
+        # batches that start a replicate's points name its scramble streams
+        layout = _replicate_layout(trials)
+        streams = tuple((key(b), len(sizes)) for b, (_, start, sizes) in layout if start == 0)
+        # a replicate holds at most `trials` points
+        scrambles = _Scrambles(seed, l - 1, max(8, (trials - 1).bit_length()), streams)
         return None, _weigh_batch, [
-            (seed, key(b), sum(reps[2]), l, sigma2_f, threshold, reps)
-            for b, reps in _replicate_layout(trials)]
+            (seed, key(b), sum(reps[2]), l, sigma2_f, threshold, (scrambles,) + reps)
+            for b, reps in layout]
     batches = []
     for b in range(-(-trials // _BATCH)):
         m = min(_BATCH, trials - b * _BATCH)

@@ -3,8 +3,11 @@
 Every stream is keyed by (seed, stream_index) through one SeedSequence, so a
 sample depends only on those two keys and not on execution order or worker
 count.  The draws made here, and the crude Monte Carlo kernel's, come from a
-counter-based Philox generator over that key; the importance-sampled kernel
-(error_analysis._weigh_batch) draws from PCG64DXSM over the same key.
+counter-based Philox generator over that key; the importance sampler draws
+from PCG64DXSM over the same key (error_analysis._weigh_generator): its iid
+batches their gains, and at 2 <= l <= 8 each point its Sobol scrambles, once,
+from the streams of the batches that start its replicates
+(error_analysis._Scrambles).
 """
 
 from __future__ import annotations

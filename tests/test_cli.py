@@ -181,6 +181,39 @@ class TestAnalytic:
         assert "t.csv" in script and "p_amqd_l2" in script
 
 
+# `simulate --seed 0 --snr-db-max 10 --snr-db-step 5` of the importance
+# sampler's scrambled Sobol replicates (2 <= l <= 8), by (l, trials): at
+# l = 3 replicate 0 is sliced over two batches, at l = 2 and 8 a batch packs
+# several whole replicates
+SOBOL_SIMULATE_SEED_0 = {
+    (3, 1048577): (
+        'snr,p_hat,ci_low,ci_high,analytic',
+        '1,0.080301504227991691,0.080301350796522966,0.080301657659460415,0.080301397071394193',
+        ('3.1622776601683795,0.0041655810120607281,0.0041655723752806609,'
+         '0.0041655896488407953,0.0041655791760751492'),
+        ('10,0.00015465301662888911,0.00015465253228233967,'
+         '0.00015465350097543855,0.00015465307026467153'),
+    ),
+    (2, 300000): (
+        'snr,p_hat,ci_low,ci_high,analytic',
+        '1,0.26423837559456548,0.26423538006322417,0.26424137112590679,0.26424111765711533',
+        ('3.1622776601683795,0.040611006311903654,0.040610396705646271,'
+         '0.040611615918161037,0.040610249881576403'),
+        ('10,0.0046788252867690869,0.0046787360801575579,'
+         '0.004678914493380616,0.0046788401604444694'),
+    ),
+    (8, 70000): (
+        'snr,p_hat,ci_low,ci_high,analytic',
+        ('1,1.0250442424073797e-05,1.0196678218383927e-05,'
+         '1.0304206629763667e-05,1.0249196674641706e-05'),
+        ('3.1622776601683795,1.8783334947317904e-09,1.8688029562745733e-09,'
+         '1.8878640331890076e-09,1.87335791407747e-09'),
+        ('10,2.2737688523866047e-13,2.2657601372850061e-13,'
+         '2.2817775674882036e-13,2.2693269500714743e-13'),
+    ),
+}
+
+
 class TestSimulate:
     def test_analytic_column_matches_oracle(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -269,6 +302,23 @@ class TestSimulate:
                      "--out", str(out)]) == 0
         header, rows = _read_csv(out)
         assert np.all(rows[:, header.index("ci_low")] < rows[:, header.index("ci_high")])
+
+    @staticmethod
+    def _sobol_output(capsys, l, trials, workers=1) -> list:
+        assert main(["simulate", "--l", str(l), "--trials", str(trials), "--seed", "0",
+                     "--snr-db-max", "10", "--snr-db-step", "5", "--workers", str(workers)]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("l, trials", list(SOBOL_SIMULATE_SEED_0))
+    def test_sobol_output_is_pinned(self, capsys, l, trials):
+        assert self._sobol_output(capsys, l, trials) == list(SOBOL_SIMULATE_SEED_0[l, trials])
+
+    def test_sliced_replicates_identical_at_any_worker_count(self, capsys):
+        # over 16 x 65536 trials a replicate is sliced over two batches, which
+        # share its point's scramble state with every other batch of the point
+        pinned = list(SOBOL_SIMULATE_SEED_0[3, 1048577])
+        for workers in (1, 2, 4):
+            assert self._sobol_output(capsys, 3, 1048577, workers) == pinned
 
     def test_readme_overlay_reaches_figure2_range(self, tmp_path, monkeypatch):
         def no_count(args):

@@ -544,9 +544,12 @@ class TestImportanceSampling:
         g = error_analysis._weigh_generator(seed, batch)
         t = threshold / sigma2_f
         theta = t / l
-        # 2 <= l <= 8 weighs three Sobol replicates, the first one point longer
+        # 2 <= l <= 8 weighs three Sobol replicates, the first one point
+        # longer: replicates 5 .. 7 of a point, whose scrambles are the first
+        # draws of the batch's stream (replicates 0 .. 4 draw from another)
         sizes = (1366, 1365, 1365)
-        replicates = (5, 0, sizes) if 2 <= l <= 8 else None
+        scrambles = error_analysis._Scrambles(seed, l - 1, 32, ((batch + 1, 5), (batch, 3)))
+        replicates = (scrambles, 5, 0, sizes) if 2 <= l <= 8 else None
         hits, sum_v, sum_v2, sums = error_analysis._weigh_batch(
             (seed, batch, m, l, sigma2_f, threshold, replicates))
         if l == 1:
@@ -565,7 +568,8 @@ class TestImportanceSampling:
             # chance 1 - e^-(t - x) that the last Exp(1) gain falls below t - x
             if l <= 8:
                 words = g.bit_generator.random_raw(3 * (l - 1) * 17).view("<u4")
-                points = error_analysis._sobol_points(words.reshape(3, l - 1, 34), 0, sizes[0],
+                v, low = error_analysis._scramble_tables(words.reshape(3, l - 1, 34), 32)
+                points = error_analysis._sobol_points(v, low, 0, sizes[0],
                                                       error_analysis._Scratch())
                 u = (np.array([p.copy() for p in points]) + 0.5) / 2.0**32
                 u = np.concatenate([u[:, r, :n] for r, n in enumerate(sizes)], axis=1)
@@ -617,10 +621,10 @@ class TestImportanceSampling:
                 blocks.append(out.copy())
                 return out
 
-        def sobol_points(words, start, stop, scratch):
+        def sobol_points(v, low, start, stop, scratch):
             rng = np.random.default_rng(l)
-            for _ in range(words.shape[1]):
-                n = rng.integers(0, 2**32, (words.shape[0], stop - start), dtype=np.uint32)
+            for _ in range(low.shape[1]):
+                n = rng.integers(0, 2**32, (low.shape[0], stop - start), dtype=np.uint32)
                 n[:, ::97] = 0
                 n[:, 1::89] = 2**32 - 1
                 blocks.append((n.ravel() + 0.5) / 2.0**32)
@@ -632,7 +636,8 @@ class TestImportanceSampling:
             monkeypatch.setattr(error_analysis, "_sobol_points", sobol_points)
         else:
             monkeypatch.setattr(error_analysis, "_weigh_generator", lambda seed, key: Generator())
-        replicates = (0, 0, (m // 2, m // 2)) if sobol else None
+        scrambles = error_analysis._Scrambles(0, l - 1, 32, ((0, 2),))
+        replicates = (scrambles, 0, 0, (m // 2, m // 2)) if sobol else None
         hits, sum_v, sum_v2, _ = error_analysis._weigh_batch(
             (0, 0, m, l, sigma2_f, threshold, replicates))
         t = threshold / sigma2_f
@@ -850,8 +855,30 @@ def _scrambled_reference(words, n):
 
 def _sobol(words, start, stop):
     """_sobol_points of these scrambles, (rows, k, stop - start)."""
-    points = error_analysis._sobol_points(words, start, stop, error_analysis._Scratch())
+    v, low = error_analysis._scramble_tables(words, 32)
+    points = error_analysis._sobol_points(v, low, start, stop, error_analysis._Scratch())
     return np.stack([p.copy() for p in points], axis=1)
+
+
+# repr of each estimate of diversity_slope_scan(2, 0.0, 7002), the rare_slope
+# benchmark's first pass: five points of 16 Sobol replicates, 10 + 6 per batch
+SCAN_7002_ESTIMATES = (
+    ("ErrorEstimate(p_hat=0.050001798766348755, trials=100000, "
+     "ci_low=0.04999881024937807, ci_high=0.05000478728331944, "
+     "errors_observed=86466, estimator='is')"),
+    ("ErrorEstimate(p_hat=0.005860308024830327, trials=100000, "
+     "ci_low=0.005859909394394719, ci_high=0.005860706655265935, "
+     "errors_observed=86469, estimator='is')"),
+    ("ErrorEstimate(p_hat=0.0006166546425088855, trials=100000, "
+     "ci_low=0.0006166284933895391, ci_high=0.0006166807916282319, "
+     "errors_observed=86469, estimator='is')"),
+    ("ErrorEstimate(p_hat=6.26691881832634e-05, trials=100000, "
+     "ci_low=6.266573383784495e-05, ci_high=6.267264252868184e-05, "
+     "errors_observed=86468, estimator='is')"),
+    ("ErrorEstimate(p_hat=6.2993192984843405e-06, trials=100000, "
+     "ci_low=6.299066492949066e-06, ci_high=6.299572104019615e-06, "
+     "errors_observed=86466, estimator='is')"),
+)
 
 
 class TestSobolReplicates:
@@ -903,6 +930,40 @@ class TestSobolReplicates:
         for i, (_, (r0, _, _)) in enumerate(layout):
             first.setdefault(r0, i)
         assert [b for b, _ in layout] == [first[r0] for _, (r0, _, _) in layout]
+
+    def test_slope_scan_is_pinned(self):
+        scan = diversity_slope_scan(2, 0.0, 7002)
+        assert [repr(e) for e in scan.estimates] == list(SCAN_7002_ESTIMATES)
+        assert repr(scan.slope) == '1.9540500771992508'
+
+    def test_scramble_state_is_built_once_per_point(self, monkeypatch, capsys):
+        # the scramble tables of a point are built once, by one of its
+        # batches, from one draw of each of its scramble streams, however
+        # many batches share them and on however many threads
+        built, streams = [], []
+        tables, generator = error_analysis._scramble_tables, error_analysis._weigh_generator
+
+        def counted_tables(words, bits):
+            built.append(words.shape)
+            return tables(words, bits)
+
+        def counted_generator(seed, key):
+            streams.append(key)
+            return generator(seed, key)
+
+        monkeypatch.setattr(error_analysis, "_scramble_tables", counted_tables)
+        monkeypatch.setattr(error_analysis, "_weigh_generator", counted_generator)
+        # 3 points x 17 batches: replicate 0 takes batches 0 and 1, both
+        # scrambled from stream 0, and replicate r >= 1 batch r + 1
+        assert main(["simulate", "--l", "3", "--trials", "1048577", "--seed", "0",
+                     "--snr-db-max", "10", "--snr-db-step", "5", "--workers", "2"]) == 0
+        assert built == [(16, 2, 34)] * 3
+        assert sorted(streams) == [(b, i) for b in (0, *range(2, 17)) for i in range(3)]
+        # 5 points x 2 batches of 10 and 6 whole replicates
+        del built[:], streams[:]
+        diversity_slope_scan(2, 0.0, 7002, workers=2)
+        assert built == [(16, 1, 34)] * 5
+        assert sorted(streams) == [(b, i) for b in (0, 1) for i in range(5)]
 
     def test_t_quantiles(self):
         assert error_analysis._T975 == pytest.approx(stats.t.ppf(0.975, range(1, 16)), rel=5e-6)
@@ -1183,7 +1244,8 @@ class TestStreamKeys:
         # at l = 2 the importance sampler draws its Sobol scrambles
         for kernel, bit_generator, extra in (
                 (_count_batch, np.random.Philox, ()),
-                (error_analysis._weigh_batch, np.random.PCG64DXSM, ((0, 0, (1000,)),))):
+                (error_analysis._weigh_batch, np.random.PCG64DXSM,
+                 ((error_analysis._Scrambles(3, 1, 32, (((1, 2), 1),)), 0, 0, (1000,)),))):
             del stream_keys[:], made[:]
             kernel(args + extra)
             assert stream_keys == [(3, (1, 2))]
@@ -1347,7 +1409,8 @@ class TestWorkerPool:
             # 2 <= l <= 8 weighs the Sobol replicates of an m-trial point,
             # or (the last case) the second slice of a 68751-point replicate
             layout = error_analysis._replicate_layout(16 * 68751 if m == 34375 else m)
-            replicates = layout[1 if m == 34375 else 0][1]
+            replicates = ((error_analysis._Scrambles(4, l - 1, 32, ((7, 16),)),)
+                          + layout[1 if m == 34375 else 0][1])
             for kernel, extra in ((_count_batch, ()), (error_analysis._weigh_batch,
                                                        (replicates if 2 <= l <= 8 else None,))):
                 args = (4, 7, m, l, 0.9, 0.5 * l) + extra
