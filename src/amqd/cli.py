@@ -14,6 +14,8 @@ Subcommands:
   slope     importance-sampled diversity slope scan of one l over an SNR grid:
             the fitted log-log slope against l(1-zeta), and each point's
             threshold, estimate, interval, hits and relative half-width
+            ("hits N of M": N = M at 2 <= l <= 8, whose Sobol draws are all
+            mapped into the event's region)
   validate  run every invariant suite and report pass/fail
 
 Every setting is one field of config.ExperimentConfig, which declares its

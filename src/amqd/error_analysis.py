@@ -36,36 +36,40 @@ monte_carlo_p_err has two estimators of that probability
          budget alike.
          G is -ln(u_1 ... u_k) for l <= 8 (Devroye 1986, IX.3); beyond, it
          is numpy's standard_gamma, the one draw that serves l up to MAX_L.
-         Every draw is weighed, with no gathering of the hits: a miss is
-         first clamped to the edge of the hit region (u to e^-cut, G to the
-         cut), so its weight is finite, and the hit mask then zeroes it.  A
-         batch holds at most two draws per trial, so its memory does not
+         A batch holds at most two draws per trial, so its memory does not
          grow with l.
          At l = 1 and l >= 9 the draws are iid: one uniform block (l = 1,
          whose weight jumps at the cut) or standard_gamma (l >= 9, where
          randomized QMC gains little), and p_hat = sum(w) / trials with the
-         weighted-CLT interval p_hat +- 1.96 sd(w) / sqrt(trials).  At l = 1
+         weighted-CLT interval p_hat +- 1.96 sd(w) / sqrt(trials).  Every
+         draw is weighed, with no gathering of the hits: a miss is first
+         clamped to the edge of the hit region (u to e^-cut, G to the cut),
+         so its weight is finite, and the hit mask then zeroes it.  At l = 1
          where theta = 1 every hit weighs 1, and the hits get a Wilson
          interval.
-         At 2 <= l <= 8 the weight is a smooth function of the k uniforms (h
-         vanishes at the cut), and they are the coordinates of scrambled
+         At 2 <= l <= 8 the k uniforms are the coordinates of scrambled
          Sobol points (Owen 1997; L'Ecuyer 2018): R = min(16, trials)
          independent replicates, replicate r the first trials // R points of
          its own sequence, plus one for r < trials % R, each sequence
          scrambled by a random lower-triangular matrix and a digital shift
          (_sobol_points, Joe & Kuo direction numbers, numpy bitwise ops
-         only).  p_hat = sum(w) / trials, and the interval is
+         only).  Each point is mapped into the hit region rather than tested
+         against it (importance sampling on the event's support; Owen 2013,
+         ch. 9): u_i is taken uniform on (e^-cut / (u_1 ... u_(i-1)), 1), in
+         closed form, so G < cut, and the weight gains the chance of those
+         ranges.  So no point is a miss, and the weight is a smooth function
+         of the k uniforms, without the kink a hit test puts at the cut,
+         which suits randomized QMC (Griebel, Kuo & Sloan 2013).
+         p_hat = sum(w) / trials, and the interval is
          p_hat +- t_(R-1) sd(replicate means) / sqrt(R), a Student-t
-         interval; with no miss its lower end is scaled by the proposal's
-         hit probability (ErrorEstimate.from_replicates).  The relative
-         half-width at 1e5 trials, l = 2, is about 6e-5, against 2.8e-3 from
-         iid draws.
+         interval (ErrorEstimate.from_replicates).  The relative half-width
+         at 1e5 trials, l = 2, is about 3e-5, against 2.8e-3 from iid draws.
          Either way the relative error stays bounded as p -> 0.  Where there
          is no variance estimate (one trial or one replicate, or no hit) the
          interval is [0, min(scale, 1)], since p <= scale, the bound the
          kernel's weights are taken over.
          errors_observed counts the hits: draws whose k summed gains fall
-         below the cut.
+         below the cut, every trial at 2 <= l <= 8.
          diversity_slope_scan and experiments.run_monte_carlo (so
          `amqd simulate`) use this estimator; "crude" stays the default.
 
@@ -119,9 +123,11 @@ between them, hold it: two threads run those one at a time, so a batch keeps
 few of them, and the per-point work (the Sobol scramble tables) is done once
 per point, not per batch.  A run opens one pool (worker_pool) over the
 points it will estimate, and the pool's threads take the batches of every
-point from one stream, in the order the run collects them.  The calling
-thread is one of the workers: while it waits for a result it runs the next
-batch of the stream itself, so a helper slow to wake does not stall a point.
+point from one stream, in the order the run collects them.  The stream plans
+each point (_plan) once, when it reaches it, and monte_carlo_p_err takes
+that plan from the pool.  The calling thread is one of the workers: while it
+waits for a result it runs the next batch of the stream itself, so a helper
+slow to wake does not stall a point.
 A thread starts a batch only while fewer than _LOOKAHEAD batches per thread
 are started and not yet collected, so the helpers roll from one point into
 the next instead of idling at the end of each, and the pool's memory does not
@@ -129,15 +135,16 @@ grow with the grid.  monte_carlo_points runs a grid (run_monte_carlo,
 diversity_slope_scan) this way and still estimates each point with one
 monte_carlo_p_err call.  A pool has at most one worker per batch of its
 largest point (ceil(trials / 65536) batches of iid draws, or
-len(_replicate_layout(trials)) of Sobol replicates), so a one-batch run
-opens none.  A failing batch stops the stream, and so does leaving the
-pool, before its helpers are joined.  Each worker draws into arrays it
-reuses for the whole run rather than allocating them per batch.  Worker
-counts are capped at MAX_WORKERS (64).
+len(_replicate_layout(trials)) of Sobol replicates, counted by _batch_count
+without planning), so a one-batch run opens none.  A failing batch stops the
+stream, and so does leaving the pool, before its helpers are joined.  Each
+worker draws into arrays it reuses for the whole run rather than allocating
+them per batch.  Worker counts are capped at MAX_WORKERS (64).
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import threading
@@ -459,8 +466,9 @@ class ErrorEstimate:
     p_hat == errors_observed / trials, with a Wilson interval.  estimator
     "is": errors_observed counts the hits of the importance-sampling proposal
     (at l >= 2 the draws whose shrunk sum of the first l - 1 gains lies below
-    t, the last gain being integrated out) and p_hat is the mean weight over
-    all trials, in [0, 1].  Its interval depends on the draws: at l = 1 and
+    t, the last gain being integrated out; every trial at 2 <= l <= 8, whose
+    draws are mapped into that region) and p_hat is the mean weight over all
+    trials, in [0, 1].  Its interval depends on the draws: at l = 1 and
     l >= 9 they are iid, and the interval is the weighted-CLT one
     (from_weights), or the hit fraction's Wilson interval at l = 1 with an
     untilted proposal; at 2 <= l <= 8 they are min(16, trials) scrambled
@@ -519,30 +527,25 @@ class ErrorEstimate:
         return cls(p, n, max(p - half, 0.0), min(p + half, 1.0), int(hits), "is")
 
     @classmethod
-    def from_replicates(cls, hits: int, sum_w: float, means, trials: int, scale: float = 1.0,
-                        hit_probability: float = 1.0) -> "ErrorEstimate":
+    def from_replicates(cls, sum_w: float, means, trials: int,
+                        scale: float = 1.0) -> "ErrorEstimate":
         """Estimate from R = len(means) independent replicates of `trials`
-        weights scale * w_i in all, w_i in [0, 1] and 0 off the proposal's
-        hits, given sum w_i and each replicate's mean w: p_hat =
+        weights scale * w_i in all, w_i in [0, 1], each draw a hit of the
+        proposal, given sum w_i and each replicate's mean w: p_hat =
         scale * sum(w) / trials with the 95% Student-t interval
         p_hat +- t_(R-1) scale sd(means) / sqrt(R), clipped to [0, 1], for
-        2 <= R <= _REPLICATES.  With one replicate, or no hit, the interval
-        is [0, min(scale, 1)], as from_weights'.  With no miss, the draws
-        show nothing of the misses, whose probability 1 - hit_probability
-        the proposal fixes: their mean estimates p / hit_probability, so the
-        lower end is scaled by hit_probability.  Only a few trials can all
-        hit, unless hit_probability is close to 1."""
+        2 <= R <= _REPLICATES.  With one replicate, or every weight 0, the
+        interval is [0, min(scale, 1)], as from_weights'."""
         n, r = int(trials), len(means)
         if n < 1:
             raise ConfigError("trials must be >= 1")
         p = min(scale * (float(sum_w) / n), 1.0)
-        if r == 1 or int(hits) == 0:
-            return cls(p, n, 0.0, min(scale, 1.0), int(hits), "is")
+        if r == 1 or not float(sum_w) > 0.0:
+            return cls(p, n, 0.0, min(scale, 1.0), n, "is")
         centre = sum(means) / r
         var = sum((w - centre) ** 2 for w in means) / (r - 1)
         half = _T975[r - 2] * scale * math.sqrt(var / r)
-        low = max(p - half, 0.0) * (hit_probability if int(hits) == n else 1.0)
-        return cls(p, n, low, min(p + half, 1.0), int(hits), "is")
+        return cls(p, n, max(p - half, 0.0), min(p + half, 1.0), n, "is")
 
     def covers(self, p: float) -> bool:
         return self.ci_low <= float(p) <= self.ci_high
@@ -635,46 +638,71 @@ _LOOKAHEAD = 2
 
 class BatchPool:
     """The calling thread and `size - 1` helper threads running the batches of
-    one stream of (kernel, args), in stream order.  Kernels are pure
-    functions of their args, so a batch run ahead is the batch collect will
-    ask for.
+    the points `configs` (a list) on `model`, in stream order.  Each point is
+    planned once (_plan), when the stream reaches it, so the pool holds the
+    batch list of at most one point, the one its stream is in.  Kernels are
+    pure functions of their args, so a batch run ahead is the batch collect
+    will ask for.
 
-    collect takes the next results of the stream, in order.  While it waits,
-    the calling thread runs the next batch of the stream itself, so a helper
-    slow to wake never holds up a point.  A thread starts a batch only while
-    fewer than _LOOKAHEAD * size batches are started and not yet collected,
-    so the helpers roll from one point into the next instead of idling at the
-    end of each, and the pool holds at most that many results, whatever the
-    grid length.  A failing batch stops the stream, so no batch starts after
-    it, and collect raises its exception.  Helpers wait for work until the
-    pool stops.  Each thread keeps one _Scratch for the pool's lifetime."""
+    point hands the run its next point: _plan's estimate where the event is
+    decided, or the number of batches that collect then takes, in order.
+    While collect waits, the calling thread runs the next batch of the stream
+    itself, so a helper slow to wake never holds up a point.  A thread starts
+    a batch only while fewer than _LOOKAHEAD * size batches are started and
+    not yet collected, so the helpers roll from one point into the next
+    instead of idling at the end of each, and the pool holds at most that
+    many results, whatever the grid length.  A failing batch stops the
+    stream, so no batch starts after it, and collect raises its exception.
+    Helpers wait for work until the pool stops.  Each thread keeps one
+    _Scratch for the pool's lifetime."""
 
-    def __init__(self, stream, size: int):
-        self._stream = stream  # iterator of (kernel, args), in collection order
+    def __init__(self, configs, model: TransmittanceModel, size: int):
+        self._configs = iter(configs)
+        self._model = model
         self._size = size
         self._cond = threading.Condition()
+        self._points = collections.deque()  # (config, estimate, count) planned, not handed out
+        self._kernel, self._batches = None, iter(())  # the args of the last point planned
+        self._planned = 0  # batches of the points planned
+        self._handed = 0  # batches of the points handed out
         self._started = 0  # batches taken from the stream
         self._collected = 0  # batches handed out by collect
-        self._results = {}  # stream index -> (batch, result), not yet collected
+        self._results = {}  # stream index -> (args, result), not yet collected
         self._error = None
         self._stopped = False
         self._scratch = _Scratch()  # the calling thread's
 
+    def _plan_next(self) -> bool:
+        """Plan the run's next point, False if there is none; call it holding
+        the condition."""
+        config = next(self._configs, None)
+        if config is None:
+            return False
+        decided, self._kernel, batches = _plan(config, self._model)
+        self._points.append((config, decided, len(batches)))
+        self._batches = iter(batches)
+        self._planned += len(batches)
+        return True
+
     def _take(self):
-        """(stream index, batch) of the next batch to start, or None when the
-        window is full, the stream is spent or the pool has stopped; call it
-        holding the condition."""
+        """(stream index, kernel, args) of the next batch to start, or None
+        when the window is full, the stream is spent or the pool has stopped;
+        call it holding the condition."""
         if (self._stopped or self._error is not None
                 or self._started - self._collected >= _LOOKAHEAD * self._size):
             return None
-        batch = next(self._stream, None)
-        if batch is None:
-            return None
+        while self._started == self._planned:
+            try:
+                if not self._plan_next():
+                    return None
+            except BaseException as exc:  # collect re-raises it on the calling thread
+                self._error = exc
+                self._cond.notify_all()
+                return None
         self._started += 1
-        return self._started - 1, batch
+        return self._started - 1, self._kernel, next(self._batches)
 
-    def _run(self, index: int, batch, scratch: _Scratch) -> None:
-        kernel, args = batch
+    def _run(self, index: int, kernel, args, scratch: _Scratch) -> None:
         try:
             result = kernel(args, scratch)
         except BaseException as exc:  # collect re-raises it on the calling thread
@@ -683,7 +711,7 @@ class BatchPool:
                 self._cond.notify_all()
             return
         with self._cond:
-            self._results[index] = batch, result
+            self._results[index] = args, result
             self._cond.notify_all()
 
     def _help(self) -> None:
@@ -702,40 +730,50 @@ class BatchPool:
             self._stopped = True
             self._cond.notify_all()
 
-    def collect(self, kernel, batches) -> list:
-        """[kernel(args, scratch) for args in batches], in batch order: the
-        next len(batches) results of the stream, which must be these batches
-        (a RuntimeError otherwise)."""
-        results = []
-        for args in batches:
+    def point(self, config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
+        """(estimate, count) of the run's next point, which must be `config`
+        on the pool's model (a RuntimeError otherwise): _plan's estimate and
+        0 where the event is decided, else None and the number of its
+        batches, all of which collect must take before the next point."""
+        with self._cond:
+            if self._error is not None:
+                raise self._error
+            if self._collected != self._handed:
+                raise RuntimeError("the pool's last point has batches left to collect")
+            if not self._points and not self._plan_next():
+                raise RuntimeError("the pool's stream has no batch left to collect")
+            planned, decided, count = self._points.popleft()
+            if (planned, self._model) != (config, model):
+                raise RuntimeError(f"the pool's stream ran {planned!r} where {config!r} "
+                                   "was collected")
+            self._handed += count
+            return decided, count
+
+    def collect(self, count: int) -> tuple:
+        """(args, results) of the next `count` batches of the stream, in batch
+        order: [args], and [kernel(args, scratch) for args in them]."""
+        if self._collected + count > self._handed:
+            raise RuntimeError("the pool's stream has no batch left to collect")
+        batches, results = [], []
+        for _ in range(count):
             while True:
                 with self._cond:
                     if self._error is not None:
                         raise self._error
                     index = self._collected
                     if index in self._results:
-                        batch, result = self._results.pop(index)
+                        args, result = self._results.pop(index)
                         self._collected += 1
                         self._cond.notify_all()
                         break
                     job = self._take()
                     if job is None:
-                        if index >= self._started:
-                            raise RuntimeError("the pool's stream has no batch left to collect")
                         self._cond.wait()
                         continue
                 self._run(*job, self._scratch)
-            if batch != (kernel, args):
-                raise RuntimeError(f"the pool's stream ran {batch!r} where {(kernel, args)!r} "
-                                   "was collected")
+            batches.append(args)
             results.append(result)
-        return results
-
-
-def _plans(configs, model: TransmittanceModel):
-    """_plan of each of these points, in order, made only as it is asked for,
-    so at most one point's batch list is held at a time."""
-    return (_plan(config, model) for config in configs)
+        return batches, results
 
 
 @contextlib.contextmanager
@@ -743,14 +781,13 @@ def worker_pool(workers: int, configs, model: TransmittanceModel):
     """A BatchPool over the batches of `configs` (a list of the points the run
     will estimate, in the order it estimates them): the calling thread and
     min(workers, batches of the largest point) - 1 helper threads; below two
-    threads no executor is opened.  A point _plan rejects raises its
+    threads no executor is opened.  A point _plan would reject raises its
     ConfigError here, before any batch runs.  On exit the stream stops, so no
     further batch starts, and the helpers are shut down, which joins them, so
     none outlives the caller's run."""
-    largest = max((len(batches) for _, _, batches in _plans(configs, model)), default=0)
+    largest = max((_batch_count(config, model) for config in configs), default=0)
     size = max(min(check_workers(workers), largest), 1)
-    pool = BatchPool(((kernel, args) for _, kernel, batches in _plans(configs, model)
-                      for args in batches), size)
+    pool = BatchPool(configs, model, size)
     if size == 1:
         yield pool
         return
@@ -804,12 +841,15 @@ def _proposal(t: float, l: int) -> tuple:
     the event Gamma(l, 1) < t at 0 <= t < inf.  It draws G ~ Gamma(k, 1) for
     the k = max(l - 1, 1) gains drawn per trial, shrunk to theta G with
     theta = min(t / l, 1), and a draw hits where G < cut = max(t, l), with
-    probability P(k, cut) > 1/2.  The hit test is on G because theta rounds
-    to a subnormal or to 0 where t / l underflows.  A hit weighs scale * v
-    with v in [0, 1] (_weigh_batch) and scale = theta^k e^(cut (1 - theta))
-    h0, the largest weight a hit can carry: h0 = 1 - e^-t, the last gain's
-    chance to close the whole gap, at l >= 2, and 1 at l = 1.  ln theta is
-    ln t - ln l, finite where t / l underflows; scale = 0 at t = 0."""
+    probability P(k, cut) > 1/2; the Sobol draws of 2 <= l <= _SOBOL_MAX_L
+    are mapped into that region, so each of them hits.  The hit test is on
+    G because theta rounds to a subnormal or to 0 where t / l underflows.  A
+    hit weighs scale * v with v in [0, 1] (_weigh_batch) and scale =
+    theta^k e^(cut (1 - theta)) h0, times 1 - e^-cut for the Sobol draws, the
+    largest weight a hit can carry: h0 = 1 - e^-t, the last gain's chance to
+    close the whole gap, at l >= 2, and 1 at l = 1, and 1 - e^-cut the
+    chance of the first Sobol coordinate's range.  ln theta is ln t - ln l,
+    finite where t / l underflows; scale = 0 at t = 0."""
     k = max(l - 1, 1)
     if t == 0.0:
         return k, 0.0, float(l), -math.inf
@@ -818,7 +858,8 @@ def _proposal(t: float, l: int) -> tuple:
     else:
         theta, log_theta, cut = t / l, math.log(t) - math.log(l), float(l)
     log_h0 = math.log(-math.expm1(-t)) if l >= 2 else 0.0
-    return k, theta, cut, k * log_theta + cut * (1.0 - theta) + log_h0
+    log_region = math.log(-math.expm1(-cut)) if 2 <= l <= _SOBOL_MAX_L else 0.0
+    return k, theta, cut, k * log_theta + cut * (1.0 - theta) + log_h0 + log_region
 
 
 # Joe & Kuo (2008, new-joe-kuo-6.21201) Sobol dimensions 2-7: the degree s
@@ -883,11 +924,8 @@ class _Scrambles:
     replicates, for point indices below 2^bits, built once, by the first
     batch that asks for them.  Their words are drawn from `streams`,
     ((stream key, replicates), ...) in replicate order: replicates * k * 17
-    raw words of each key's _weigh_generator stream.  Equal where
-    (seed, k, bits, streams) is, so batch args that hold one compare
-    cheaply, and the copies made by planning the point again (for the
-    pool's size, its stream and monte_carlo_p_err) are equal to the one the
-    pool's stream hands its batches, the only copy ever built."""
+    raw words of each key's _weigh_generator stream.  _plan makes one per
+    point, once per run, and every batch of the point holds it."""
 
     seed: int
     k: int
@@ -960,80 +998,107 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     sizes) for the points start .. start + sizes[i] - 1 of replicate r0 + i,
     i < len(sizes), of the point whose scramble tables scrambles
     (_Scrambles) holds; (seed, batch_index) then names the stream the
-    scrambles of replicate r0 were drawn from (_replicate_layout)."""
+    scrambles of replicate r0 were drawn from (_replicate_layout).  A Sobol
+    point is mapped into the hit region rather than tested against it, so
+    every one of them is a hit, and its weight also holds the chance of the
+    region it was mapped into."""
     seed, batch_index, m, l, sigma2_f, threshold, replicates = args
     scratch = scratch or _Scratch()
     t = threshold / sigma2_f
     k, theta, cut, _ = _proposal(t, l)
+    # h's divisor: expm1(-t), the scale's -h0, times the Sobol weight's
+    # factors 1 + c_i / x (below)
+    den = math.expm1(-t)
     if replicates is None:
-        shape, unit = (m,), 1.0
+        # the hit mask first: allocated after the draws' array, it ran the
+        # grid_fanout pass about 3% slower (2 threads, 2-core host)
+        hit = scratch.array("hit", (m,), bool)
+        g, x = _weigh_generator(seed, batch_index), scratch.array("gamma", (m,))
+        if l == 1:
+            # G = -ln u for a uniform u, and G < cut is u > e^-cut
+            x = g.random(out=x)
+            edge = math.exp(-cut)
+            np.greater(x, edge, out=hit)
+            # a miss moves to the edge of the hit region (to the least
+            # positive float where e^-cut underflows), so ln u stays finite
+            np.maximum(x, max(edge, _TINY), out=x)
+            np.log(x, out=x)
+        else:
+            x = g.standard_gamma(k, out=x)
+            np.less(x, cut, out=hit)
+            np.minimum(x, cut, out=x)
+            np.negative(x, out=x)
+        # x is -G; a clamped miss weighs about 1 below, and the hit mask
+        # zeroes it
+        x += cut
     else:
+        # the k uniforms of a trial are the coordinates u_i = (n_i + 1/2)
+        # 2^-32 of a scrambled Sobol point, for its integer coordinates n_i,
+        # mapped into the hit region G < cut (Owen 2013, ch. 9): with
+        # a = e^-cut and Q_i = u_1 ... u_i, P_i = a + (1 - a) Q_i > a and
+        # G = -ln P_k < cut.  That is u_i drawn uniform on (a / P_(i-1), 1),
+        # a range of chance 1 - a / P_(i-1) = (1 - a) Q_(i-1) / P_(i-1), so
+        # the draw weighs W = (1 - a)^k prod_(i<k) Q_i / P_i <= 1.  x holds
+        # Q_i 2^(32 i), and with c_i = a 2^(32 i) / (1 - a), Q_i / P_i =
+        # x / (x + c_i) / (1 - a): the scale holds one 1 - a, and den the
+        # rest of W, as the factors 1 + c_i / x it divides by
         scrambles, r0, start, sizes = replicates
-        shape, unit = (len(sizes), max(sizes)), 2.0 ** (32 * k)
-    # the hit mask first: allocated after the draws' array, it ran the
-    # grid_fanout pass about 3% slower (2 threads, 2-core host)
-    hit = scratch.array("hit", shape, bool)
-    if replicates is not None:
-        # the k uniforms of a trial are the coordinates of a scrambled Sobol
-        # point, (n + 1/2) 2^-32 for its integer coordinates n; x is their
-        # product over `unit`
+        shape = (len(sizes), max(sizes))
         v, low = scrambles.tables()
         rows = slice(r0, r0 + shape[0])
+        a = math.exp(-cut)
         x = scratch.array("gamma", shape)
         for d, points in enumerate(_sobol_points(v[rows], low[rows], start, start + shape[1],
                                                  scratch)):
-            u = np.add(points, 0.5, out=x if d == 0 else scratch.array("uniform", shape))
-            if d:
-                x *= u
-    else:
-        g, x = _weigh_generator(seed, batch_index), scratch.array("gamma", shape)
-        x = g.random(out=x) if l == 1 else g.standard_gamma(k, out=x)
-    if l <= _SOBOL_MAX_L:
-        # G = -ln(u_1 ... u_k) for uniforms u_i (Devroye 1986, IX.3), and
-        # G < cut is u > e^-cut
-        edge = math.exp(-cut)
-        np.greater(x, edge * unit, out=hit)
-        # a miss moves to the edge of the hit region (to the least positive
-        # float where e^-cut underflows), so ln u stays finite for every draw
-        np.maximum(x, max(edge, _TINY) * unit, out=x)
+            c = a * 2.0 ** (32 * (d + 1)) / -math.expm1(-cut)
+            last = d == k - 1
+            if d == 0:
+                np.add(points, 0.5 + (c if last else 0.0), out=x)
+            else:
+                x *= np.add(points, 0.5, out=scratch.array("uniform", shape))
+                if last:
+                    x += c
+            if d == 0 and not last:
+                den = np.divide(c * den, x, out=scratch.array("ratio", shape))
+                den += math.expm1(-t)
+            elif not last:
+                factor = np.divide(c, x, out=scratch.array("uniform", shape))
+                factor += 1.0
+                den *= factor
+        # x is P_k 2^(32 k) / (1 - a)
         np.log(x, out=x)
-    else:
-        np.less(x, cut, out=hit)
-        np.minimum(x, cut, out=x)
-        np.negative(x, out=x)
-    if replicates is not None and min(sizes) < shape[1]:
-        # the shorter replicates' last column is padding
-        hit[np.less(sizes, shape[1]), -1] = False
-    # x is ln u + ln unit = -G + ln unit for every draw.  The Gamma(k, 1)
-    # over Gamma(k, theta) density ratio at theta G is
-    # theta^k exp(theta G (1/theta - 1)), which is the scale's
-    # theta^k e^(cut (1 - theta)) times exp((G - cut)(1 - theta)) =
-    # exp((cut - G)(theta - 1)) <= 1, so neither v nor v^2 underflows at tiny
-    # p.  Every draw is weighed rather than the hits gathered first; a
-    # clamped miss weighs about 1 here, and the hit mask zeroes it
-    x += cut - math.log(unit)
+        x += cut + math.log(-math.expm1(-cut)) - 32 * k * math.log(2.0)
+    # x is cut - G for every draw.  The Gamma(k, 1) over Gamma(k, theta)
+    # density ratio at theta G is theta^k exp(theta G (1/theta - 1)), which
+    # is the scale's theta^k e^(cut (1 - theta)) times
+    # exp((G - cut)(1 - theta)) = exp((cut - G)(theta - 1)) <= 1, so neither
+    # v nor v^2 underflows at tiny p
     if l >= 2:
-        # a hit within rounding of the cut closes no gap
+        # a draw within rounding of the cut closes no gap
         np.maximum(x, 0.0, out=x)
         # the gap t - theta G = t (cut - G) / cut, with no subnormal theta;
         # h = -expm1(-gap), over the scale's h0 = -expm1(-t) >= h
-        h = scratch.array("uniform", shape)
+        h = scratch.array("uniform", x.shape)
         np.multiply(x, -1.0 / cut, out=h)
         h *= t
         np.expm1(h, out=h)
-        h /= math.expm1(-t)
+        np.divide(h, den, out=h)
     x *= theta - 1.0
     np.exp(x, out=x)
     if l >= 2:
         x *= h
-    np.multiply(x, hit, out=x)
     if replicates is None:
-        sums, sum_v = (), float(x.sum())
-    else:
-        rows = x.sum(axis=1)
-        sums, sum_v = tuple(rows.tolist()), float(rows.sum())
-    np.multiply(x, x, out=x)
-    return int(np.count_nonzero(hit)), sum_v, float(x.sum()), sums
+        np.multiply(x, hit, out=x)
+        sum_v = float(x.sum())
+        np.multiply(x, x, out=x)
+        return int(np.count_nonzero(hit)), sum_v, float(x.sum()), ()
+    if min(sizes) < shape[1]:
+        # the shorter replicates' last column is padding
+        x[np.less(sizes, shape[1]), -1] = 0.0
+    sums = x.sum(axis=1)
+    # every draw is a hit; x keeps the weights (einsum, unlike a BLAS dot,
+    # runs on the calling thread, so it does not contend with the pool's)
+    return m, float(sums.sum()), float(np.einsum("ij,ij->", x, x)), tuple(sums.tolist())
 
 
 def _replicate_layout(trials: int) -> list:
@@ -1055,10 +1120,26 @@ def _replicate_layout(trials: int) -> list:
                 for b, r0 in enumerate(range(0, count, per))]
     layout = []
     for r, n in enumerate(sizes):
-        step = -(-n // -(-n // _BATCH))
+        step = _slice_length(n)
         first = len(layout)
         layout += [(first, (r, a, (min(step, n - a),))) for a in range(0, n, step)]
     return layout
+
+
+def _slice_length(points: int) -> int:
+    """Length of the slices of a replicate of more than _BATCH points, all
+    equal but the last, which may be shorter."""
+    return -(-points // -(-points // _BATCH))
+
+
+def _replicate_batches(trials: int) -> int:
+    """len(_replicate_layout(trials)), without building the layout."""
+    count = min(_REPLICATES, trials)
+    size, extra = divmod(trials, count)
+    longest = size + (extra > 0)
+    if longest <= _BATCH:
+        return -(-count // (_BATCH // longest))
+    return sum(c * -(-n // _slice_length(n)) for n, c in ((size + 1, extra), (size, count - extra)))
 
 
 def _replicate_means(batches, results) -> list:
@@ -1107,37 +1188,59 @@ def _event_geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tupl
     return threshold, math.inf if gain2 < threshold else 0.0
 
 
+def _sobol(config: MonteCarloConfig) -> bool:
+    """Whether the point's importance sampler draws scrambled Sobol points."""
+    return config.estimator == "is" and 2 <= int(config.l) <= _SOBOL_MAX_L
+
+
+def _geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
+    """_event_geometry's (threshold, t), with the check that one crude batch
+    of a point that draws stays under MAX_BATCH_BYTES."""
+    threshold, t = _event_geometry(config, model)
+    batch_bytes = 16 * min(_BATCH, int(config.trials)) * int(config.l)
+    if config.estimator == "crude" and 0.0 < t < math.inf and batch_bytes > MAX_BATCH_BYTES:
+        raise ConfigError(f"one Monte Carlo batch at l={int(config.l)} would draw "
+                          f"{batch_bytes:.3g} bytes of normals, over the {MAX_BATCH_BYTES} "
+                          "byte cap")
+    return threshold, t
+
+
+def _batch_count(config: MonteCarloConfig, model: TransmittanceModel) -> int:
+    """len(_plan(config, model)[2]), with _plan's checks, without building
+    the batch list: what a pool is sized by."""
+    t, trials = _geometry(config, model)[1], int(config.trials)
+    if not 0.0 < t < math.inf:
+        return 0
+    return _replicate_batches(trials) if _sobol(config) else -(-trials // _BATCH)
+
+
 def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
     """(estimate, None, ()) where _event_geometry decides the event (t = 0:
     no trial is an error; t = inf: every trial is), for either estimator and
     without drawing, with the point interval [k/n, k/n]; otherwise
-    (None, kernel, batch args) of the batches that estimate it.
-    monte_carlo_p_err, a pool's size and a pool's stream all plan a point
-    here, so they agree on which points draw and on every batch they draw."""
-    threshold, t = _event_geometry(config, model)
+    (None, kernel, batch args) of the batches that estimate it.  A run's
+    pool plans each point here once (BatchPool), and monte_carlo_p_err takes
+    the plan from it."""
+    threshold, t = _geometry(config, model)
     l, trials = int(config.l), int(config.trials)
     if not 0.0 < t < math.inf:
         k = trials if t else 0
         p = k / trials
         return ErrorEstimate(p, trials, p, p, k, config.estimator), None, ()
     crude = config.estimator == "crude"
-    batch_bytes = 16 * min(_BATCH, trials) * l
-    if crude and batch_bytes > MAX_BATCH_BYTES:
-        raise ConfigError(f"one Monte Carlo batch at l={l} would draw {batch_bytes:.3g} "
-                          f"bytes of normals, over the {MAX_BATCH_BYTES} byte cap")
-
     seed, sigma2_f = int(config.seed), float(model.sigma2_f)
 
     def key(b):
         return b if config.point is None else (b, int(config.point))
 
-    if not crude and 2 <= l <= _SOBOL_MAX_L:
+    if _sobol(config):
         # the k = l - 1 uniforms of a trial are a scrambled Sobol point; the
         # batches that start a replicate's points name its scramble streams
         layout = _replicate_layout(trials)
         streams = tuple((key(b), len(sizes)) for b, (_, start, sizes) in layout if start == 0)
-        # a replicate holds at most `trials` points
-        scrambles = _Scrambles(seed, l - 1, max(8, (trials - 1).bit_length()), streams)
+        # a replicate holds at most ceil(trials / R) points
+        longest = -(-trials // min(_REPLICATES, trials))
+        scrambles = _Scrambles(seed, l - 1, max(8, (longest - 1).bit_length()), streams)
         return None, _weigh_batch, [
             (seed, key(b), sum(reps[2]), l, sigma2_f, threshold, (scrambles,) + reps)
             for b, reps in layout]
@@ -1161,32 +1264,35 @@ def monte_carlo_p_err(
     Deterministic given (config, model): identical results for any worker
     count, because batch b always consumes substream (seed, spawn_key=(b,)),
     or (b, point) when config.point is set, and the batch results are
-    combined in batch order.  The batches are collected from `pool` when one
-    is given: a run over many points opens it once with worker_pool over
-    those points, and estimates them in that order, so this point's batches
-    are the next ones of the pool's stream and may have run already.
-    Otherwise a pool of up to `workers` threads, the caller's among them, is
-    opened for this call alone.
+    combined in batch order.  The point and its batches are taken from
+    `pool` when one is given: a run over many points opens it once with
+    worker_pool over those points, and estimates them in that order, so this
+    point is the pool's next one, planned by the pool, and its batches may
+    have run already.  Otherwise a pool of up to `workers` threads, the
+    caller's among them, is opened for this call alone.
     """
     check_workers(workers)
-    decided, kernel, batches = _plan(config, model)
+    if pool is not None:
+        return _estimate(config, model, pool)
+    with worker_pool(workers, [config], model) as own:
+        return _estimate(config, model, own)
+
+
+def _estimate(config: MonteCarloConfig, model: TransmittanceModel, pool: BatchPool):
+    """monte_carlo_p_err of the pool's next point, which must be `config`."""
+    decided, count = pool.point(config, model)
     if decided is not None:
         return decided
-    if pool is not None:
-        results = pool.collect(kernel, batches)
-    else:
-        with worker_pool(workers, [config], model) as own:
-            results = own.collect(kernel, batches)
+    batches, results = pool.collect(count)
     trials = int(config.trials)
     if config.estimator == "crude":
         return ErrorEstimate.from_counts(sum(results), trials)
     _, _, _, l, sigma2_f, threshold, replicates = batches[0]
     hits, sum_v = sum(r[0] for r in results), sum(r[1] for r in results)
-    k, theta, cut, log_scale = _proposal(threshold / sigma2_f, l)
+    _, theta, _, log_scale = _proposal(threshold / sigma2_f, l)
     if replicates is not None:
-        return ErrorEstimate.from_replicates(hits, sum_v, _replicate_means(batches, results),
-                                             trials, scale=math.exp(log_scale),
-                                             hit_probability=gamma_p(k, cut))
+        return ErrorEstimate.from_replicates(sum_v, _replicate_means(batches, results), trials,
+                                             scale=math.exp(log_scale))
     if l == 1 and theta == 1.0:
         # an untilted proposal of one gain weighs every hit 1: the hits are a
         # binomial count
@@ -1266,13 +1372,15 @@ def diversity_slope_scan(
     the outage probability scale as snr^-(l(1-zeta)) for small t, so the
     fitted slope estimates the multicarrier diversity order.  t0 is placed
     where the outage CDF equals anchor_probability.  Every point is estimated
-    by importance sampling (estimator "is"), and its trial count aims at
-    target_errors expected hits of the sampling law, P(k, cut) with the k and
-    cut of _proposal, clamped to [SCAN_MIN_TRIALS, MAX_TRIALS]; since the
-    median of Gamma(k) lies below k + 1, that hit rate is above one half at
-    any threshold, so ceil(target_errors / P) <= 2 target_errors and budgets
-    of target_errors <= SCAN_MIN_TRIALS / 2 (the default among them) sit on
-    the SCAN_MIN_TRIALS floor.
+    by importance sampling (estimator "is"), and its trial count is
+    ceil(target_errors / P) for P = P(k, cut), the chance of the hit region
+    G < cut with the k and cut of _proposal, clamped to [SCAN_MIN_TRIALS,
+    MAX_TRIALS].  That is target_errors expected hits of iid draws; the
+    Sobol draws of 2 <= l <= 8, mapped into the region, all hit, and keep
+    the same budget.  Since the median of Gamma(k) lies below k + 1, P is
+    above one half at any threshold, so ceil(target_errors / P) <=
+    2 target_errors and budgets of target_errors <= SCAN_MIN_TRIALS / 2 (the
+    default among them) sit on the SCAN_MIN_TRIALS floor.
     Batch b of point i draws from the substream (seed, spawn_key=(b, i)).
     The points are estimated by monte_carlo_points, on one worker pool.
     Every argument is checked, with a
@@ -1302,7 +1410,7 @@ def diversity_slope_scan(
 
     t0 = gamma_p_inv(l, float(anchor_probability))
     thr = t0 * ratio ** (-(1.0 - z))
-    # hit probability P(k, cut) of each point's proposal; budgeting only
+    # P(k, cut), the chance of each point's hit region; budgeting only
     q_hit = np.array([gamma_p(k, cut) for k, _, cut, _ in (_proposal(t, l) for t in thr)])
 
     trials = np.clip(np.ceil(int(target_errors) / q_hit), SCAN_MIN_TRIALS, MAX_TRIALS)

@@ -79,11 +79,11 @@ class TestSlope:
         # gate 4's l = 2 scan: seed 7000 + l, 20..40 dB in 5 dB steps
         assert main(["slope", "--l", "2", "--seed", "7002"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "l=2: slope 1.9541 (diversity order 2.00)"
+        assert lines[0] == "l=2: slope 1.9540 (diversity order 2.00)"
         assert [line.split()[1] for line in lines[1:]] == ["100", "316.2", "1000", "3162",
                                                           "1e+04"]
         # every point's relative half-width, which its %.4g interval cannot
-        # show: about 6e-5 from the Sobol replicates, 2.8e-3 from iid draws
+        # show: about 3e-5 from the Sobol replicates, 2.8e-3 from iid draws
         for words in (line.split() for line in lines[1:]):
             assert words[-2] == "rhw" and re.fullmatch(r"\d\.\d\de-\d\d", words[-1])
             assert float(words[-1]) < 1e-4
@@ -188,28 +188,29 @@ class TestAnalytic:
 SOBOL_SIMULATE_SEED_0 = {
     (3, 1048577): (
         'snr,p_hat,ci_low,ci_high,analytic',
-        '1,0.080301504227991691,0.080301350796522966,0.080301657659460415,0.080301397071394193',
-        ('3.1622776601683795,0.0041655810120607281,0.0041655723752806609,'
-         '0.0041655896488407953,0.0041655791760751492'),
-        ('10,0.00015465301662888911,0.00015465253228233967,'
-         '0.00015465350097543855,0.00015465307026467153'),
+        ('1,0.080301415735044096,0.080301379356666938,'
+         '0.080301452113421254,0.080301397071394193'),
+        ('3.1622776601683795,0.0041655792314987767,0.0041655790347345486,'
+         '0.0041655794282630049,0.0041655791760751492'),
+        ('10,0.00015465305828102338,0.00015465300648823468,'
+         '0.00015465311007381208,0.00015465307026467153'),
     ),
     (2, 300000): (
         'snr,p_hat,ci_low,ci_high,analytic',
-        '1,0.26423837559456548,0.26423538006322417,0.26424137112590679,0.26424111765711533',
-        ('3.1622776601683795,0.040611006311903654,0.040610396705646271,'
-         '0.040611615918161037,0.040610249881576403'),
-        ('10,0.0046788252867690869,0.0046787360801575579,'
-         '0.004678914493380616,0.0046788401604444694'),
+        '1,0.26424040592298892,0.26423811099019612,0.26424270085578172,0.26424111765711533',
+        ('3.1622776601683795,0.040610686877268799,0.040610231245336276,'
+         '0.040611142509201323,0.040610249881576403'),
+        ('10,0.0046788455623777928,0.0046788079851543063,'
+         '0.0046788831396012793,0.0046788401604444694'),
     ),
     (8, 70000): (
         'snr,p_hat,ci_low,ci_high,analytic',
-        ('1,1.0250442424073797e-05,1.0196678218383927e-05,'
-         '1.0304206629763667e-05,1.0249196674641706e-05'),
-        ('3.1622776601683795,1.8783334947317904e-09,1.8688029562745733e-09,'
-         '1.8878640331890076e-09,1.87335791407747e-09'),
-        ('10,2.2737688523866047e-13,2.2657601372850061e-13,'
-         '2.2817775674882036e-13,2.2693269500714743e-13'),
+        ('1,1.0254686293487714e-05,1.0233422480458231e-05,'
+         '1.0275950106517198e-05,1.0249196674641706e-05'),
+        ('3.1622776601683795,1.8749861099332459e-09,1.8691454492477418e-09,'
+         '1.88082677061875e-09,1.87335791407747e-09'),
+        ('10,2.2719660560223561e-13,2.2684416258494757e-13,'
+         '2.2754904861952364e-13,2.2693269500714743e-13'),
     ),
 }
 
