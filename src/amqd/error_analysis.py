@@ -64,6 +64,10 @@ monte_carlo_p_err has two estimators of that probability
          p_hat +- t_(R-1) sd(replicate means) / sqrt(R), a Student-t
          interval (ErrorEstimate.from_replicates).  The relative half-width
          at 1e5 trials, l = 2, is about 3e-5, against 2.8e-3 from iid draws.
+         At trials <= 16 each replicate is one point, so the weights are iid
+         and skewed, and the t interval on so few of them missed about 7%
+         of the time; there the interval is Hoeffding's relative-entropy
+         bound for a mean of values in [0, scale], which holds at any n.
          Either way the relative error stays bounded as p -> 0.  Where there
          is no variance estimate (one trial or one replicate, or no hit) the
          interval is [0, min(scale, 1)], since p <= scale, the bound the
@@ -123,11 +127,11 @@ between them, hold it: two threads run those one at a time, so a batch keeps
 few of them, and the per-point work (the Sobol scramble tables) is done once
 per point, not per batch.  A run opens one pool (worker_pool) over the
 points it will estimate, and the pool's threads take the batches of every
-point from one stream, in the order the run collects them.  The stream plans
-each point (_plan) once, when it reaches it, and monte_carlo_p_err takes
-that plan from the pool.  The calling thread is one of the workers: while it
-waits for a result it runs the next batch of the stream itself, so a helper
-slow to wake does not stall a point.
+point from one stream, in the order the run collects them.  Each point is
+planned (_plan) once, by the first of the stream and monte_carlo_p_err to
+reach it, and the other reads the same plan.  The calling thread is one of
+the workers: while it waits for a result it runs the next batch of the
+stream itself, so a helper slow to wake does not stall a point.
 A thread starts a batch only while fewer than _LOOKAHEAD batches per thread
 are started and not yet collected, so the helpers roll from one point into
 the next instead of idling at the end of each, and the pool's memory does not
@@ -458,6 +462,34 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96):
     return (0.0 if k == 0 else center - half), (1.0 if k == n else center + half)
 
 
+def _bounded_mean_interval(mean: float, n: int) -> tuple:
+    """95% interval for the mean mu of n iid values in [0, 1] whose sample
+    mean is `mean`: every mu with n KL(mean || mu) <= ln 40, KL the
+    Bernoulli relative entropy.  By Hoeffding's bound (1963, Thm 1) each
+    side misses with probability at most 1/40 whatever the values' law, at
+    any n.  Each end is bisected to within 2^-100 of the mean's distance to
+    it, or to adjacent floats, and rounded outwards."""
+    bound = math.log(40.0) / n
+
+    def outside(mu):
+        kl = (mean * math.log(mean / mu) if mean > 0.0 else 0.0) + (
+            (1.0 - mean) * math.log((1.0 - mean) / (1.0 - mu)) if mean < 1.0 else 0.0)
+        return kl > bound
+
+    def edge(inside, out):
+        for _ in range(100):
+            mid = 0.5 * (inside + out)
+            if mid in (inside, out):  # adjacent floats
+                break
+            if outside(mid):
+                out = mid
+            else:
+                inside = mid
+        return out
+
+    return (0.0 if mean == 0.0 else edge(mean, 0.0)), (1.0 if mean == 1.0 else edge(mean, 1.0))
+
+
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Monte Carlo error-probability estimate with a 95% confidence interval.
@@ -473,7 +505,8 @@ class ErrorEstimate:
     (from_weights), or the hit fraction's Wilson interval at l = 1 with an
     untilted proposal; at 2 <= l <= 8 they are min(16, trials) scrambled
     Sobol replicates, and the interval is the Student-t one on the replicate
-    means (from_replicates).  An event decided without drawing gives either
+    means, or a bounded-mean one where each replicate is one point
+    (from_replicates).  An event decided without drawing gives either
     estimator the point interval [p_hat, p_hat].
     """
 
@@ -535,13 +568,20 @@ class ErrorEstimate:
         scale * sum(w) / trials with the 95% Student-t interval
         p_hat +- t_(R-1) scale sd(means) / sqrt(R), clipped to [0, 1], for
         2 <= R <= _REPLICATES.  With one replicate, or every weight 0, the
-        interval is [0, min(scale, 1)], as from_weights'."""
+        interval is [0, min(scale, 1)], as from_weights'.  Where each
+        replicate is one weight (R == trials), the weights are iid, and so
+        few skewed ones leave the t interval short (it missed about 7% of
+        the time at 2 to 16 trials): the interval is then scale times
+        _bounded_mean_interval, which holds at any R."""
         n, r = int(trials), len(means)
         if n < 1:
             raise ConfigError("trials must be >= 1")
         p = min(scale * (float(sum_w) / n), 1.0)
         if r == 1 or not float(sum_w) > 0.0:
             return cls(p, n, 0.0, min(scale, 1.0), n, "is")
+        if r == n:
+            low, high = _bounded_mean_interval(min(float(sum_w) / n, 1.0), n)
+            return cls(p, n, min(scale * low, p), min(scale * high, 1.0), n, "is")
         centre = sum(means) / r
         var = sum((w - centre) ** 2 for w in means) / (r - 1)
         half = _T975[r - 2] * scale * math.sqrt(var / r)
@@ -638,71 +678,46 @@ _LOOKAHEAD = 2
 
 class BatchPool:
     """The calling thread and `size - 1` helper threads running the batches of
-    the points `configs` (a list) on `model`, in stream order.  Each point is
-    planned once (_plan), when the stream reaches it, so the pool holds the
-    batch list of at most one point, the one its stream is in.  Kernels are
-    pure functions of their args, so a batch run ahead is the batch collect
-    will ask for.
+    one stream of (kernel, args), in stream order.  Kernels are pure
+    functions of their args, so a batch run ahead is the batch collect will
+    ask for.
 
-    point hands the run its next point: _plan's estimate where the event is
-    decided, or the number of batches that collect then takes, in order.
-    While collect waits, the calling thread runs the next batch of the stream
-    itself, so a helper slow to wake never holds up a point.  A thread starts
-    a batch only while fewer than _LOOKAHEAD * size batches are started and
-    not yet collected, so the helpers roll from one point into the next
-    instead of idling at the end of each, and the pool holds at most that
-    many results, whatever the grid length.  A failing batch stops the
-    stream, so no batch starts after it, and collect raises its exception.
-    Helpers wait for work until the pool stops.  Each thread keeps one
-    _Scratch for the pool's lifetime."""
+    collect takes the next results of the stream, in order.  While it waits,
+    the calling thread runs the next batch of the stream itself, so a helper
+    slow to wake never holds up a point.  A thread starts a batch only while
+    fewer than _LOOKAHEAD * size batches are started and not yet collected,
+    so the helpers roll from one point into the next instead of idling at the
+    end of each, and the pool holds at most that many results, whatever the
+    grid length.  A failing batch stops the stream, so no batch starts after
+    it, and collect raises its exception.  Helpers wait for work until the
+    pool stops.  Each thread keeps one _Scratch for the pool's lifetime."""
 
-    def __init__(self, configs, model: TransmittanceModel, size: int):
-        self._configs = iter(configs)
-        self._model = model
+    def __init__(self, stream, size: int):
+        self._stream = stream  # iterator of (kernel, args), in collection order
         self._size = size
         self._cond = threading.Condition()
-        self._points = collections.deque()  # (config, estimate, count) planned, not handed out
-        self._kernel, self._batches = None, iter(())  # the args of the last point planned
-        self._planned = 0  # batches of the points planned
-        self._handed = 0  # batches of the points handed out
         self._started = 0  # batches taken from the stream
         self._collected = 0  # batches handed out by collect
-        self._results = {}  # stream index -> (args, result), not yet collected
+        self._results = {}  # stream index -> (batch, result), not yet collected
         self._error = None
         self._stopped = False
         self._scratch = _Scratch()  # the calling thread's
 
-    def _plan_next(self) -> bool:
-        """Plan the run's next point, False if there is none; call it holding
-        the condition."""
-        config = next(self._configs, None)
-        if config is None:
-            return False
-        decided, self._kernel, batches = _plan(config, self._model)
-        self._points.append((config, decided, len(batches)))
-        self._batches = iter(batches)
-        self._planned += len(batches)
-        return True
-
     def _take(self):
-        """(stream index, kernel, args) of the next batch to start, or None
-        when the window is full, the stream is spent or the pool has stopped;
-        call it holding the condition."""
+        """(stream index, batch) of the next batch to start, or None when the
+        window is full, the stream is spent or the pool has stopped; call it
+        holding the condition."""
         if (self._stopped or self._error is not None
                 or self._started - self._collected >= _LOOKAHEAD * self._size):
             return None
-        while self._started == self._planned:
-            try:
-                if not self._plan_next():
-                    return None
-            except BaseException as exc:  # collect re-raises it on the calling thread
-                self._error = exc
-                self._cond.notify_all()
-                return None
+        batch = next(self._stream, None)
+        if batch is None:
+            return None
         self._started += 1
-        return self._started - 1, self._kernel, next(self._batches)
+        return self._started - 1, batch
 
-    def _run(self, index: int, kernel, args, scratch: _Scratch) -> None:
+    def _run(self, index: int, batch, scratch: _Scratch) -> None:
+        kernel, args = batch
         try:
             result = kernel(args, scratch)
         except BaseException as exc:  # collect re-raises it on the calling thread
@@ -711,7 +726,7 @@ class BatchPool:
                 self._cond.notify_all()
             return
         with self._cond:
-            self._results[index] = args, result
+            self._results[index] = batch, result
             self._cond.notify_all()
 
     def _help(self) -> None:
@@ -730,50 +745,56 @@ class BatchPool:
             self._stopped = True
             self._cond.notify_all()
 
-    def point(self, config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
-        """(estimate, count) of the run's next point, which must be `config`
-        on the pool's model (a RuntimeError otherwise): _plan's estimate and
-        0 where the event is decided, else None and the number of its
-        batches, all of which collect must take before the next point."""
-        with self._cond:
-            if self._error is not None:
-                raise self._error
-            if self._collected != self._handed:
-                raise RuntimeError("the pool's last point has batches left to collect")
-            if not self._points and not self._plan_next():
-                raise RuntimeError("the pool's stream has no batch left to collect")
-            planned, decided, count = self._points.popleft()
-            if (planned, self._model) != (config, model):
-                raise RuntimeError(f"the pool's stream ran {planned!r} where {config!r} "
-                                   "was collected")
-            self._handed += count
-            return decided, count
-
-    def collect(self, count: int) -> tuple:
-        """(args, results) of the next `count` batches of the stream, in batch
-        order: [args], and [kernel(args, scratch) for args in them]."""
-        if self._collected + count > self._handed:
-            raise RuntimeError("the pool's stream has no batch left to collect")
-        batches, results = [], []
-        for _ in range(count):
+    def collect(self, kernel, batches) -> list:
+        """[kernel(args, scratch) for args in batches], in batch order: the
+        next len(batches) results of the stream, which must be these batches
+        (a RuntimeError otherwise)."""
+        results = []
+        for args in batches:
             while True:
                 with self._cond:
                     if self._error is not None:
                         raise self._error
                     index = self._collected
                     if index in self._results:
-                        args, result = self._results.pop(index)
+                        batch, result = self._results.pop(index)
                         self._collected += 1
                         self._cond.notify_all()
                         break
                     job = self._take()
                     if job is None:
+                        if index >= self._started:
+                            raise RuntimeError("the pool's stream has no batch left to collect")
                         self._cond.wait()
                         continue
                 self._run(*job, self._scratch)
-            batches.append(args)
+            if batch != (kernel, args):
+                raise RuntimeError(f"the pool's stream ran {batch!r} where {(kernel, args)!r} "
+                                   "was collected")
             results.append(result)
-        return batches, results
+        return results
+
+
+def _two_readers(items) -> tuple:
+    """Two iterators over the iterator `items`, safe to read from different
+    threads: each item is made once, when the first reader reaches it, and
+    dropped once both have read it."""
+    lock = threading.Lock()
+    queues = collections.deque(), collections.deque()
+
+    def read(queue):
+        while True:
+            with lock:
+                if not queue:
+                    item = next(items, queues)  # queues: the end of `items`
+                    if item is queues:
+                        return
+                    for q in queues:
+                        q.append(item)
+                item = queue.popleft()
+            yield item
+
+    return read(queues[0]), read(queues[1])
 
 
 @contextlib.contextmanager
@@ -782,12 +803,18 @@ def worker_pool(workers: int, configs, model: TransmittanceModel):
     will estimate, in the order it estimates them): the calling thread and
     min(workers, batches of the largest point) - 1 helper threads; below two
     threads no executor is opened.  A point _plan would reject raises its
-    ConfigError here, before any batch runs.  On exit the stream stops, so no
-    further batch starts, and the helpers are shut down, which joins them, so
-    none outlives the caller's run."""
+    ConfigError here, before any batch runs.  Each point is planned once, as
+    the first of the pool's stream and its `plans` reaches it: `plans`
+    yields (config, model, estimate, kernel, batches) for monte_carlo_p_err,
+    and a plan is held only until both have passed it.  On exit the stream
+    stops, so no further batch starts, and the helpers are shut down, which
+    joins them, so none outlives the caller's run."""
     largest = max((_batch_count(config, model) for config in configs), default=0)
     size = max(min(check_workers(workers), largest), 1)
-    pool = BatchPool(configs, model, size)
+    streamed, plans = _two_readers((config, model) + _plan(config, model) for config in configs)
+    pool = BatchPool(((kernel, args) for *_, kernel, batches in streamed for args in batches),
+                     size)
+    pool.plans = plans
     if size == 1:
         yield pool
         return
@@ -1120,26 +1147,10 @@ def _replicate_layout(trials: int) -> list:
                 for b, r0 in enumerate(range(0, count, per))]
     layout = []
     for r, n in enumerate(sizes):
-        step = _slice_length(n)
+        step = -(-n // -(-n // _BATCH))
         first = len(layout)
         layout += [(first, (r, a, (min(step, n - a),))) for a in range(0, n, step)]
     return layout
-
-
-def _slice_length(points: int) -> int:
-    """Length of the slices of a replicate of more than _BATCH points, all
-    equal but the last, which may be shorter."""
-    return -(-points // -(-points // _BATCH))
-
-
-def _replicate_batches(trials: int) -> int:
-    """len(_replicate_layout(trials)), without building the layout."""
-    count = min(_REPLICATES, trials)
-    size, extra = divmod(trials, count)
-    longest = size + (extra > 0)
-    if longest <= _BATCH:
-        return -(-count // (_BATCH // longest))
-    return sum(c * -(-n // _slice_length(n)) for n, c in ((size + 1, extra), (size, count - extra)))
 
 
 def _replicate_means(batches, results) -> list:
@@ -1211,7 +1222,7 @@ def _batch_count(config: MonteCarloConfig, model: TransmittanceModel) -> int:
     t, trials = _geometry(config, model)[1], int(config.trials)
     if not 0.0 < t < math.inf:
         return 0
-    return _replicate_batches(trials) if _sobol(config) else -(-trials // _BATCH)
+    return len(_replicate_layout(trials)) if _sobol(config) else -(-trials // _BATCH)
 
 
 def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
@@ -1219,8 +1230,8 @@ def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
     no trial is an error; t = inf: every trial is), for either estimator and
     without drawing, with the point interval [k/n, k/n]; otherwise
     (None, kernel, batch args) of the batches that estimate it.  A run's
-    pool plans each point here once (BatchPool), and monte_carlo_p_err takes
-    the plan from it."""
+    pool plans each point here once (worker_pool), and monte_carlo_p_err
+    takes the plan from it."""
     threshold, t = _geometry(config, model)
     l, trials = int(config.l), int(config.trials)
     if not 0.0 < t < math.inf:
@@ -1264,26 +1275,26 @@ def monte_carlo_p_err(
     Deterministic given (config, model): identical results for any worker
     count, because batch b always consumes substream (seed, spawn_key=(b,)),
     or (b, point) when config.point is set, and the batch results are
-    combined in batch order.  The point and its batches are taken from
+    combined in batch order.  The point's plan and batches are taken from
     `pool` when one is given: a run over many points opens it once with
     worker_pool over those points, and estimates them in that order, so this
-    point is the pool's next one, planned by the pool, and its batches may
-    have run already.  Otherwise a pool of up to `workers` threads, the
+    point is the pool's next one, planned once for the pool's stream and
+    this call, and its batches may have run already.  Otherwise a pool of up to `workers` threads, the
     caller's among them, is opened for this call alone.
     """
     check_workers(workers)
-    if pool is not None:
-        return _estimate(config, model, pool)
-    with worker_pool(workers, [config], model) as own:
-        return _estimate(config, model, own)
-
-
-def _estimate(config: MonteCarloConfig, model: TransmittanceModel, pool: BatchPool):
-    """monte_carlo_p_err of the pool's next point, which must be `config`."""
-    decided, count = pool.point(config, model)
+    if pool is None:
+        with worker_pool(workers, [config], model) as own:
+            return monte_carlo_p_err(config, model, pool=own)
+    plan = next(pool.plans, None)
+    if plan is None:
+        raise RuntimeError("the pool's stream has no batch left to collect")
+    if plan[:2] != (config, model):
+        raise RuntimeError(f"the pool's stream ran {plan[0]!r} where {config!r} was collected")
+    decided, kernel, batches = plan[2:]
     if decided is not None:
         return decided
-    batches, results = pool.collect(count)
+    results = pool.collect(kernel, batches)
     trials = int(config.trials)
     if config.estimator == "crude":
         return ErrorEstimate.from_counts(sum(results), trials)

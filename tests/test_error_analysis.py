@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 from scipy.special import gammaincinv
 
 from amqd import (
@@ -880,6 +880,19 @@ SCAN_7002_ESTIMATES = (
 )
 
 
+def _relative_entropy_interval(mean, n):
+    """Every mu with n KL(mean || mu) <= ln 40, KL the Bernoulli relative
+    entropy, by scipy's root finder."""
+    def excess(mu):
+        return n * (special.rel_entr(mean, mu) + special.rel_entr(1 - mean, 1 - mu)) - math.log(40)
+
+    low = (optimize.brentq(excess, 1e-300, mean, xtol=1e-300, rtol=1e-15)
+           if mean > 0 and excess(1e-300) > 0 else 0.0)
+    high = (optimize.brentq(excess, mean, 1 - 1e-16, xtol=1e-300, rtol=1e-15)
+            if mean < 1 and excess(1 - 1e-16) > 0 else 1.0)
+    return low, high
+
+
 class TestSobolReplicates:
     """Scrambled Sobol points for the importance sampler at 2 <= l <= 8."""
 
@@ -990,19 +1003,49 @@ class TestSobolReplicates:
         assert (one.p_hat, one.ci_low, one.ci_high) == (0.2, 0.0, 0.4)
         none = ErrorEstimate.from_replicates(0.0, [0.0] * 16, 100, scale=3.0)
         assert (none.p_hat, none.ci_low, none.ci_high) == (0.0, 0.0, 1.0)
-        three = ErrorEstimate.from_replicates(1.5, [0.4, 0.5, 0.6], 3)
+        three = ErrorEstimate.from_replicates(3.0, [0.4, 0.5, 0.6], 6)
         half = 4.30265 * 0.1 / math.sqrt(3)
         assert three.ci_low == pytest.approx(0.5 - half, rel=1e-12)
         assert three.ci_high == pytest.approx(0.5 + half, rel=1e-12)
+        # one weight per replicate: scale times the bounded-mean interval of
+        # the mean weight
+        single = ErrorEstimate.from_replicates(0.3, [0.1, 0.2], 2, scale=0.5)
+        low, high = _relative_entropy_interval(0.15, 2)
+        assert single.p_hat == 0.075
+        assert single.ci_low == pytest.approx(0.5 * low, rel=1e-12)
+        assert single.ci_high == pytest.approx(0.5 * high, rel=1e-12)
+
+    @pytest.mark.parametrize("mean, n", [(0.15, 2), (0.1, 16), (0.5, 5), (0.999, 3), (1e-9, 16),
+                                         (0.3, 15), (0.0, 3), (1.0, 3)])
+    def test_bounded_mean_interval_matches_a_root_finder(self, mean, n):
+        low, high = error_analysis._bounded_mean_interval(mean, n)
+        ref_low, ref_high = _relative_entropy_interval(mean, n)
+        assert low <= mean <= high
+        assert low == pytest.approx(ref_low, rel=1e-12, abs=1e-300)
+        assert high == pytest.approx(ref_high, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_bounded_mean_interval_covers_skewed_laws(self, n):
+        # 2000 samples each of a Bernoulli and two skewed Beta laws on
+        # [0, 1]: Hoeffding's bound holds at any n, whatever the law
+        rng = np.random.default_rng(n)
+        for draw, mu in ((lambda: rng.random((2000, n)) < 0.1, 0.1),
+                         (lambda: rng.beta(0.2, 2.0, (2000, n)), 0.2 / 2.2),
+                         (lambda: rng.beta(3.0, 0.3, (2000, n)), 3.0 / 3.3)):
+            means = draw().mean(axis=1)
+            covered = 0
+            for m in means:
+                low, high = error_analysis._bounded_mean_interval(float(m), n)
+                covered += low <= mu <= high
+            assert covered >= 0.95 * len(means)
 
     @pytest.mark.parametrize("trials", [1, 2, 15, 16, 17])
     def test_replicate_interval_at_few_trials(self, trials):
-        # min(16, trials) replicates, and the t interval on their means; one
-        # trial has no variance estimate.  A one-point replicate's interval
-        # misses about 7% of the time here (2000 seeds), so one seed's miss
-        # says little; ACCEPTANCE 11 judges the coverage
+        # min(16, trials) replicates, and the t interval on their means, or
+        # the bounded-mean interval where each replicate is one point; one
+        # trial has no variance estimate
         l, t = 3, 0.5
-        config = _is_config(l, t, seed=5, trials=trials)
+        config = _is_config(l, t, seed=3, trials=trials)
         est = monte_carlo_p_err(config, RAYLEIGH_1)
         _, kernel, batches = error_analysis._plan(config, RAYLEIGH_1)
         results = [kernel(args) for args in batches]
@@ -1014,6 +1057,10 @@ class TestSobolReplicates:
         assert est.errors_observed == trials
         if trials == 1:
             assert (est.ci_low, est.ci_high) == (0.0, scale)
+        elif trials <= 16:
+            low, high = _relative_entropy_interval(p / scale, trials)
+            assert est.ci_low == pytest.approx(scale * low, rel=1e-9)
+            assert est.ci_high == pytest.approx(scale * high, rel=1e-9)
         else:
             half = (stats.t.ppf(0.975, len(means) - 1) * scale * np.std(means, ddof=1)
                     / math.sqrt(len(means)))
@@ -1366,9 +1413,9 @@ class TestWorkerPool:
         assert pool_sizes == []
 
     def test_each_point_is_planned_once_per_run(self, monkeypatch):
-        # the pool plans each point as its stream reaches it, and
-        # monte_carlo_p_err takes that plan; the pool's size is counted
-        # without planning
+        # each point is planned once, by the first of the pool's stream and
+        # monte_carlo_p_err to reach it, and the other reads that plan; the
+        # pool's size is counted without planning
         planned = []
         plan = error_analysis._plan
 
@@ -1472,6 +1519,28 @@ class TestWorkerPool:
             monte_carlo_p_err(first, RAYLEIGH_1, pool=pool)
             with pytest.raises(RuntimeError, match="no batch left"):
                 monte_carlo_p_err(first, RAYLEIGH_1, pool=pool)
+
+    def test_collect_after_the_pool_closes_raises(self):
+        # leaving worker_pool stops its stream, so at most _LOOKAHEAD batches
+        # per thread of a point not yet collected have run, and no thread
+        # starts the rest: collecting it raises rather than waits.  It runs
+        # on a thread, so a wait fails the test (after 10 s) instead of
+        # hanging it
+        config = MonteCarloConfig(l=1, trials=6 * _BATCH, seed=0, threshold=0.1)
+        with error_analysis.worker_pool(2, [config], RAYLEIGH_1) as pool:
+            pass
+        outcome = []
+
+        def collect():
+            try:
+                monte_carlo_p_err(config, RAYLEIGH_1, pool=pool)
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        run = threading.Thread(target=collect, daemon=True)
+        run.start()
+        run.join(10.0)
+        assert outcome == ["the pool's stream has no batch left to collect"]
 
     def test_scratch_reuse_keeps_kernels_bitwise(self):
         # one scratch lent to batches of different sizes and dimensions
