@@ -1283,18 +1283,18 @@ def monte_carlo_p_err(
     caller's among them, is opened for this call alone.
     """
     check_workers(workers)
-    if pool is None:
-        with worker_pool(workers, [config], model) as own:
-            return monte_carlo_p_err(config, model, pool=own)
-    plan = next(pool.plans, None)
-    if plan is None:
-        raise RuntimeError("the pool's stream has no batch left to collect")
-    if plan[:2] != (config, model):
-        raise RuntimeError(f"the pool's stream ran {plan[0]!r} where {config!r} was collected")
-    decided, kernel, batches = plan[2:]
-    if decided is not None:
-        return decided
-    results = pool.collect(kernel, batches)
+    with contextlib.ExitStack() as own:
+        if pool is None:
+            pool = own.enter_context(worker_pool(workers, [config], model))
+        plan = next(pool.plans, None)
+        if plan is None:
+            raise RuntimeError("the pool's stream has no batch left to collect")
+        if plan[:2] != (config, model):
+            raise RuntimeError(f"the pool's stream ran {plan[0]!r} where {config!r} was collected")
+        decided, kernel, batches = plan[2:]
+        if decided is not None:
+            return decided
+        results = pool.collect(kernel, batches)
     trials = int(config.trials)
     if config.estimator == "crude":
         return ErrorEstimate.from_counts(sum(results), trials)

@@ -1520,6 +1520,21 @@ class TestWorkerPool:
             with pytest.raises(RuntimeError, match="no batch left"):
                 monte_carlo_p_err(first, RAYLEIGH_1, pool=pool)
 
+    def test_an_estimate_without_a_pool_is_one_call(self, monkeypatch):
+        # a wrapper of monte_carlo_p_err (a tracer, say) sees each estimate
+        # once, also where the call opens a pool of its own
+        calls = []
+        inner = error_analysis.monte_carlo_p_err
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(error_analysis, "monte_carlo_p_err", counted)
+        config = _is_config(2, 0.5, trials=2 * _BATCH)
+        error_analysis.monte_carlo_p_err(config, RAYLEIGH_1, workers=2)
+        assert calls == [config]
+
     def test_collect_after_the_pool_closes_raises(self):
         # leaving worker_pool stops its stream, so at most _LOOKAHEAD batches
         # per thread of a point not yet collected have run, and no thread
