@@ -776,9 +776,9 @@ class BatchPool:
 
 
 def _two_readers(items) -> tuple:
-    """Two iterators over the iterator `items`, safe to read from different
-    threads: each item is made once, when the first reader reaches it, and
-    dropped once both have read it."""
+    """Two iterators over the iterator `items`, which two threads may read
+    at once, each its own: each item is made once, when the first reader
+    reaches it, and dropped once both have read it."""
     lock = threading.Lock()
     queues = collections.deque(), collections.deque()
 
@@ -1279,8 +1279,9 @@ def monte_carlo_p_err(
     `pool` when one is given: a run over many points opens it once with
     worker_pool over those points, and estimates them in that order, so this
     point is the pool's next one, planned once for the pool's stream and
-    this call, and its batches may have run already.  Otherwise a pool of up to `workers` threads, the
-    caller's among them, is opened for this call alone.
+    this call, and its batches may have run already.  Otherwise a pool of
+    up to `workers` threads, the caller's among them, is opened for this
+    call alone.
     """
     check_workers(workers)
     with contextlib.ExitStack() as own:
