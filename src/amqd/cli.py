@@ -7,15 +7,15 @@ Subcommands:
             is importance sampled (a Gamma(l) draw per trial at l = 1; at
             l >= 2 the sum of the first l - 1 gains, the last gain integrated
             out) and reported with its 95% interval, so any p is reachable:
-            the weighted-CLT one over iid draws at l = 1 and l >= 9, the
-            Student-t one over 16 scrambled-Sobol replicates at 2 <= l <= 8.
-            The threshold event takes any l, the rate event l = 1 only (any
-            other l exits 2)
+            the Student-t one over 16 scrambled-Sobol replicates at l <= 8,
+            the weighted-CLT one over iid draws at l >= 9.  The threshold
+            event takes any l, the rate event l = 1 only (any other l
+            exits 2)
   slope     importance-sampled diversity slope scan of one l over an SNR grid:
             the fitted log-log slope against l(1-zeta), and each point's
             threshold, estimate, interval, hits and relative half-width
-            ("hits N of M": N = M at 2 <= l <= 8, whose Sobol draws are all
-            mapped into the event's region)
+            ("hits N of M": N = M at l <= 8, whose Sobol draws are all mapped
+            into the event's region)
   validate  run every invariant suite and report pass/fail
 
 Every setting is one field of config.ExperimentConfig, which declares its

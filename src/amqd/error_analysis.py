@@ -38,16 +38,12 @@ monte_carlo_p_err has two estimators of that probability
          is numpy's standard_gamma, the one draw that serves l up to MAX_L.
          A batch holds at most two draws per trial, so its memory does not
          grow with l.
-         At l = 1 and l >= 9 the draws are iid: one uniform block (l = 1,
-         whose weight jumps at the cut) or standard_gamma (l >= 9, where
-         randomized QMC gains little), and p_hat = sum(w) / trials with the
-         weighted-CLT interval p_hat +- 1.96 sd(w) / sqrt(trials).  Every
-         draw is weighed, with no gathering of the hits: a miss is first
-         clamped to the edge of the hit region (u to e^-cut, G to the cut),
-         so its weight is finite, and the hit mask then zeroes it.  At l = 1
-         where theta = 1 every hit weighs 1, and the hits get a Wilson
-         interval.
-         At 2 <= l <= 8 the k uniforms are the coordinates of scrambled
+         At l >= 9 the draws are iid standard_gamma (randomized QMC gains
+         little there), and p_hat = sum(w) / trials with the weighted-CLT
+         interval p_hat +- 1.96 sd(w) / sqrt(trials).  Every draw is
+         weighed, with no gathering of the hits: a miss is first clamped to
+         the cut, so its weight is finite, and the hit mask then zeroes it.
+         At l <= 8 the k uniforms are the coordinates of scrambled
          Sobol points (Owen 1997; L'Ecuyer 2018): R = min(16, trials)
          independent replicates, replicate r the first trials // R points of
          its own sequence, plus one for r < trials % R, each sequence
@@ -71,9 +67,12 @@ monte_carlo_p_err has two estimators of that probability
          Either way the relative error stays bounded as p -> 0.  Where there
          is no variance estimate (one trial or one replicate, or no hit) the
          interval is [0, min(scale, 1)], since p <= scale, the bound the
-         kernel's weights are taken over.
+         kernel's weights are taken over.  At l = 1 and t >= 1 the proposal
+         is untilted (theta = 1), so every weight is 1 and p_hat is the
+         region's chance 1 - e^-t, the exact probability, from any number
+         of trials.
          errors_observed counts the hits: draws whose k summed gains fall
-         below the cut, every trial at 2 <= l <= 8.
+         below the cut, every trial at l <= 8.
          diversity_slope_scan and experiments.run_monte_carlo (so
          `amqd simulate`) use this estimator; "crude" stays the default.
 
@@ -170,15 +169,12 @@ MAX_BATCH_BYTES = 1 << 30
 ESTIMATORS = ("crude", "is")
 
 # largest l whose importance sampler draws scrambled Sobol points, the sum of
-# the k = l - 1 other gains being -ln of the product of a point's k
+# the k = max(l - 1, 1) gains drawn being -ln of the product of a point's k
 # coordinates.  Beyond, standard_gamma: randomized QMC gains less with each
 # dimension (relative sd 2.5e-3 iid against 1.6e-3 at l = 8, t = 1), and a
 # product of k iid uniform blocks already lost to standard_gamma at k = 8 (194
 # of 300 interleaved reps of a 65536-draw batch, PCG64DXSM, 2 cores)
 _SOBOL_MAX_L = 8
-
-# least positive float, the floor of a missed uniform product
-_TINY = math.ulp(0.0)
 
 # independent scrambles (replicates) of a point's scrambled-Sobol estimate
 _REPLICATES = 16
@@ -495,17 +491,16 @@ class ErrorEstimate:
     """Monte Carlo error-probability estimate with a 95% confidence interval.
 
     estimator "crude": errors_observed counts the errors and
-    p_hat == errors_observed / trials, with a Wilson interval.  estimator
-    "is": errors_observed counts the hits of the importance-sampling proposal
-    (at l >= 2 the draws whose shrunk sum of the first l - 1 gains lies below
-    t, the last gain being integrated out; every trial at 2 <= l <= 8, whose
-    draws are mapped into that region) and p_hat is the mean weight over all
-    trials, in [0, 1].  Its interval depends on the draws: at l = 1 and
-    l >= 9 they are iid, and the interval is the weighted-CLT one
-    (from_weights), or the hit fraction's Wilson interval at l = 1 with an
-    untilted proposal; at 2 <= l <= 8 they are min(16, trials) scrambled
-    Sobol replicates, and the interval is the Student-t one on the replicate
-    means, or a bounded-mean one where each replicate is one point
+    p_hat == errors_observed / trials, with a Wilson interval (from_counts).
+    estimator "is": errors_observed counts the hits of the
+    importance-sampling proposal (at l >= 2 the draws whose shrunk sum of
+    the first l - 1 gains lies below t, the last gain being integrated out;
+    every trial at l <= 8, whose draws are mapped into that region) and
+    p_hat is the mean weight over all trials, in [0, 1].  Its interval
+    depends on the draws: at l >= 9 they are iid, and the interval is the
+    weighted-CLT one (from_weights); at l <= 8 they are min(16, trials)
+    scrambled Sobol replicates, and the interval is the Student-t one on the
+    replicate means, or a bounded-mean one where each replicate is one point
     (from_replicates).  An event decided without drawing gives either
     estimator the point interval [p_hat, p_hat].
     """
@@ -534,9 +529,9 @@ class ErrorEstimate:
             raise ConfigError("confidence interval must contain p_hat")
 
     @classmethod
-    def from_counts(cls, errors: int, trials: int, estimator: str = "crude") -> "ErrorEstimate":
+    def from_counts(cls, errors: int, trials: int) -> "ErrorEstimate":
         lo, hi = wilson_interval(errors, trials)
-        return cls(int(errors) / int(trials), int(trials), lo, hi, int(errors), estimator)
+        return cls(int(errors) / int(trials), int(trials), lo, hi, int(errors))
 
     @classmethod
     def from_weights(cls, hits: int, sum_w: float, sum_w2: float, trials: int,
@@ -868,8 +863,8 @@ def _proposal(t: float, l: int) -> tuple:
     the event Gamma(l, 1) < t at 0 <= t < inf.  It draws G ~ Gamma(k, 1) for
     the k = max(l - 1, 1) gains drawn per trial, shrunk to theta G with
     theta = min(t / l, 1), and a draw hits where G < cut = max(t, l), with
-    probability P(k, cut) > 1/2; the Sobol draws of 2 <= l <= _SOBOL_MAX_L
-    are mapped into that region, so each of them hits.  The hit test is on
+    probability P(k, cut) > 1/2; the Sobol draws of l <= _SOBOL_MAX_L are
+    mapped into that region, so each of them hits.  The hit test is on
     G because theta rounds to a subnormal or to 0 where t / l underflows.  A
     hit weighs scale * v with v in [0, 1] (_weigh_batch) and scale =
     theta^k e^(cut (1 - theta)) h0, times 1 - e^-cut for the Sobol draws, the
@@ -885,7 +880,7 @@ def _proposal(t: float, l: int) -> tuple:
     else:
         theta, log_theta, cut = t / l, math.log(t) - math.log(l), float(l)
     log_h0 = math.log(-math.expm1(-t)) if l >= 2 else 0.0
-    log_region = math.log(-math.expm1(-cut)) if 2 <= l <= _SOBOL_MAX_L else 0.0
+    log_region = math.log(-math.expm1(-cut)) if l <= _SOBOL_MAX_L else 0.0
     return k, theta, cut, k * log_theta + cut * (1.0 - theta) + log_h0 + log_region
 
 
@@ -998,10 +993,10 @@ def _sobol_points(v: np.ndarray, low: np.ndarray, start: int, stop: int, scratch
 def _weigh_generator(seed: int, batch_index) -> np.random.Generator:
     """The importance-sampled kernel's stream: PCG64DXSM over the key that
     RngStream(seed, batch_index) makes, so streams stay independent across
-    batches, points and seeds.  It makes a uniform block, the draw at l = 1,
-    in less than half of Philox's time; at 2 <= l <= 8 it draws only the
-    Sobol scrambles, once per point (_Scrambles).  Crude batches keep
-    Philox, the independent check (_count_batch)."""
+    batches, points and seeds.  At l <= 8 it draws only the Sobol
+    scrambles, once per point (_Scrambles), and beyond, the standard_gamma
+    draws.  Crude batches keep Philox, the independent check
+    (_count_batch)."""
     return np.random.Generator(np.random.PCG64DXSM(RngStream(seed, batch_index).seed_sequence()))
 
 
@@ -1020,8 +1015,8 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     the Gamma(l - 1) density ratio times h = 1 - e^-(t - theta G), the
     chance that the last Exp(1) gain closes the gap.
 
-    replicates is None for iid draws (l = 1 and l > _SOBOL_MAX_L), drawn
-    from the stream (seed, batch_index) names, or (scrambles, r0, start,
+    replicates is None for the iid standard_gamma draws of l > _SOBOL_MAX_L,
+    drawn from the stream (seed, batch_index) names, or (scrambles, r0, start,
     sizes) for the points start .. start + sizes[i] - 1 of replicate r0 + i,
     i < len(sizes), of the point whose scramble tables scrambles
     (_Scrambles) holds; (seed, batch_index) then names the stream the
@@ -1037,26 +1032,14 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     # factors 1 + c_i / x (below)
     den = math.expm1(-t)
     if replicates is None:
-        # the hit mask first: allocated after the draws' array, it ran the
-        # grid_fanout pass about 3% slower (2 threads, 2-core host)
         hit = scratch.array("hit", (m,), bool)
-        g, x = _weigh_generator(seed, batch_index), scratch.array("gamma", (m,))
-        if l == 1:
-            # G = -ln u for a uniform u, and G < cut is u > e^-cut
-            x = g.random(out=x)
-            edge = math.exp(-cut)
-            np.greater(x, edge, out=hit)
-            # a miss moves to the edge of the hit region (to the least
-            # positive float where e^-cut underflows), so ln u stays finite
-            np.maximum(x, max(edge, _TINY), out=x)
-            np.log(x, out=x)
-        else:
-            x = g.standard_gamma(k, out=x)
-            np.less(x, cut, out=hit)
-            np.minimum(x, cut, out=x)
-            np.negative(x, out=x)
-        # x is -G; a clamped miss weighs about 1 below, and the hit mask
-        # zeroes it
+        x = _weigh_generator(seed, batch_index).standard_gamma(
+            k, out=scratch.array("gamma", (m,)))
+        np.less(x, cut, out=hit)
+        # a miss is clamped to the cut, so it weighs 1 below, and the hit
+        # mask zeroes it
+        np.minimum(x, cut, out=x)
+        np.negative(x, out=x)
         x += cut
     else:
         # the k uniforms of a trial are the coordinates u_i = (n_i + 1/2)
@@ -1201,7 +1184,7 @@ def _event_geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tupl
 
 def _sobol(config: MonteCarloConfig) -> bool:
     """Whether the point's importance sampler draws scrambled Sobol points."""
-    return config.estimator == "is" and 2 <= int(config.l) <= _SOBOL_MAX_L
+    return config.estimator == "is" and int(config.l) <= _SOBOL_MAX_L
 
 
 def _geometry(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
@@ -1245,13 +1228,14 @@ def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
         return b if config.point is None else (b, int(config.point))
 
     if _sobol(config):
-        # the k = l - 1 uniforms of a trial are a scrambled Sobol point; the
-        # batches that start a replicate's points name its scramble streams
+        # the k uniforms of a trial are a scrambled Sobol point; the batches
+        # that start a replicate's points name its scramble streams
         layout = _replicate_layout(trials)
         streams = tuple((key(b), len(sizes)) for b, (_, start, sizes) in layout if start == 0)
         # a replicate holds at most ceil(trials / R) points
         longest = -(-trials // min(_REPLICATES, trials))
-        scrambles = _Scrambles(seed, l - 1, max(8, (longest - 1).bit_length()), streams)
+        scrambles = _Scrambles(seed, max(l - 1, 1), max(8, (longest - 1).bit_length()),
+                               streams)
         return None, _weigh_batch, [
             (seed, key(b), sum(reps[2]), l, sigma2_f, threshold, (scrambles,) + reps)
             for b, reps in layout]
@@ -1300,17 +1284,13 @@ def monte_carlo_p_err(
     if config.estimator == "crude":
         return ErrorEstimate.from_counts(sum(results), trials)
     _, _, _, l, sigma2_f, threshold, replicates = batches[0]
-    hits, sum_v = sum(r[0] for r in results), sum(r[1] for r in results)
-    _, theta, _, log_scale = _proposal(threshold / sigma2_f, l)
+    sum_v = sum(r[1] for r in results)
+    scale = math.exp(_proposal(threshold / sigma2_f, l)[3])
     if replicates is not None:
         return ErrorEstimate.from_replicates(sum_v, _replicate_means(batches, results), trials,
-                                             scale=math.exp(log_scale))
-    if l == 1 and theta == 1.0:
-        # an untilted proposal of one gain weighs every hit 1: the hits are a
-        # binomial count
-        return ErrorEstimate.from_counts(hits, trials, "is")
-    return ErrorEstimate.from_weights(hits, sum_v, sum(r[2] for r in results), trials,
-                                      scale=math.exp(log_scale))
+                                             scale=scale)
+    return ErrorEstimate.from_weights(sum(r[0] for r in results), sum_v,
+                                      sum(r[2] for r in results), trials, scale=scale)
 
 
 def analytic_event_probability(
@@ -1388,8 +1368,8 @@ def diversity_slope_scan(
     ceil(target_errors / P) for P = P(k, cut), the chance of the hit region
     G < cut with the k and cut of _proposal, clamped to [SCAN_MIN_TRIALS,
     MAX_TRIALS].  That is target_errors expected hits of iid draws; the
-    Sobol draws of 2 <= l <= 8, mapped into the region, all hit, and keep
-    the same budget.  Since the median of Gamma(k) lies below k + 1, P is
+    Sobol draws of l <= 8, mapped into the region, all hit, and keep the
+    same budget.  Since the median of Gamma(k) lies below k + 1, P is
     above one half at any threshold, so ceil(target_errors / P) <=
     2 target_errors and budgets of target_errors <= SCAN_MIN_TRIALS / 2 (the
     default among them) sit on the SCAN_MIN_TRIALS floor.

@@ -3,7 +3,9 @@ amqd's module attributes and runs amqd command lines and scan keywords.
 These tests read the perfbench sources (and change nothing there) and check
 that each of those names still exists and each workload's command line or
 keywords are still taken, so a deletion or rename in amqd cannot silently
-break the benchmark."""
+break the benchmark.  One pass of each workload is also run and judged by
+the benchmark's own checks, so an output the benchmark would count as
+incorrect fails here first."""
 
 import ast
 import importlib
@@ -168,3 +170,16 @@ def test_each_grid_point_is_one_rebindable_call(mc_calls):
     del mc_calls[:]
     diversity_slope_scan(1, 0.0, seed=1, num_points=3, target_errors=1, workers=2)
     assert [c.point for c in mc_calls] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_pass_is_correct(name):
+    # one pass at the workload's default seed, run and judged as
+    # perfbench/run.py runs and judges it: a verdict that fails here would
+    # count every pass of the workload as a failed operation
+    spans, workloads = _perfbench_module("spans"), _perfbench_module("workloads")
+    workload = WORKLOADS[name]
+    with spans.Tracer() as tracer:
+        result = workloads.Runner(tracer).run(workload, workload.pass_seed(0, 0))
+    verdicts = workloads.verdicts(workload, result)
+    assert verdicts and all(verdicts), verdicts

@@ -182,10 +182,19 @@ class TestAnalytic:
 
 
 # `simulate --seed 0 --snr-db-max 10 --snr-db-step 5` of the importance
-# sampler's scrambled Sobol replicates (2 <= l <= 8), by (l, trials): at
-# l = 3 replicate 0 is sliced over two batches, at l = 2 and 8 a batch packs
-# several whole replicates
+# sampler's scrambled Sobol replicates (l <= 8), by (l, trials): at l = 3
+# replicate 0 is sliced over two batches, at l = 1, 2 and 8 a batch packs
+# several whole replicates.  At l = 1 and snr 1 (t = 1) the proposal is
+# untilted, so the estimate is exact and its interval a point
 SOBOL_SIMULATE_SEED_0 = {
+    (1, 100000): (
+        'snr,p_hat,ci_low,ci_high,analytic',
+        '1,0.63212055882855767,0.63212055882855767,0.63212055882855767,0.63212055882855767',
+        ('3.1622776601683795,0.27110501788968822,0.27110186008031445,'
+         '0.27110817569906198,0.27110658588997538'),
+        ('10,0.095161404623848672,0.09515994768237819,'
+         '0.095162861565319154,0.095162581964040427'),
+    ),
     (3, 1048577): (
         'snr,p_hat,ci_low,ci_high,analytic',
         ('1,0.080301415735044096,0.080301379356666938,'

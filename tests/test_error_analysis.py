@@ -544,33 +544,29 @@ class TestImportanceSampling:
         g = error_analysis._weigh_generator(seed, batch)
         t = threshold / sigma2_f
         theta = t / l
-        # 2 <= l <= 8 weighs three Sobol replicates, the first one point
-        # longer: replicates 5 .. 7 of a point, whose scrambles are the first
-        # draws of the batch's stream (replicates 0 .. 4 draw from another)
+        k = max(l - 1, 1)
+        # l <= 8 weighs three Sobol replicates, the first one point longer:
+        # replicates 5 .. 7 of a point, whose scrambles are the first draws
+        # of the batch's stream (replicates 0 .. 4 draw from another)
         sizes = (1366, 1365, 1365)
-        scrambles = error_analysis._Scrambles(seed, l - 1, 32, ((batch + 1, 5), (batch, 3)))
-        replicates = (scrambles, 5, 0, sizes) if 2 <= l <= 8 else None
+        scrambles = error_analysis._Scrambles(seed, k, 32, ((batch + 1, 5), (batch, 3)))
+        replicates = (scrambles, 5, 0, sizes) if l <= 8 else None
         hits, sum_v, sum_v2, sums = error_analysis._weigh_batch(
             (seed, batch, m, l, sigma2_f, threshold, replicates))
-        if l == 1:
-            # the reference takes the same stream's Gamma(1) draw (one uniform
-            # block) and weighs every hit x = theta G < t by the density ratio
-            # theta exp(x (1/theta - 1))
-            gam = -np.log(g.random(m))
-            x = theta * gam[theta * gam < t]
-            w = theta**l * np.exp(x * (1.0 / theta - 1.0))
-            scale = (theta * math.exp(1.0 - theta)) ** l
-        elif l <= 8:
-            # the l - 1 uniforms of a Sobol point, scrambled by the first
-            # words of the same stream (laid out replicate-major), mapped
-            # into the hit region G < cut = l: u_i uniform on (a / P_(i-1),
-            # 1) with a = e^-cut and P_i = u_1 ... u_i, so P_(l-1) > a, each
-            # range's chance 1 - a / P_(i-1) multiplying the weight.  Every
-            # point then weighs that times the Gamma(l - 1) density ratio
-            # and the chance 1 - e^-(t - x) that the last Exp(1) gain falls
-            # below t - x, x = theta G
-            words = g.bit_generator.random_raw(3 * (l - 1) * 17).view("<u4")
-            v, low = error_analysis._scramble_tables(words.reshape(3, l - 1, 34), 32)
+        # the last gain's chance 1 - e^-(t - x) to close the gap, at l >= 2
+        # (its largest value, 1 - e^-t, in the scale)
+        h0 = -math.expm1(-t) if l >= 2 else 1.0
+        if l <= 8:
+            # the k uniforms of a Sobol point, scrambled by the first words
+            # of the same stream (laid out replicate-major), mapped into the
+            # hit region G < cut = l: u_i uniform on (a / P_(i-1), 1) with
+            # a = e^-cut and P_i = u_1 ... u_i, so P_k > a, each range's
+            # chance 1 - a / P_(i-1) multiplying the weight.  Every point
+            # then weighs that times the Gamma(k) density ratio, and at
+            # l >= 2 times the chance 1 - e^-(t - x) that the last Exp(1)
+            # gain falls below t - x, x = theta G
+            words = g.bit_generator.random_raw(3 * k * 17).view("<u4")
+            v, low = error_analysis._scramble_tables(words.reshape(3, k, 34), 32)
             points = error_analysis._sobol_points(v, low, 0, sizes[0],
                                                   error_analysis._Scratch())
             u = (np.array([p.copy() for p in points]) + 0.5) / 2.0**32
@@ -581,9 +577,10 @@ class TestImportanceSampling:
                 chance *= 1.0 - a / prod
                 prod *= a / prod + (1.0 - a / prod) * ui
             x = theta * -np.log(prod)
-            w = (chance * theta ** (l - 1) * np.exp(x * (1.0 / theta - 1.0))
-                 * -np.expm1(-(t - x)))
-            scale = theta ** (l - 1) * math.exp(l * (1.0 - theta)) * -math.expm1(-t) * (1.0 - a)
+            w = chance * theta**k * np.exp(x * (1.0 / theta - 1.0))
+            if l >= 2:
+                w *= -np.expm1(-(t - x))
+            scale = theta**k * math.exp(l * (1.0 - theta)) * h0 * (1.0 - a)
             # each replicate's sum
             owner = np.repeat(np.arange(3), sizes)
             expected = [w[owner == r].sum() for r in range(3)]
@@ -592,36 +589,28 @@ class TestImportanceSampling:
             # the Gamma(l - 1) draws of the same stream: every hit
             # x = theta G < t weighs the Gamma(l - 1) density ratio times the
             # chance 1 - e^-(t - x) that the last Exp(1) gain falls below t - x
-            gam = g.standard_gamma(l - 1, m)
+            gam = g.standard_gamma(k, m)
             x = theta * gam[theta * gam < t]
-            w = theta ** (l - 1) * np.exp(x * (1.0 / theta - 1.0)) * -np.expm1(-(t - x))
-            scale = theta ** (l - 1) * math.exp(l * (1.0 - theta)) * -math.expm1(-t)
+            w = theta**k * np.exp(x * (1.0 / theta - 1.0)) * -np.expm1(-(t - x))
+            scale = theta**k * math.exp(l * (1.0 - theta)) * h0
         # iid draws have no replicates
-        assert len(sums) == (3 if 2 <= l <= 8 else 0)
+        assert len(sums) == (3 if l <= 8 else 0)
         assert hits == x.size
         assert sum_v * scale == pytest.approx(w.sum(), rel=1e-12)
         assert sum_v2 * scale**2 == pytest.approx((w * w).sum(), rel=1e-12)
 
-    # the iid draws: the Sobol points of 2 <= l <= 8 are mapped into the hit
+    # the iid draws: the Sobol points of l <= 8 are mapped into the hit
     # region, so they have no miss to clamp
-    @pytest.mark.parametrize("l, threshold", [(1, 0.3), (1, 900.0), (10, 2.8), (9, 800.0)])
+    @pytest.mark.parametrize("l, threshold", [(10, 2.8), (9, 800.0)])
     def test_weigh_kernel_clamps_the_misses(self, monkeypatch, l, threshold):
-        # a uniform block holding an exact 0 (ln 0 = -inf; at threshold 900
-        # e^-cut underflows to 0 too, so the miss is clamped to the least
-        # positive float) and a Gamma block with draws far above the cut
-        # (whose unclamped weight overflows to inf): every sum must stay
-        # finite and match a reference over the hits alone
+        # a Gamma block with draws far above the cut (whose unclamped weight
+        # overflows to inf): every sum must stay finite and match a reference
+        # over the hits alone
         blocks = []
 
         class Generator:
             def __init__(self):
                 self._rng = np.random.default_rng(l)
-
-            def random(self, out):
-                out[:] = self._rng.random(out.size)
-                out[::97] = 0.0
-                blocks.append(out.copy())
-                return out
 
             def standard_gamma(self, shape, out):
                 out[:] = self._rng.standard_gamma(shape, out.size)
@@ -636,34 +625,29 @@ class TestImportanceSampling:
             (0, 0, m, l, sigma2_f, threshold, None))
         t = threshold / sigma2_f
         cut = max(t, l)
-        # l gains drawn at l = 1; the first l - 1 beyond, the last integrated out
-        if l == 1:
-            hit = blocks[0] > math.exp(-cut)
-            gam = -np.log(blocks[0][hit])
-        else:
-            hit = blocks[0] < cut
-            gam = blocks[0][hit]
+        # the first l - 1 gains drawn, the last integrated out
+        hit = blocks[0] < cut
+        gam = blocks[0][hit]
         theta = min(t / l, 1.0)
         v = np.exp((gam - cut) * (1.0 - theta))  # w / scale over the hits
-        if l >= 2:
-            v *= np.expm1(-(t - theta * gam)) / math.expm1(-t)
+        v *= np.expm1(-(t - theta * gam)) / math.expm1(-t)
         assert hits == hit.sum() and 0 < hits < m
         assert math.isfinite(sum_v) and math.isfinite(sum_v2)
         assert sum_v == pytest.approx(v.sum(), rel=1e-12)
         assert sum_v2 == pytest.approx((v * v).sum(), rel=1e-12)
 
-    def test_untilted_proposal_counts_hits_with_a_wilson_interval(self):
-        # t >= l leaves the proposal untilted (theta = 1).  At l = 1 every hit
-        # weighs 1, so the hits get a Wilson interval; at l >= 2 every Sobol
-        # point is mapped into the hit region G < cut = t and weighs the
-        # chance 1 - e^-(t - G) that the last gain closes the gap, and the
-        # estimate is the replicate one, scaled by (1 - e^-t)^2: the largest
-        # such chance, times the one factor 1 - e^-t that every point's
-        # weight holds in common
+    def test_untilted_proposal_weighs_only_the_last_gains_chance(self):
+        # t >= l leaves the proposal untilted (theta = 1), and every Sobol
+        # point is mapped into the hit region G < cut = t.  At l = 1 that
+        # region is the event itself, so every weight is 1 and the estimate
+        # is its chance 1 - e^-t, with no spread; at l >= 2 a point weighs
+        # the chance 1 - e^-(t - G) that the last gain closes the gap, and
+        # the estimate is the replicate one, scaled by (1 - e^-t)^2: the
+        # largest such chance, times the one factor 1 - e^-t that every
+        # point's weight holds in common
         est = monte_carlo_p_err(_is_config(1, 1.5, seed=4, trials=1000), RAYLEIGH_1)
-        assert est.estimator == "is"
-        assert est.p_hat == est.errors_observed / 1000
-        assert (est.ci_low, est.ci_high) == wilson_interval(est.errors_observed, 1000)
+        assert est.estimator == "is" and est.errors_observed == 1000
+        assert est.p_hat == est.ci_low == est.ci_high == -math.expm1(-1.5)
         for l in (2, 6):
             t = 1.5 * l
             config = _is_config(l, t, seed=4, trials=1000)
@@ -675,6 +659,23 @@ class TestImportanceSampling:
                                                         scale=math.expm1(-t) ** 2)
             assert hits == est.errors_observed == 1000 and est.p_hat < 1.0
             assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t))
+
+    @pytest.mark.parametrize("trials", [1, *range(2, 17), 17, 1000])
+    def test_untilted_estimate_of_one_gain_is_exact(self, trials):
+        # at l = 1 and t >= 1 every weight is 1, so p_hat is the scale,
+        # 1 - e^-t, to the bit, out past t = 37.4, where it rounds to 1.
+        # From 17 trials on the replicate means agree, so the interval is
+        # the point itself; below, each replicate is one point and the
+        # bounded-mean interval still holds p
+        for t in [*np.geomspace(1.0, 40.0, 30), 37.0, 37.5, 38.0]:
+            t = float(t)
+            p = -math.expm1(-t)
+            est = monte_carlo_p_err(_is_config(1, t, seed=5, trials=trials), RAYLEIGH_1)
+            assert est.p_hat == p == gamma_p(1, t), t
+            assert est.covers(p) and est.errors_observed == trials
+            if trials >= 17:
+                assert est.ci_low == est.ci_high == p
+        assert -math.expm1(-38.0) == 1.0
 
     def test_one_trial_interval_holds_the_true_probability(self):
         for l, threshold in ((2, 1.0), (2, 0.5), (5, 0.1)):
@@ -775,7 +776,7 @@ class TestImportanceSampling:
                                       (1e-300, 10**15), (0.0, 3)])
     def test_proposal_matches_its_closed_form(self, t, l):
         # scale = theta^k e^(cut (1 - theta)) h0 with h0 = 1 - e^-t at l >= 2
-        # and 1 at l = 1, times 1 - e^-cut at 2 <= l <= 8, multiplied out in
+        # and 1 at l = 1, times 1 - e^-cut at l <= 8, multiplied out in
         # 350-digit decimals from the unrounded theta = t / l (a subnormal
         # float at l = 1e15), so neither a float ln theta nor the log-space
         # sum enters the reference
@@ -789,7 +790,7 @@ class TestImportanceSampling:
             th = min(Decimal(t) / l, Decimal(1))
             h0 = 1 - (-Decimal(t)).exp() if l >= 2 else Decimal(1)
             # the Sobol draws' weights share the hit region's 1 - e^-cut
-            region = 1 - (-Decimal(cut)).exp() if 2 <= l <= 8 else Decimal(1)
+            region = 1 - (-Decimal(cut)).exp() if l <= 8 else Decimal(1)
             ref = float((th**k * (Decimal(cut) * (1 - th)).exp() * h0 * region).ln())
         assert math.isclose(log_scale, ref, rel_tol=1e-14)
 
@@ -1068,7 +1069,7 @@ class TestSobolReplicates:
             assert est.ci_low == pytest.approx(max(p - half, 0.0), rel=1e-5)
         assert est.covers(analytic_event_probability(RAYLEIGH_1, "threshold", l, threshold=t))
 
-    @pytest.mark.parametrize("l", [2, 3, 5, 8])
+    @pytest.mark.parametrize("l", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("trials", [1, 16, 17, 10**5])
     def test_every_sobol_point_is_a_hit_weighing_at_most_one(self, monkeypatch, l, trials):
         # each Sobol point is mapped into the hit region, so every trial is a
@@ -1708,7 +1709,8 @@ class TestLookAhead:
                 while holding() < window and time.monotonic() < deadline:
                     time.sleep(0.001)
                 held.append(holding())
-            return 1, 0.5, 0.25, ()
+            # one sum per replicate of the batch
+            return 1, 0.5, 0.25, (0.5,) * len(args[6][3])
 
         monkeypatch.setattr(error_analysis, "_weigh_batch", stub)
         rows = run_monte_carlo(_grid(400, trials, 2)).rows
