@@ -41,8 +41,9 @@ monte_carlo_p_err has two estimators of that probability
          At l >= 9 the draws are iid standard_gamma (randomized QMC gains
          little there), and p_hat = sum(w) / trials with the weighted-CLT
          interval p_hat +- 1.96 sd(w) / sqrt(trials).  Every draw is
-         weighed, with no gathering of the hits: a miss is first clamped to
-         the cut, so its weight is finite, and the hit mask then zeroes it.
+         weighed, with no gathering of the hits: a miss is clamped to the
+         cut, so its weight is finite, and it leaves no gap for the last
+         gain to close, so it weighs 0.
          At l <= 8 the k uniforms are the coordinates of scrambled
          Sobol points (Owen 1997; L'Ecuyer 2018): R = min(16, trials)
          independent replicates, replicate r the first trials // R points of
@@ -115,18 +116,18 @@ any worker count.  Sobol replicates are laid out replicate-major instead
 (_replicate_layout): a batch holds as many whole replicates as fit in 65536
 points, or a slice of one replicate longer than that.  The scrambles of a
 batch's replicates come from its stream (a slice's from its replicate's
-first slice's), but are drawn once per point: whichever of the point's
-batches runs first builds the tables of all its replicates (_Scrambles),
-and every batch of the point shares them.
+first slice's), but are drawn once per point: _plan builds the tables of
+all its replicates (_draw_scrambles), and every batch of the point carries
+them.
 
 Batches run on threads when more than one worker is asked for: the draws,
 ufuncs and reductions of a batch release the GIL, so threads share the cores
 without forking or pickling.  numpy calls on small arrays, and the Python
 between them, hold it: two threads run those one at a time, so a batch keeps
 few of them, and the per-point work (the Sobol scramble tables) is done once
-per point, not per batch.  A run opens one pool (worker_pool) over the
-points it will estimate, and the pool's threads take the batches of every
-point from one stream, in the order the run collects them.  Each point is
+per point, in its plan, not per batch.  A run opens one pool (worker_pool)
+over the points it will estimate, and the pool's threads take the batches of
+every point from one stream, in the order the run collects them.  Each point is
 planned (_plan) once, by the first of the stream and monte_carlo_p_err to
 reach it, and the other reads the same plan.  The calling thread is one of
 the workers: while it waits for a result it runs the next batch of the
@@ -152,7 +153,7 @@ import contextlib
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -915,6 +916,9 @@ _BELOW = _DIGIT - np.uint32(1)
 # all ones where digit c of direction number j of dimension d + 1 is 1:
 # _V_DIGITS[d, j, c]
 _V_DIGITS = -(_SOBOL_V[..., None] >> (31 - _SHIFT) & np.uint32(1))
+# _GRAY_STEPS[b - 1], b = 1 .. 255: the lowest set bit of b, the bit that
+# the Gray code flips from b - 1 to b
+_GRAY_STEPS = np.array([(b & -b).bit_length() - 1 for b in range(1, 256)])
 
 
 def _scramble_tables(words: np.ndarray, bits: int) -> tuple:
@@ -927,45 +931,29 @@ def _scramble_tables(words: np.ndarray, bits: int) -> tuple:
     unscrambled.  L is linear, so it scrambles the direction numbers once:
     v (rows, k, bits) holds the L v_j for j < bits, which is all that the
     points below 2^bits use, 8 <= bits <= 32.  low (rows, k, 256) holds
-    points 0 .. 255, e in them, grown by Gray reflection, g(2^j + i) =
-    2^j + g(2^j - 1 - i)."""
+    points 0 .. 255, e in them: g(b) is g(b - 1) with the lowest set bit of
+    b flipped, so point b is point b - 1 xor the L v_j of that bit."""
     # L's columns hold 1 on the diagonal; L v_j xors those that v_j's digits
     # pick, all among its first j + 1
     columns = (words[..., None, :bits] & _BELOW[:bits]) | _DIGIT[:bits]
     v = np.bitwise_xor.reduce(columns & _V_DIGITS[:words.shape[1], :bits, :bits], axis=-1)
     low = np.empty(words.shape[:2] + (256,), np.uint32)
     low[..., 0] = words[..., 32]
-    for j in range(8):
-        np.bitwise_xor(low[..., (1 << j) - 1::-1], v[..., j, None], out=low[..., 1 << j:2 << j])
+    np.bitwise_xor.accumulate(v[..., _GRAY_STEPS], axis=-1, out=low[..., 1:])
+    low[..., 1:] ^= low[..., :1]
     return v, low
 
 
-@dataclass(slots=True)
-class _Scrambles:
+def _draw_scrambles(seed: int, k: int, bits: int, streams) -> tuple:
     """The scramble tables (_scramble_tables) of one point's Sobol
-    replicates, for point indices below 2^bits, built once, by the first
-    batch that asks for them.  Their words are drawn from `streams`,
-    ((stream key, replicates), ...) in replicate order: replicates * k * 17
-    raw words of each key's _weigh_generator stream.  _plan makes one per
-    point, once per run, and every batch of the point holds it."""
-
-    seed: int
-    k: int
-    bits: int
-    streams: tuple
-    _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
-    _tables: tuple | None = field(default=None, compare=False, repr=False)
-
-    def tables(self) -> tuple:
-        """(v, low) of every replicate of the point."""
-        with self._lock:
-            if self._tables is None:
-                raw = np.concatenate([
-                    _weigh_generator(self.seed, key).bit_generator.random_raw(n * self.k * 17)
-                    for key, n in self.streams])
-                words = raw.astype("<u8", copy=False).view("<u4").reshape(-1, self.k, 34)
-                self._tables = _scramble_tables(words, self.bits)
-            return self._tables
+    replicates, for point indices below 2^bits.  Their words are drawn from
+    `streams`, ((stream key, replicates), ...) in replicate order:
+    replicates * k * 17 raw words of each key's _weigh_generator stream.
+    _plan draws them once per point, and every batch of the point carries
+    them."""
+    raw = np.concatenate([_weigh_generator(seed, key).bit_generator.random_raw(n * k * 17)
+                          for key, n in streams])
+    return _scramble_tables(raw.astype("<u8", copy=False).view("<u4").reshape(-1, k, 34), bits)
 
 
 def _sobol_points(v: np.ndarray, low: np.ndarray, start: int, stop: int, scratch: _Scratch):
@@ -994,8 +982,8 @@ def _weigh_generator(seed: int, batch_index) -> np.random.Generator:
     """The importance-sampled kernel's stream: PCG64DXSM over the key that
     RngStream(seed, batch_index) makes, so streams stay independent across
     batches, points and seeds.  At l <= 8 it draws only the Sobol
-    scrambles, once per point (_Scrambles), and beyond, the standard_gamma
-    draws.  Crude batches keep Philox, the independent check
+    scrambles, once per point (_draw_scrambles), and beyond, the
+    standard_gamma draws.  Crude batches keep Philox, the independent check
     (_count_batch)."""
     return np.random.Generator(np.random.PCG64DXSM(RngStream(seed, batch_index).seed_sequence()))
 
@@ -1016,14 +1004,14 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     chance that the last Exp(1) gain closes the gap.
 
     replicates is None for the iid standard_gamma draws of l > _SOBOL_MAX_L,
-    drawn from the stream (seed, batch_index) names, or (scrambles, r0, start,
+    drawn from the stream (seed, batch_index) names, or ((v, low), r0, start,
     sizes) for the points start .. start + sizes[i] - 1 of replicate r0 + i,
-    i < len(sizes), of the point whose scramble tables scrambles
-    (_Scrambles) holds; (seed, batch_index) then names the stream the
-    scrambles of replicate r0 were drawn from (_replicate_layout).  A Sobol
-    point is mapped into the hit region rather than tested against it, so
-    every one of them is a hit, and its weight also holds the chance of the
-    region it was mapped into."""
+    i < len(sizes), of the point whose scramble tables are v and low, drawn
+    in its plan (_draw_scrambles); (seed, batch_index) then names the
+    stream the scrambles of replicate r0 were drawn from
+    (_replicate_layout).  A Sobol point is mapped into the hit region rather
+    than tested against it, so every one of them is a hit, and its weight
+    also holds the chance of the region it was mapped into."""
     seed, batch_index, m, l, sigma2_f, threshold, replicates = args
     scratch = scratch or _Scratch()
     t = threshold / sigma2_f
@@ -1036,8 +1024,7 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
         x = _weigh_generator(seed, batch_index).standard_gamma(
             k, out=scratch.array("gamma", (m,)))
         np.less(x, cut, out=hit)
-        # a miss is clamped to the cut, so it weighs 1 below, and the hit
-        # mask zeroes it
+        # a miss is clamped to the cut, so it leaves no gap, and h weighs it 0
         np.minimum(x, cut, out=x)
         np.negative(x, out=x)
         x += cut
@@ -1052,9 +1039,8 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
         # Q_i 2^(32 i), and with c_i = a 2^(32 i) / (1 - a), Q_i / P_i =
         # x / (x + c_i) / (1 - a): the scale holds one 1 - a, and den the
         # rest of W, as the factors 1 + c_i / x it divides by
-        scrambles, r0, start, sizes = replicates
+        (v, low), r0, start, sizes = replicates
         shape = (len(sizes), max(sizes))
-        v, low = scrambles.tables()
         rows = slice(r0, r0 + shape[0])
         a = math.exp(-cut)
         x = scratch.array("gamma", shape)
@@ -1098,7 +1084,6 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     if l >= 2:
         x *= h
     if replicates is None:
-        np.multiply(x, hit, out=x)
         sum_v = float(x.sum())
         np.multiply(x, x, out=x)
         return int(np.count_nonzero(hit)), sum_v, float(x.sum()), ()
@@ -1120,7 +1105,7 @@ def _replicate_layout(trials: int) -> list:
     longer than that, a slice of one, the slices of equal length.  A
     batch's replicates are scrambled from its own stream, and a slice's
     from the stream of its replicate's first slice, so every slice of a
-    replicate has its scramble (_Scrambles draws them, once per point)."""
+    replicate has its scramble (_plan draws them, once per point)."""
     count = min(_REPLICATES, trials)
     size, extra = divmod(trials, count)
     sizes = [size + (r < extra) for r in range(count)]
@@ -1214,7 +1199,8 @@ def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
     without drawing, with the point interval [k/n, k/n]; otherwise
     (None, kernel, batch args) of the batches that estimate it.  A run's
     pool plans each point here once (worker_pool), and monte_carlo_p_err
-    takes the plan from it."""
+    takes the plan from it.  A point of Sobol replicates draws its scramble
+    tables here (_draw_scrambles), so once, and every batch carries them."""
     threshold, t = _geometry(config, model)
     l, trials = int(config.l), int(config.trials)
     if not 0.0 < t < math.inf:
@@ -1234,10 +1220,10 @@ def _plan(config: MonteCarloConfig, model: TransmittanceModel) -> tuple:
         streams = tuple((key(b), len(sizes)) for b, (_, start, sizes) in layout if start == 0)
         # a replicate holds at most ceil(trials / R) points
         longest = -(-trials // min(_REPLICATES, trials))
-        scrambles = _Scrambles(seed, max(l - 1, 1), max(8, (longest - 1).bit_length()),
-                               streams)
+        tables = _draw_scrambles(seed, max(l - 1, 1), max(8, (longest - 1).bit_length()),
+                                 streams)
         return None, _weigh_batch, [
-            (seed, key(b), sum(reps[2]), l, sigma2_f, threshold, (scrambles,) + reps)
+            (seed, key(b), sum(reps[2]), l, sigma2_f, threshold, (tables,) + reps)
             for b, reps in layout]
     batches = []
     for b in range(-(-trials // _BATCH)):

@@ -5,9 +5,9 @@ sample depends only on those two keys and not on execution order or worker
 count.  The draws made here, and the crude Monte Carlo kernel's, come from a
 counter-based Philox generator over that key; the importance sampler draws
 from PCG64DXSM over the same key (error_analysis._weigh_generator): at
-l <= 8 each point its Sobol scrambles, once, from the streams of the batches
-that start its replicates (error_analysis._Scrambles), and beyond, its iid
-batches their gains.
+l <= 8 each point its Sobol scrambles, once, in its plan, from the streams
+of the batches that start its replicates (error_analysis._draw_scrambles),
+and beyond, its iid batches their gains.
 """
 
 from __future__ import annotations

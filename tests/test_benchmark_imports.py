@@ -8,6 +8,7 @@ the benchmark's own checks, so an output the benchmark would count as
 incorrect fails here first."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import math
@@ -172,6 +173,17 @@ def test_each_grid_point_is_one_rebindable_call(mc_calls):
     assert [c.point for c in mc_calls] == [0, 1, 2]
 
 
+# sha256 prefix of each workload's first-pass output (the CSV, validate's
+# report, or the scan's slope, thresholds and counts): a change meant to keep
+# every output's bytes must keep these
+FIRST_PASS_SHA256 = {
+    "mc_sweep": "748e0cd766052594",
+    "grid_fanout": "121678a8feb6f272",
+    "rare_slope": "c15f922e99eeb8db",
+    "validate": "48d32054b58fbf34",
+}
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_pass_is_correct(name):
     # one pass at the workload's default seed, run and judged as
@@ -183,3 +195,4 @@ def test_workload_pass_is_correct(name):
         result = workloads.Runner(tracer).run(workload, workload.pass_seed(0, 0))
     verdicts = workloads.verdicts(workload, result)
     assert verdicts and all(verdicts), verdicts
+    assert hashlib.sha256(result.output.encode()).hexdigest()[:16] == FIRST_PASS_SHA256[name]

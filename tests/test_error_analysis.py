@@ -549,8 +549,8 @@ class TestImportanceSampling:
         # replicates 5 .. 7 of a point, whose scrambles are the first draws
         # of the batch's stream (replicates 0 .. 4 draw from another)
         sizes = (1366, 1365, 1365)
-        scrambles = error_analysis._Scrambles(seed, k, 32, ((batch + 1, 5), (batch, 3)))
-        replicates = (scrambles, 5, 0, sizes) if l <= 8 else None
+        replicates = ((error_analysis._draw_scrambles(seed, k, 32, ((batch + 1, 5), (batch, 3))),
+                       5, 0, sizes) if l <= 8 else None)
         hits, sum_v, sum_v2, sums = error_analysis._weigh_batch(
             (seed, batch, m, l, sigma2_f, threshold, replicates))
         # the last gain's chance 1 - e^-(t - x) to close the gap, at l >= 2
@@ -853,9 +853,10 @@ def _scrambled_reference(words, n):
     return out
 
 
-def _sobol(words, start, stop):
-    """_sobol_points of these scrambles, (rows, k, stop - start)."""
-    v, low = error_analysis._scramble_tables(words, 32)
+def _sobol(words, start, stop, bits=32):
+    """_sobol_points of these scrambles, (rows, k, stop - start), from tables
+    of the points below 2^bits."""
+    v, low = error_analysis._scramble_tables(words, bits)
     points = error_analysis._sobol_points(v, low, start, stop, error_analysis._Scratch())
     return np.stack([p.copy() for p in points], axis=1)
 
@@ -906,10 +907,13 @@ class TestSobolReplicates:
         # any window: a start within a 256-point block and an odd block
         assert np.array_equal(_sobol(zeros, 300, 1000)[0], reference[:, 300:1000])
 
+    # bits 13 and 17: the truncated tables of grid_fanout's 131072-trial and
+    # mc_sweep's 2e6-trial points
+    @pytest.mark.parametrize("bits", [13, 17, 32])
     @pytest.mark.parametrize("start, stop", [(0, 1024), (700, 1500), (255, 257)])
-    def test_scrambled_points_match_a_digit_by_digit_reference(self, start, stop):
+    def test_scrambled_points_match_a_digit_by_digit_reference(self, start, stop, bits):
         words = np.random.default_rng(start).integers(0, 2**32, (3, 7, 34), dtype=np.uint32)
-        got = _sobol(words, start, stop)
+        got = _sobol(words, start, stop, bits)
         for r in range(3):
             assert np.array_equal(got[r], _scrambled_reference(words[r], stop)[:, start:])
 
@@ -952,7 +956,7 @@ class TestSobolReplicates:
         config = _is_config(3, 0.3, trials=trials)
         batches = error_analysis._plan(config, RAYLEIGH_1)[2]
         longest = -(-trials // min(16, trials))
-        bits = batches[0][6][0].bits
+        bits = batches[0][6][0][0].shape[-1]
         assert bits == max(8, (longest - 1).bit_length())
         assert all(start + max(sizes) <= 2**bits for *_, (_, _, start, sizes) in batches)
 
@@ -962,33 +966,66 @@ class TestSobolReplicates:
         assert repr(scan.slope) == '1.954048737097021'
 
     def test_scramble_state_is_built_once_per_point(self, monkeypatch, capsys):
-        # the scramble tables of a point are built once, by one of its
-        # batches, from one draw of each of its scramble streams, however
-        # many batches share them and on however many threads
-        built, streams = [], []
+        # the scramble tables of a point are built once, in its plan and
+        # before any of its batches runs, from one draw of each of its
+        # scramble streams, and every batch of the point carries those same
+        # tables, however many batches share them and on however many threads
+        built, streams, events, carried = [], [], [], {}
+        planning = {}  # thread id -> the point that thread is planning
         tables, generator = error_analysis._scramble_tables, error_analysis._weigh_generator
+        plan, kernel = error_analysis._plan, error_analysis._weigh_batch
 
         def counted_tables(words, bits):
             built.append(words.shape)
+            events.append(("built", planning.get(threading.get_ident())))
             return tables(words, bits)
 
         def counted_generator(seed, key):
             streams.append(key)
             return generator(seed, key)
 
+        def traced_plan(config, model):
+            planning[threading.get_ident()] = config.point
+            try:
+                return plan(config, model)
+            finally:
+                del planning[threading.get_ident()]
+
+        def traced_kernel(args, scratch=None):
+            point = args[1][1]
+            events.append(("batch", point))
+            carried.setdefault(point, []).append(args[6][0])
+            return kernel(args, scratch)
+
+        def check(points, batches):
+            # one build per point, in its plan, before the point's first batch
+            assert [e for e in events if e[0] == "built"] == [("built", i) for i in range(points)]
+            for i in range(points):
+                assert events.index(("built", i)) < events.index(("batch", i))
+            # every batch of a point holds that build's v and low
+            assert sorted(carried) == list(range(points))
+            for held in carried.values():
+                assert len(held) == batches
+                assert all(v is held[0][0] and low is held[0][1] for v, low in held)
+
         monkeypatch.setattr(error_analysis, "_scramble_tables", counted_tables)
         monkeypatch.setattr(error_analysis, "_weigh_generator", counted_generator)
+        monkeypatch.setattr(error_analysis, "_plan", traced_plan)
+        monkeypatch.setattr(error_analysis, "_weigh_batch", traced_kernel)
         # 3 points x 17 batches: replicate 0 takes batches 0 and 1, both
         # scrambled from stream 0, and replicate r >= 1 batch r + 1
         assert main(["simulate", "--l", "3", "--trials", "1048577", "--seed", "0",
                      "--snr-db-max", "10", "--snr-db-step", "5", "--workers", "2"]) == 0
         assert built == [(16, 2, 34)] * 3
         assert sorted(streams) == [(b, i) for b in (0, *range(2, 17)) for i in range(3)]
+        check(3, 17)
         # 5 points x 2 batches of 10 and 6 whole replicates
-        del built[:], streams[:]
+        del built[:], streams[:], events[:]
+        carried.clear()
         diversity_slope_scan(2, 0.0, 7002, workers=2)
         assert built == [(16, 1, 34)] * 5
         assert sorted(streams) == [(b, i) for b in (0, 1) for i in range(5)]
+        check(5, 2)
 
     def test_t_quantiles(self):
         assert error_analysis._T975 == pytest.approx(stats.t.ppf(0.975, range(1, 16)), rel=5e-6)
@@ -1327,15 +1364,19 @@ class TestStreamKeys:
 
         monkeypatch.setattr(np.random, "Generator", recorded)
         args = (3, (1, 2), 1000, 2, 1.0, 0.5)
-        # at l = 2 the importance sampler draws its Sobol scrambles
-        for kernel, bit_generator, extra in (
-                (_count_batch, np.random.Philox, ()),
-                (error_analysis._weigh_batch, np.random.PCG64DXSM,
-                 ((error_analysis._Scrambles(3, 1, 32, (((1, 2), 1),)), 0, 0, (1000,)),))):
+        # at l = 2 the importance sampler draws its Sobol scrambles when it
+        # builds their tables, and its kernel then draws nothing
+        for draw, bit_generator in (
+                (lambda: _count_batch(args), np.random.Philox),
+                (lambda: error_analysis._draw_scrambles(3, 1, 32, (((1, 2), 1),)),
+                 np.random.PCG64DXSM)):
             del stream_keys[:], made[:]
-            kernel(args + extra)
+            tables = draw()
             assert stream_keys == [(3, (1, 2))]
             assert made == [bit_generator]
+        del stream_keys[:], made[:]
+        error_analysis._weigh_batch(args + ((tables, 0, 0, (1000,)),))
+        assert stream_keys == made == []
         ss = np.random.SeedSequence(3, spawn_key=(1, 2))
         assert np.array_equal(error_analysis._weigh_generator(3, (1, 2)).random(4),
                               generator(np.random.PCG64DXSM(ss)).random(4))
@@ -1563,13 +1604,14 @@ class TestWorkerPool:
         scratch = error_analysis._Scratch()
         for m, l in ((1234, 3), (_BATCH, 3), (5000, 10), (_BATCH, 1), (_BATCH, 2), (3000, 4),
                      (_BATCH, 5), (34375, 3)):
-            # 2 <= l <= 8 weighs the Sobol replicates of an m-trial point,
-            # or (the last case) the second slice of a 68751-point replicate
-            layout = error_analysis._replicate_layout(16 * 68751 if m == 34375 else m)
-            replicates = ((error_analysis._Scrambles(4, l - 1, 32, ((7, 16),)),)
-                          + layout[1 if m == 34375 else 0][1])
-            for kernel, extra in ((_count_batch, ()), (error_analysis._weigh_batch,
-                                                       (replicates if 2 <= l <= 8 else None,))):
+            # l <= 8 weighs the Sobol replicates of an m-trial point, or (the
+            # last case) the second slice of a 68751-point replicate
+            replicates = None
+            if l <= 8:
+                layout = error_analysis._replicate_layout(16 * 68751 if m == 34375 else m)
+                replicates = ((error_analysis._draw_scrambles(4, max(l - 1, 1), 32, ((7, 16),)),)
+                              + layout[1 if m == 34375 else 0][1])
+            for kernel, extra in ((_count_batch, ()), (error_analysis._weigh_batch, (replicates,))):
                 args = (4, 7, m, l, 0.9, 0.5 * l) + extra
                 assert kernel(args, scratch) == kernel(args)
 
