@@ -56,11 +56,20 @@ monte_carlo_p_err has two estimators of that probability
          closed form, so G < cut, and the weight gains the chance of those
          ranges.  So no point is a miss, and the weight is a smooth function
          of the k uniforms, without the kink a hit test puts at the cut,
-         which suits randomized QMC (Griebel, Kuo & Sloan 2013).
+         which suits randomized QMC (Griebel, Kuo & Sloan 2013).  That
+         weight is in closed form, with no clamp: with y_i the product of
+         the first i integer coordinates (plus 1/2 each) and c_i =
+         e^-cut 2^(32 i) / (1 - e^-cut), it is the regions' chances
+         y_i / (y_i + c_i), i < k, times one factor of q = y_k / c_k,
+         ln(1 + q) being cut - G: exp((theta - 1) ln(1 + q)) at l = 1, and
+         expm1(theta ln(1 + q)) / ((1 + q) h0) at l >= 2 (the last region's
+         chance y_k / (y_k + c_k) over h0 where theta = 1), h0 = 1 - e^-t.
          p_hat = sum(w) / trials, and the interval is
          p_hat +- t_(R-1) sd(replicate means) / sqrt(R), a Student-t
-         interval (ErrorEstimate.from_replicates).  The relative half-width
-         at 1e5 trials, l = 2, is about 3e-5, against 2.8e-3 from iid draws.
+         interval (ErrorEstimate.from_replicates), which reads the sum of
+         the weights and the replicate sums only, so a Sobol batch returns
+         no sum of squared weights.  The relative half-width at 1e5
+         trials, l = 2, is about 3e-5, against 2.8e-3 from iid draws.
          At trials <= 16 each replicate is one point, so the weights are iid
          and skewed, and the t interval on so few of them missed about 7%
          of the time; there the interval is Hoeffding's relative-entropy
@@ -993,9 +1002,10 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     batch, each draw's weight being scale * v, with v in [0, 1] (0 off the
     event); the proposal (k, theta, cut) and the scale, which
     monte_carlo_p_err applies, are both _proposal's.  The per-replicate sums
-    are () for iid draws.  Pure function of its arguments (scratch only
-    lends it arrays to draw into).  Needs 0 < threshold / sigma2_f < inf, as
-    _plan ensures.
+    are () for iid draws, and sum v^2 is None for Sobol replicates, whose
+    interval (ErrorEstimate.from_replicates) does not read it.  Pure
+    function of its arguments (scratch only lends it arrays to draw into).
+    Needs 0 < threshold / sigma2_f < inf, as _plan ensures.
 
     At l = 1 the draw is G ~ Gamma(1, 1), a hit is G < cut and it weighs
     the density ratio.  At l >= 2 the last gain is integrated out: G ~
@@ -1010,15 +1020,19 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
     in its plan (_draw_scrambles); (seed, batch_index) then names the
     stream the scrambles of replicate r0 were drawn from
     (_replicate_layout).  A Sobol point is mapped into the hit region rather
-    than tested against it, so every one of them is a hit, and its weight
-    also holds the chance of the region it was mapped into."""
+    than tested against it, so every one of them is a hit, and its weight,
+    which the kernel leaves in scratch's "gamma" array, is in closed form:
+    the chances y_i / (y_i + c_i) of the regions its first k - 1
+    coordinates were mapped into, times one factor of q = y_k / c_k (below),
+    ln(1 + q) being cut - G:
+      l = 1             exp((theta - 1) ln(1 + q)), the density ratio
+      l >= 2, theta < 1 expm1(theta ln(1 + q)) / ((1 + q) h0)
+      l >= 2, theta = 1 y_k / (y_k + c_k) / h0, the last region's chance
+    with no clamp, and no sum v^2 to take."""
     seed, batch_index, m, l, sigma2_f, threshold, replicates = args
     scratch = scratch or _Scratch()
     t = threshold / sigma2_f
     k, theta, cut, _ = _proposal(t, l)
-    # h's divisor: expm1(-t), the scale's -h0, times the Sobol weight's
-    # factors 1 + c_i / x (below)
-    den = math.expm1(-t)
     if replicates is None:
         hit = scratch.array("hit", (m,), bool)
         x = _weigh_generator(seed, batch_index).standard_gamma(
@@ -1028,72 +1042,96 @@ def _weigh_batch(args, scratch: _Scratch | None = None) -> tuple:
         np.minimum(x, cut, out=x)
         np.negative(x, out=x)
         x += cut
-    else:
-        # the k uniforms of a trial are the coordinates u_i = (n_i + 1/2)
-        # 2^-32 of a scrambled Sobol point, for its integer coordinates n_i,
-        # mapped into the hit region G < cut (Owen 2013, ch. 9): with
-        # a = e^-cut and Q_i = u_1 ... u_i, P_i = a + (1 - a) Q_i > a and
-        # G = -ln P_k < cut.  That is u_i drawn uniform on (a / P_(i-1), 1),
-        # a range of chance 1 - a / P_(i-1) = (1 - a) Q_(i-1) / P_(i-1), so
-        # the draw weighs W = (1 - a)^k prod_(i<k) Q_i / P_i <= 1.  x holds
-        # Q_i 2^(32 i), and with c_i = a 2^(32 i) / (1 - a), Q_i / P_i =
-        # x / (x + c_i) / (1 - a): the scale holds one 1 - a, and den the
-        # rest of W, as the factors 1 + c_i / x it divides by
-        (v, low), r0, start, sizes = replicates
-        shape = (len(sizes), max(sizes))
-        rows = slice(r0, r0 + shape[0])
-        a = math.exp(-cut)
-        x = scratch.array("gamma", shape)
-        for d, points in enumerate(_sobol_points(v[rows], low[rows], start, start + shape[1],
-                                                 scratch)):
-            c = a * 2.0 ** (32 * (d + 1)) / -math.expm1(-cut)
-            last = d == k - 1
-            if d == 0:
-                np.add(points, 0.5 + (c if last else 0.0), out=x)
-            else:
-                x *= np.add(points, 0.5, out=scratch.array("uniform", shape))
-                if last:
-                    x += c
-            if d == 0 and not last:
-                den = np.divide(c * den, x, out=scratch.array("ratio", shape))
-                den += math.expm1(-t)
-            elif not last:
-                factor = np.divide(c, x, out=scratch.array("uniform", shape))
-                factor += 1.0
-                den *= factor
-        # x is P_k 2^(32 k) / (1 - a)
-        np.log(x, out=x)
-        x += cut + math.log(-math.expm1(-cut)) - 32 * k * math.log(2.0)
-    # x is cut - G for every draw.  The Gamma(k, 1) over Gamma(k, theta)
-    # density ratio at theta G is theta^k exp(theta G (1/theta - 1)), which
-    # is the scale's theta^k e^(cut (1 - theta)) times
-    # exp((G - cut)(1 - theta)) = exp((cut - G)(theta - 1)) <= 1, so neither
-    # v nor v^2 underflows at tiny p
-    if l >= 2:
-        # a draw within rounding of the cut closes no gap
-        np.maximum(x, 0.0, out=x)
-        # the gap t - theta G = t (cut - G) / cut, with no subnormal theta;
-        # h = -expm1(-gap), over the scale's h0 = -expm1(-t) >= h
-        h = scratch.array("uniform", x.shape)
-        np.multiply(x, -1.0 / cut, out=h)
-        h *= t
-        np.expm1(h, out=h)
-        np.divide(h, den, out=h)
-    x *= theta - 1.0
-    np.exp(x, out=x)
-    if l >= 2:
-        x *= h
-    if replicates is None:
+        # x is cut - G for every draw.  The Gamma(k, 1) over Gamma(k, theta)
+        # density ratio at theta G is theta^k exp(theta G (1/theta - 1)),
+        # which is the scale's theta^k e^(cut (1 - theta)) times
+        # exp((G - cut)(1 - theta)) = exp((cut - G)(theta - 1)) <= 1, so
+        # neither v nor v^2 underflows at tiny p
+        if l >= 2:
+            # the gap t - theta G = t (cut - G) / cut, with no subnormal
+            # theta; h = -expm1(-gap), over the scale's h0 = -expm1(-t) >= h
+            h = scratch.array("uniform", x.shape)
+            np.multiply(x, -1.0 / cut, out=h)
+            h *= t
+            np.expm1(h, out=h)
+            np.divide(h, math.expm1(-t), out=h)
+        x *= theta - 1.0
+        np.exp(x, out=x)
+        if l >= 2:
+            x *= h
         sum_v = float(x.sum())
         np.multiply(x, x, out=x)
         return int(np.count_nonzero(hit)), sum_v, float(x.sum()), ()
+    # the k uniforms of a trial are the coordinates u_i = (n_i + 1/2) 2^-32
+    # of a scrambled Sobol point, for its integer coordinates n_i, mapped
+    # into the hit region G < cut (Owen 2013, ch. 9): with a = e^-cut and
+    # Q_i = u_1 ... u_i, P_i = a + (1 - a) Q_i > a and G = -ln P_k < cut.
+    # That is u_i drawn uniform on (a / P_(i-1), 1), a range of chance
+    # 1 - a / P_(i-1) = (1 - a) Q_(i-1) / P_(i-1), so the draw weighs
+    # W = (1 - a) prod_(i<k) (1 - a) Q_i / P_i <= 1, and the scale holds the
+    # first 1 - a.  With y_i = Q_i 2^(32 i) = prod_(j<=i) (n_j + 1/2) and
+    # c_i = a 2^(32 i) / (1 - a), (1 - a) Q_i / P_i = y_i / (y_i + c_i), and
+    # x = cut - G = ln(P_k / a) = ln(1 + q) >= 0 with q = y_k / c_k, so no
+    # draw needs a clamp.  The density ratio is exp((theta - 1) x); at l >= 2,
+    # where theta = t / cut, the last gain's chance over the scale's h0 is
+    # (1 - e^(-theta x)) / h0, and their product is
+    # e^-x expm1(theta x) / h0 = expm1(theta x) / ((1 + q) h0), which is
+    # y_k / ((y_k + c_k) h0) untilted (theta = 1).  Dividing by (1 + q) h0
+    # keeps a subnormal h0 finite, where 1 / h0 is inf
+    (v, low), r0, start, sizes = replicates
+    shape = (len(sizes), max(sizes))
+    rows = slice(r0, r0 + shape[0])
+    a, h0 = math.exp(-cut), -math.expm1(-t)
+    tilted = theta < 1.0
+    y = scratch.array("gamma", shape)
+    for d, points in enumerate(_sobol_points(v[rows], low[rows], start, start + shape[1], scratch)):
+        c = a * 2.0 ** (32 * (d + 1)) / -math.expm1(-cut)
+        factor = y if d == 0 else scratch.array("uniform", shape)
+        if tilted and d == k - 1:
+            # a tilted weight reads y_k only in 1 + q, so the last factor
+            # n_k + 1/2 is taken over c_k (and the 1 added here at k = 1)
+            np.multiply(points, 1.0 / c, out=factor)
+            factor += 0.5 / c + (1.0 if d == 0 else 0.0)
+        else:
+            np.add(points, 0.5, out=factor)
+        if d:
+            y *= factor
+        if d < k - 1:
+            # the chance y_i / (y_i + c_i) of coordinate i + 1's region, i = d + 1
+            chance = np.add(y, c, out=scratch.array("uniform", shape))
+            if d == 0:
+                chances = np.divide(y, chance, out=scratch.array("ratio", shape))
+            else:
+                chances *= np.divide(y, chance, out=chance)
+    if tilted and k > 1:
+        y += 1.0
+    # y is 1 + q for a tilted weight, y_k for an untilted one, and c is c_k
+    if tilted and l == 1:
+        np.log(y, out=y)
+        y *= theta - 1.0
+        np.exp(y, out=y)
+    elif tilted:
+        x = np.log(y, out=scratch.array("uniform", shape))
+        x *= theta
+        np.expm1(x, out=x)
+        y *= h0
+        np.divide(x, y, out=y)
+    elif l >= 2:
+        # the last region's chance y_k / (y_k + c_k) over h0
+        last = np.add(y, c, out=scratch.array("uniform", shape))
+        last *= h0
+        np.divide(y, last, out=y)
+    else:
+        # untilted at l = 1, the region is the event: every weight is 1
+        y.fill(1.0)
+    if k >= 2:
+        y *= chances
     if min(sizes) < shape[1]:
         # the shorter replicates' last column is padding
-        x[np.less(sizes, shape[1]), -1] = 0.0
-    sums = x.sum(axis=1)
-    # every draw is a hit; x keeps the weights (einsum, unlike a BLAS dot,
-    # runs on the calling thread, so it does not contend with the pool's)
-    return m, float(sums.sum()), float(np.einsum("ij,ij->", x, x)), tuple(sums.tolist())
+        y[np.less(sizes, shape[1]), -1] = 0.0
+    sums = y.sum(axis=1)
+    # every draw is a hit
+    return m, float(sums.sum()), None, tuple(sums.tolist())
 
 
 def _replicate_layout(trials: int) -> list:

@@ -339,9 +339,17 @@ def test_sobol_replicate_interval_coverage_and_variance(capsys):
         config = MonteCarloConfig(l=l, trials=2**16, seed=111000 + l, event="threshold",
                                   threshold=0.1, estimator="is")
         _, kernel, batches = error_analysis._plan(config, model)
-        results = [kernel(args) for args in batches]
+        # the kernel returns no sum of v^2 for replicates, and leaves each
+        # batch's weights v in its scratch's "gamma" array
+        scratch = error_analysis._Scratch()
+        results, sum_v2 = [], 0.0
+        for args in batches:
+            results.append(kernel(args, scratch))
+            sizes = args[6][3]
+            v = scratch.array("gamma", (len(sizes), max(sizes)))
+            sum_v2 += float(np.einsum("ij,ij->", v, v))
         n = config.trials
-        sum_v, sum_v2 = sum(r[1] for r in results), sum(r[2] for r in results)
+        sum_v = sum(r[1] for r in results)
         iid = (sum_v2 - sum_v * sum_v / n) / (n - 1) / n
         means = error_analysis._replicate_means(batches, results)
         ratios.append(iid / (np.var(means, ddof=1) / len(means)))

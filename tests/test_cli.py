@@ -190,10 +190,10 @@ SOBOL_SIMULATE_SEED_0 = {
     (1, 100000): (
         'snr,p_hat,ci_low,ci_high,analytic',
         '1,0.63212055882855767,0.63212055882855767,0.63212055882855767,0.63212055882855767',
-        ('3.1622776601683795,0.27110501788968822,0.27110186008031445,'
-         '0.27110817569906198,0.27110658588997538'),
-        ('10,0.095161404623848672,0.09515994768237819,'
-         '0.095162861565319154,0.095162581964040427'),
+        ('3.1622776601683795,0.27110501788968816,0.27110186008031439,'
+         '0.27110817569906193,0.27110658588997538'),
+        ('10,0.095161404623848644,0.095159947682378163,'
+         '0.095162861565319126,0.095162581964040427'),
     ),
     (3, 1048577): (
         'snr,p_hat,ci_low,ci_high,analytic',
@@ -206,9 +206,9 @@ SOBOL_SIMULATE_SEED_0 = {
     ),
     (2, 300000): (
         'snr,p_hat,ci_low,ci_high,analytic',
-        '1,0.26424040592298892,0.26423811099019612,0.26424270085578172,0.26424111765711533',
-        ('3.1622776601683795,0.040610686877268799,0.040610231245336276,'
-         '0.040611142509201323,0.040610249881576403'),
+        '1,0.26424040592298881,0.26423811099019601,0.26424270085578161,0.26424111765711533',
+        ('3.1622776601683795,0.040610686877268792,0.040610231245336269,'
+         '0.040611142509201316,0.040610249881576403'),
         ('10,0.0046788455623777928,0.0046788079851543063,'
          '0.0046788831396012793,0.0046788401604444694'),
     ),

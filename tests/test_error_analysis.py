@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import math
 import sys
 import threading
@@ -538,12 +539,17 @@ class TestImportanceSampling:
         assert est.covers(p)
         assert _rel_half_width(est) <= 0.02
 
-    @pytest.mark.parametrize("l", [1, 2, 4, 8, 9, 10])
-    def test_weigh_kernel_matches_the_likelihood_ratio(self, l):
-        seed, batch, m, sigma2_f, threshold = 9, 2, 4096, 0.7, 0.3 * l
+    # thresholds 0.3 l tilt the proposal; 1.5 l and 3 l (t >= l) leave it
+    # untilted
+    @pytest.mark.parametrize("l, factor", [(1, 0.3), (2, 0.3), (4, 0.3), (8, 0.3), (9, 0.3),
+                                           (10, 0.3), (1, 1.5), (2, 1.5), (4, 3.0), (8, 1.5)])
+    def test_weigh_kernel_matches_the_likelihood_ratio(self, l, factor):
+        seed, batch, m, sigma2_f = 9, 2, 4096, 0.7
+        threshold = factor * l
         g = error_analysis._weigh_generator(seed, batch)
         t = threshold / sigma2_f
-        theta = t / l
+        cut = max(t, l)
+        theta = t / cut
         k = max(l - 1, 1)
         # l <= 8 weighs three Sobol replicates, the first one point longer:
         # replicates 5 .. 7 of a point, whose scrambles are the first draws
@@ -551,15 +557,16 @@ class TestImportanceSampling:
         sizes = (1366, 1365, 1365)
         replicates = ((error_analysis._draw_scrambles(seed, k, 32, ((batch + 1, 5), (batch, 3))),
                        5, 0, sizes) if l <= 8 else None)
+        scratch = error_analysis._Scratch()
         hits, sum_v, sum_v2, sums = error_analysis._weigh_batch(
-            (seed, batch, m, l, sigma2_f, threshold, replicates))
+            (seed, batch, m, l, sigma2_f, threshold, replicates), scratch)
         # the last gain's chance 1 - e^-(t - x) to close the gap, at l >= 2
         # (its largest value, 1 - e^-t, in the scale)
         h0 = -math.expm1(-t) if l >= 2 else 1.0
         if l <= 8:
             # the k uniforms of a Sobol point, scrambled by the first words
             # of the same stream (laid out replicate-major), mapped into the
-            # hit region G < cut = l: u_i uniform on (a / P_(i-1), 1) with
+            # hit region G < cut: u_i uniform on (a / P_(i-1), 1) with
             # a = e^-cut and P_i = u_1 ... u_i, so P_k > a, each range's
             # chance 1 - a / P_(i-1) multiplying the weight.  Every point
             # then weighs that times the Gamma(k) density ratio, and at
@@ -571,7 +578,7 @@ class TestImportanceSampling:
                                                   error_analysis._Scratch())
             u = (np.array([p.copy() for p in points]) + 0.5) / 2.0**32
             u = np.concatenate([u[:, r, :n] for r, n in enumerate(sizes)], axis=1)
-            a = math.exp(-l)
+            a = math.exp(-cut)
             prod, chance = np.ones(m), np.ones(m)
             for ui in u:
                 chance *= 1.0 - a / prod
@@ -580,11 +587,17 @@ class TestImportanceSampling:
             w = chance * theta**k * np.exp(x * (1.0 / theta - 1.0))
             if l >= 2:
                 w *= -np.expm1(-(t - x))
-            scale = theta**k * math.exp(l * (1.0 - theta)) * h0 * (1.0 - a)
-            # each replicate's sum
+            scale = theta**k * math.exp(cut * (1.0 - theta)) * h0 * (1.0 - a)
+            # each draw's weight, which the kernel leaves in its "gamma"
+            # array, and each replicate's sum
+            weights = scratch.array("gamma", (3, sizes[0]))
+            weights = np.concatenate([weights[r, :n] for r, n in enumerate(sizes)])
+            assert weights * scale == pytest.approx(w, rel=1e-12)
             owner = np.repeat(np.arange(3), sizes)
             expected = [w[owner == r].sum() for r in range(3)]
             assert np.array(sums) * scale == pytest.approx(expected, rel=1e-12)
+            # the replicates' interval reads no sum of v^2
+            assert sum_v2 is None
         else:
             # the Gamma(l - 1) draws of the same stream: every hit
             # x = theta G < t weighs the Gamma(l - 1) density ratio times the
@@ -592,12 +605,44 @@ class TestImportanceSampling:
             gam = g.standard_gamma(k, m)
             x = theta * gam[theta * gam < t]
             w = theta**k * np.exp(x * (1.0 / theta - 1.0)) * -np.expm1(-(t - x))
-            scale = theta**k * math.exp(l * (1.0 - theta)) * h0
+            scale = theta**k * math.exp(cut * (1.0 - theta)) * h0
+            assert sum_v2 * scale**2 == pytest.approx((w * w).sum(), rel=1e-12)
         # iid draws have no replicates
         assert len(sums) == (3 if l <= 8 else 0)
         assert hits == x.size
         assert sum_v * scale == pytest.approx(w.sum(), rel=1e-12)
-        assert sum_v2 * scale**2 == pytest.approx((w * w).sum(), rel=1e-12)
+
+    # thresholds at the float's edges.  A subnormal t leaves a subnormal (or
+    # zero) theta and h0 = 1 - e^-t, where 1 / h0 is inf, and at l >= 2 the
+    # scale underflows to 0; from t = 745 on, e^-cut is 0, so c_i is 0 and
+    # every region's chance is 1
+    @pytest.mark.parametrize("trials", [17, 1000])
+    def test_edge_thresholds(self, trials):
+        for l in (2, 3, 8):
+            for t in (1e-310, 5e-324):
+                est = monte_carlo_p_err(_is_config(l, t, trials=trials), RAYLEIGH_1)
+                assert (est.p_hat, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
+        for l in (1, 2, 3, 8):
+            for t in (700.0, 745.0, 800.0, 1e300):
+                est = monte_carlo_p_err(_is_config(l, t, trials=trials), RAYLEIGH_1)
+                assert (est.p_hat, est.ci_low, est.ci_high) == (1.0, 1.0, 1.0)
+        est = monte_carlo_p_err(_is_config(1, 1e-310, trials=trials), RAYLEIGH_1)
+        assert 0.0 < est.p_hat and est.covers(gamma_p(1, 1e-310))
+
+    def test_iid_estimates_keep_their_bytes(self):
+        # the standard_gamma path of l > 8, pinned over l, thresholds from
+        # p = 1e-3 to untilted, and trial counts from one to a partial batch:
+        # sha256 of the estimates' reprs, concatenated
+        reprs = []
+        for l in (9, 10, 12, 20, 50, 1000):
+            for t in (gamma_p_inv(l, 1e-3), gamma_p_inv(l, 1e-20), 0.5 * l, 1.5 * l, 3 * l,
+                      0.999999 * l):
+                for n in (1, 17, 65537, 200000):
+                    config = MonteCarloConfig(l=l, trials=n, seed=5, threshold=t,
+                                              estimator="is", point=3)
+                    reprs.append(repr(monte_carlo_p_err(config, RAYLEIGH_1, workers=2)))
+        digest = hashlib.sha256("".join(reprs).encode()).hexdigest()
+        assert digest[:16] == "5b7b99ea6e8dcc73"
 
     # the iid draws: the Sobol points of l <= 8 are mapped into the hit
     # region, so they have no miss to clamp
@@ -864,11 +909,11 @@ def _sobol(words, start, stop, bits=32):
 # repr of each estimate of diversity_slope_scan(2, 0.0, 7002), the rare_slope
 # benchmark's first pass: five points of 16 Sobol replicates, 10 + 6 per batch
 SCAN_7002_ESTIMATES = (
-    ("ErrorEstimate(p_hat=0.05000132538828204, trials=100000, "
-     "ci_low=0.04999950395938726, ci_high=0.05000314681717682, "
+    ("ErrorEstimate(p_hat=0.05000132538828203, trials=100000, "
+     "ci_low=0.04999950395938725, ci_high=0.05000314681717681, "
      "errors_observed=100000, estimator='is')"),
     ("ErrorEstimate(p_hat=0.005860316865538813, trials=100000, "
-     "ci_low=0.005860137750924363, ci_high=0.0058604959801532635, "
+     "ci_low=0.005860137750924364, ci_high=0.005860495980153263, "
      "errors_observed=100000, estimator='is')"),
     ("ErrorEstimate(p_hat=0.0006166512561700894, trials=100000, "
      "ci_low=0.0006166334376050994, ci_high=0.0006166690747350795, "
